@@ -12,7 +12,7 @@ import argparse
 import sys
 import time
 
-from teasim.cli import _suite_reports
+from teasim.cli import suite_reports
 from teasim.gen import GenConfig
 
 
@@ -26,7 +26,7 @@ def main() -> int:
     rows = []
     for suite in ("meltdown-safe", "meltdown-buggy", "spectre-buggy"):
         t0 = time.time()
-        reports = _suite_reports(suite, cfg)
+        reports = suite_reports(suite, cfg)
         func = sum(r.functional_count for r in reports)
         tea = sum(r.tea_count for r in reports)
         rows.append((suite, func, tea, time.time() - t0))

@@ -159,14 +159,6 @@ def emit_ma(p: Program, params: MaParams | None = None) -> MaState:
     return initial_ma_state(p.imem, p.dmem, p.ga, pc=p.entry, params=params)
 
 
-def emit(p: Program, target: str, params: MaParams | None = None):
-    if target == "isa":
-        return emit_isa(p, (params or MaParams()).reg_count)
-    if target == "ma":
-        return emit_ma(p, params)
-    raise ValueError(f"unknown target {target!r}")
-
-
 def load_bundled(name: str) -> Program:
     """Parse one of the programs shipped with the package."""
     text = resources.files("teasim.programs").joinpath(f"{name}.asm").read_text()

@@ -49,7 +49,9 @@ def _parse_params(path: str | None, overrides: list[str]) -> MaParams:
                     k, v = line.split("=", 1)
                     kv[k.strip()] = v.strip()
     for item in overrides:
-        k, v = item.split("=", 1)
+        k, sep, v = item.partition("=")
+        if not sep:
+            raise ValueError(f"--param expects key=value, got {item!r}")
         kv[k] = v
     base = MaParams()
     fields = {}
@@ -61,7 +63,7 @@ def _parse_params(path: str | None, overrides: list[str]) -> MaParams:
         elif k in ("fetch_num", "max_rob", "rs_count", "reg_count"):
             fields[k] = int(v)
         else:
-            raise SystemExit(f"unknown parameter {k!r}")
+            raise ValueError(f"unknown parameter {k!r}")
     return replace(base, **fields) if fields else base
 
 
@@ -73,10 +75,10 @@ def _load_program(path: str):
 def cmd_run(args) -> int:
     try:
         prog = _load_program(args.program)
+        params = _parse_params(args.params, args.param)
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    params = _parse_params(args.params, args.param)
 
     if args.machine == "isa":
         s = asm.emit_isa(prog, params.reg_count)
@@ -110,7 +112,7 @@ def cmd_run(args) -> int:
     return 0 if s.halt else 3
 
 
-def _suite_reports(suite: str, cfg: GenConfig) -> list[Report]:
+def suite_reports(suite: str, cfg: GenConfig) -> list[Report]:
     reports = []
     for prop in SUITES[suite]:
         seeds = tuple(
@@ -125,11 +127,15 @@ def cmd_check(args) -> int:
         print(f"error: unknown suite {args.suite!r}; have "
               + ", ".join(sorted(SUITES)), file=sys.stderr)
         return 2
+    if args.trials < 0:
+        print(f"error: --trials must be at least 0, got {args.trials}",
+              file=sys.stderr)
+        return 2
     if args.replay:
         return _replay_bundle(args.replay, args.json)
     cfg = GenConfig(seed=args.seed, trials=args.trials)
     try:
-        reports = _suite_reports(args.suite, cfg)
+        reports = suite_reports(args.suite, cfg)
     except Exception as e:  # internal error: distinct exit code
         print(f"internal error: {e}", file=sys.stderr)
         return 2
@@ -171,7 +177,7 @@ def _write_bundles(reports: list[Report], outdir: str, suite: str) -> None:
                 fh.write(asm.render(f.case.program))
 
 
-def _replay_bundle(path: str, as_json: bool) -> int:
+def _read_bundle(path: str) -> tuple[str | None, Case]:
     with open(path) as fh:
         text = fh.read()
     head, _, prog_text = text.partition("%program\n")
@@ -189,10 +195,18 @@ def _replay_bundle(path: str, as_json: bool) -> int:
         elif toks[0] == "seed-cache":
             a, v = toks[1].split(":")
             cache.append((int(a, 16), int(v, 16)))
+    return prop_name, Case(asm.parse(prog_text), forward, tuple(cache))
+
+
+def _replay_bundle(path: str, as_json: bool) -> int:
+    try:
+        prop_name, case = _read_bundle(path)
+    except (OSError, ValueError, IndexError) as e:
+        print(f"error: cannot replay {path}: {e}", file=sys.stderr)
+        return 2
     if prop_name is None or prop_name not in PROPERTIES:
         print("error: bundle names no known property", file=sys.stderr)
         return 2
-    case = Case(asm.parse(prog_text), forward, tuple(cache))
     findings = PROPERTIES[prop_name].check(case)
     doc = {
         "schema": "teasim-replay/1",

@@ -30,7 +30,6 @@ from .refine import (
     Finding,
     check_cache_action,
     check_entangled_obligations,
-    check_wsk_a_transition,
     check_wsk_transition,
     is_initial,
     label,
@@ -253,7 +252,7 @@ def check_spectre_case(case: Case, max_steps: int = 400) -> list[Finding]:
     """Cache-observable witness obligations plus the action audit under
     the designer-intent (commit-time) authorization policy."""
     spec = AUTH_SPECS["commit"]
-    return _walk(case, lambda s, h: check_wsk_a_transition(s, h, spec), max_steps)
+    return _walk(case, lambda s, h: check_wsk_transition(s, h, spec), max_steps)
 
 
 def check_action_writeback_case(case: Case, max_steps: int = 400) -> list[Finding]:

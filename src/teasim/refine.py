@@ -2,10 +2,12 @@
 
 The committed work of a pipeline state maps to an architectural state by
 discarding everything in flight (`r_ic`, cache erased) or by keeping the
-cache observable (`r_a`, used for the prefetch/eviction audit).  The
-obligation checkers run one pipeline transition at a time: a transition
-that retires nothing must strictly decrease the distance to the next
-retirement, and a retiring transition must be matched by running the
+cache observable (`r_a`, used for the prefetch/eviction audit).  One
+witness-skipping checker serves both maps and runs one pipeline
+transition at a time: a transition that retires nothing must leave the
+architectural fields unchanged and reach a retirement within the
+stutter bound (the step is deterministic, so the witness then strictly
+decreases), and a retiring transition must be matched by running the
 architectural machine one step per retired instruction, resolving its
 cache nondeterminism so the cache-membership results agree.  Failures
 come back as data (findings with a kind and message), never exceptions.
@@ -174,52 +176,6 @@ def _arch_mismatch(u: IsaState, v: IsaState) -> str | None:
     return None
 
 
-def check_wsk_transition(s: MaState, h: History) -> list[Finding]:
-    """All witness-skipping obligations for one transition of the
-    cache-erased (Meltdown) refinement, with w = r_ic(s)."""
-    findings: list[Finding] = []
-    if s.halt:
-        return findings
-    u, info = step_core(s)
-    w = r_ic(s)
-
-    if label(r_ic(s)) != label(w):
-        findings.append(Finding("wsk-label", "functional",
-                                "state not related to its own image"))
-
-    if info.retired == 0:
-        # Non-retiring: stay related and get strictly closer to a commit.
-        if label(r_ic(u)) != label(w):
-            findings.append(Finding(
-                "wsk-match", "functional",
-                "architectural fields changed on a non-retiring step",
-            ))
-            return findings
-        d_s, d_u = stutter_wit(s), stutter_wit(u)
-        if d_s is None or d_u is None:
-            findings.append(Finding("wsk-match", "liveness",
-                                    "no commit within the stutter bound"))
-        elif not d_u < d_s:
-            findings.append(Finding(
-                "wsk-match", "functional",
-                f"stutter witness did not decrease ({d_s} -> {d_u})",
-            ))
-        return findings
-
-    v, fail = run_ic(w, info.batch)
-    if fail is not None:
-        findings.append(fail)
-        return findings
-    diff = _arch_mismatch(label(r_ic(u)), label(v))
-    if diff is not None:
-        findings.append(Finding(
-            "wsk-match", "functional",
-            f"retired {info.retired} instruction(s) but the matched "
-            f"architectural run disagrees: {diff}",
-        ))
-    return findings
-
-
 # --- cache action audit (Spectre decomposition) ---
 
 # An authorization policy maps one transition to its admitted actions.
@@ -348,50 +304,55 @@ def run_ic_c(
     return v, None
 
 
-def check_wsk_a_transition(
-    s: MaState, h: History, spec: AuthSpec
+def check_wsk_transition(
+    s: MaState, h: History, spec: AuthSpec | None = None
 ) -> list[Finding]:
-    """Cache-observable witness obligations plus the action audit for
-    one transition, with w = r_a(s)."""
+    """All witness-skipping obligations for one transition, with w = r(s).
+
+    With no policy this is the cache-erased (Meltdown) refinement,
+    r = r_ic; with one it is the cache-observable refinement, r = r_a,
+    and the policy's action audit comes first.
+    """
     findings: list[Finding] = []
     if s.halt:
         return findings
     u, info = step_core(s)
-    w = r_a(s)
-
-    cex = check_cache_action(s, h, info, u, spec)
-    if cex is not None:
-        findings.append(cex)
+    if spec is None:
+        r, match = r_ic, "wsk-match"
+    else:
+        r, match = r_a, "wsk-a-match"
+        cex = check_cache_action(s, h, info, u, spec)
+        if cex is not None:
+            findings.append(cex)
+    w = r(s)
 
     if info.retired == 0:
-        # Labels erase the cache, so branch 1 constrains only the
+        # Labels erase the cache, so this constrains only the
         # architectural fields; unauthorized fills are the audit's job.
-        if label(r_a(u)) != label(w):
-            findings.append(Finding("wsk-a-match", "functional",
+        # step_core is deterministic, so a witness within the bound
+        # decreases by exactly one: only the bound itself can fail.
+        if label(r(u)) != label(w):
+            findings.append(Finding(match, "functional",
                                     "architectural fields changed on a "
                                     "non-retiring step"))
-        else:
-            d_s, d_u = stutter_wit(s), stutter_wit(u)
-            if d_s is None or d_u is None:
-                findings.append(Finding("wsk-a-match", "liveness",
-                                        "no commit within the stutter bound"))
-            elif not d_u < d_s:
-                findings.append(Finding(
-                    "wsk-a-match", "functional",
-                    f"stutter witness did not decrease ({d_s} -> {d_u})",
-                ))
+        elif stutter_wit(s) is None:
+            findings.append(Finding(match, "liveness",
+                                    "no commit within the stutter bound"))
         return findings
 
-    v, fail = run_ic_c(w, info.batch, u)
+    if spec is None:
+        v, fail = run_ic(w, info.batch)
+    else:
+        v, fail = run_ic_c(w, info.batch, u)
     if fail is not None:
         findings.append(fail)
         return findings
-    diff = _arch_mismatch(label(r_a(u)), label(v))
-    if diff is None and v.cache != u.cache:
+    diff = _arch_mismatch(label(r(u)), label(v))
+    if diff is None and spec is not None and v.cache != u.cache:
         diff = "cache contents differ"
     if diff is not None:
         findings.append(Finding(
-            "wsk-a-match", "functional",
+            match, "functional",
             f"retired {info.retired} instruction(s) but the matched "
             f"architectural run disagrees: {diff}",
         ))
@@ -443,15 +404,3 @@ def check_entangled_obligations(
                 "entangled-closure", "functional",
                 "successor of an entangled state is not entangled"))
     return findings
-
-
-def check_replay_identity(s: MaState, h: History, steps: int) -> Finding | None:
-    """Run forward and verify every intermediate pair stays replayable."""
-    for _ in range(steps):
-        if s.halt:
-            break
-        s, h = mah_step(s, h)
-        if not is_entangled(s, h):
-            return Finding("replay-identity", "functional",
-                           f"replay diverged at cycle {s.cyc}")
-    return None

@@ -233,11 +233,3 @@ def is_entangled(s: MaState, h: History) -> bool:
         except ChoiceError:
             return False
     return x == s
-
-
-def run_mah(s: MaState, h: History, max_steps: int) -> tuple[MaState, History, int]:
-    for i in range(max_steps):
-        if s.halt:
-            return s, h, i
-        s, h = mah_step(s, h)
-    return s, h, max_steps

@@ -9,7 +9,7 @@ import time
 from dataclasses import replace
 
 from teasim import asm
-from teasim.cli import _suite_reports
+from teasim.cli import suite_reports
 from teasim.gen import (
     GenConfig,
     case_pair,
@@ -36,11 +36,11 @@ def test_criterion_1_attack_reproduction():
     t0 = time.time()
     cfg = GenConfig(seed=SEED, trials=300)  # within the <= 5000 budget
 
-    buggy = _suite_reports("meltdown-buggy", cfg)
+    buggy = suite_reports("meltdown-buggy", cfg)
     melt_tea = sum(r.tea_count for r in buggy)
     assert melt_tea >= 1, "no transient-execution counterexample found"
 
-    spect = _suite_reports("spectre-buggy", cfg)
+    spect = suite_reports("spectre-buggy", cfg)
     spect_viol = sum(
         1
         for r in spect
@@ -49,7 +49,7 @@ def test_criterion_1_attack_reproduction():
     )
     assert spect_viol >= 1, "no cache-action violation found"
 
-    safe = _suite_reports("meltdown-safe", cfg)
+    safe = suite_reports("meltdown-safe", cfg)
     safe_tea = sum(r.tea_count for r in safe)
     safe_all = sum(len(r.failures) for r in safe)
     assert safe_tea == 0 and safe_all == 0
@@ -183,11 +183,11 @@ def test_criterion_8_deterministic_reports():
     cfg = GenConfig(seed=SEED + 5, trials=60)
     docs = []
     for _ in range(2):
-        reports = _suite_reports("spectre-buggy", cfg)
+        reports = suite_reports("spectre-buggy", cfg)
         docs.append(report_json(reports, "spectre-buggy"))
     assert docs[0] == docs[1]
     cfg2 = GenConfig(seed=SEED + 5, trials=40)
-    docs2 = [report_json(_suite_reports("entangled", cfg2), "entangled")
+    docs2 = [report_json(suite_reports("entangled", cfg2), "entangled")
              for _ in range(2)]
     assert docs2[0] == docs2[1]
     report("8 deterministic-reports",

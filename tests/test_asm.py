@@ -93,10 +93,3 @@ class TestEmit:
         p = parse("halt\n")
         ma = asm.emit_ma(p, MaParams(rs_count=6))
         assert len(ma.rs_f) == 6
-
-    def test_emit_dispatch(self):
-        p = parse("halt\n")
-        assert asm.emit(p, "isa").pc == 0
-        assert asm.emit(p, "ma").fetch_pc == 0
-        with pytest.raises(ValueError):
-            asm.emit(p, "riscv")

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from teasim import asm
 from teasim.cli import main
 
@@ -85,6 +87,43 @@ class TestCheck:
         assert main(["check", "--replay", str(bundles[0])]) == 1
         out = capsys.readouterr().out
         assert "tea-meltdown" in out
+
+
+def bundle(forward="0", cache="0x4:0x9", program="halt\n"):
+    return (f"%teasim-bundle\nproperty wsk\nforward-steps {forward}\n"
+            f"seed-cache {cache}\n%program\n{program}")
+
+
+# argv with {tmp} standing for the test's directory, and the files to
+# put there first.
+USAGE_ERRORS = {
+    "replay-missing-file": (["check", "--replay", "{tmp}/absent.bundle"], {}),
+    "replay-bad-forward-steps": (["check", "--replay", "{tmp}/b.bundle"],
+                                 {"b.bundle": bundle(forward="x")}),
+    "replay-bad-seed-cache": (["check", "--replay", "{tmp}/b.bundle"],
+                              {"b.bundle": bundle(cache="0x4")}),
+    "replay-bad-program": (["check", "--replay", "{tmp}/b.bundle"],
+                           {"b.bundle": bundle(program="loadi r99 1\n")}),
+    "replay-truncated-line": (["check", "--replay", "{tmp}/b.bundle"],
+                              {"b.bundle": "property\n%program\nhalt\n"}),
+    "negative-trials": (["check", "--suite", "entangled", "--trials", "-5"], {}),
+    "param-without-value": (["run", "{tmp}/p.asm", "--param", "bogus"],
+                            {"p.asm": "halt\n"}),
+    "unknown-param": (["run", "{tmp}/p.asm", "--param", "bogus=1"],
+                      {"p.asm": "halt\n"}),
+}
+
+
+@pytest.mark.parametrize("argv, files", USAGE_ERRORS.values(),
+                         ids=USAGE_ERRORS.keys())
+def test_usage_error_exits_two(tmp_path, capsys, argv, files):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
 
 
 class TestDemoBench:

@@ -12,7 +12,6 @@ from teasim.refine import (
     b_ic,
     check_cache_action,
     check_entangled_obligations,
-    check_wsk_a_transition,
     check_wsk_transition,
     counted_lines,
     label,
@@ -119,6 +118,29 @@ class TestWitnesses:
         s, _ = run_ma(prog_state(Instr("halt")), 50)
         assert stutter_wit(s) == 0
 
+    def test_non_retiring_step_decreases_by_one(self):
+        # Why the checker tests only the bound: the step is
+        # deterministic, so the witness cannot fail to decrease.
+        cfg = GenConfig(seed=15)
+        checked = 0
+        for i in range(30):
+            s, h = case_pair(replace(
+                gen_entangled_case(cfg, trial_rng("stutter", i)),
+                forward_steps=0))
+            for n, (s, h) in enumerate(walk(s, h)):
+                if n == 150:
+                    break
+                u, info = step_core(s)
+                if info.retired:
+                    continue
+                d_u = stutter_wit(u)
+                if d_u is not None and d_u < s.params.stutter_cap():
+                    assert stutter_wit(s) == d_u + 1
+                else:
+                    assert stutter_wit(s) is None
+                checked += 1
+        assert checked >= 100
+
 
 class TestRunIc:
     def test_single_add_commit_matches(self):
@@ -223,7 +245,7 @@ class TestActions:
         spec = AUTH_SPECS["commit"]
         kinds = set()
         for s, h in walk(s):
-            for f in check_wsk_a_transition(s, h, spec):
+            for f in check_wsk_transition(s, h, spec):
                 kinds.add((f.obligation, f.kind))
         assert ("action-soundness", "tea-spectre") in kinds
         assert not any(k == "functional" for _, k in kinds)

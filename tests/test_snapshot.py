@@ -12,7 +12,7 @@ from teasim.snapshot import (
     state_from_text,
     state_to_text,
 )
-from teasim.variants import init_h, run_mah
+from teasim.variants import init_h, mah_step
 from teasim.gen import GenConfig, case_pair, gen_entangled_case
 
 from conftest import trial_rng
@@ -41,7 +41,9 @@ def test_ma_round_trip_custom_params():
 
 def test_history_round_trip():
     s = asm.emit_ma(asm.load_bundled("spectre"))
-    s, h, _ = run_mah(s, init_h(s), 15)
+    h = init_h(s)
+    for _ in range(15):
+        s, h = mah_step(s, h)
     assert history_from_text(history_to_text(h)) == h
 
 
