@@ -107,6 +107,8 @@ def parse(text: str, reg_count: int = 12) -> Program:
             continue
         toks = line.split()
         if toks[0] == ".org":
+            if len(toks) != 2:
+                raise AsmError(line_no, ".org takes one address")
             if instrs:
                 raise AsmError(line_no, ".org must precede instructions")
             base = _int_lit(toks[1], line_no)
@@ -122,6 +124,8 @@ def parse(text: str, reg_count: int = 12) -> Program:
                 raise AsmError(line_no, f"empty range {lo:#x}-{hi:#x}")
             access.append((lo, hi))
         elif toks[0] == ".entry":
+            if len(toks) != 2:
+                raise AsmError(line_no, ".entry takes one address")
             entry = _int_lit(toks[1], line_no)
         elif toks[0].startswith("."):
             raise AsmError(line_no, f"unknown directive {toks[0]!r}")
@@ -163,7 +167,3 @@ def load_bundled(name: str) -> Program:
     """Parse one of the programs shipped with the package."""
     text = resources.files("teasim.programs").joinpath(f"{name}.asm").read_text()
     return parse(text)
-
-
-def bundled_text(name: str) -> str:
-    return resources.files("teasim.programs").joinpath(f"{name}.asm").read_text()

@@ -2,7 +2,8 @@
 
 Subcommands: `run` simulates a program on either machine, `check` runs
 the obligation suites, `demo` walks the two bundled attacks, `bench`
-measures step throughput, `replay` re-verifies a counterexample bundle.
+measures step throughput, and `check --replay` re-verifies a
+counterexample bundle.
 
 Exit codes: 0 success / all checks passed, 1 counterexamples found,
 2 usage or internal error, 3 step budget exhausted.
@@ -21,7 +22,7 @@ from . import asm, snapshot
 from .gen import Case, GenConfig, PROPERTIES, Report, report_json, run_property
 from .isa import isa_det_step
 from .ma import MaParams, ma_step, step_core
-from .variants import init_h, mah_step, mah_step_info
+from .variants import init_h, mah_step
 
 SUITES: dict[str, list[str]] = {
     "entangled": ["entangled", "replay-identity"],
@@ -59,7 +60,7 @@ def _parse_params(path: str | None, overrides: list[str]) -> MaParams:
         k = k.replace("-", "_")
         if k == "prefetch":
             toks = v.split()
-            fields["prefetch"] = tuple([toks[0]] + [int(x) for x in toks[1:]])
+            fields["prefetch"] = tuple(toks[:1] + [int(x) for x in toks[1:]])
         elif k in ("fetch_num", "max_rob", "rs_count", "reg_count"):
             fields[k] = int(v)
         else:
@@ -96,14 +97,14 @@ def cmd_run(args) -> int:
             break
         if args.trace:
             if h is not None:
-                nxt, h, info = mah_step_info(s, h)
+                nxt, h, info = mah_step(s, h)
             else:
                 nxt, info = step_core(s)
             delta = {a: v for a, v in nxt.cache.items() if s.cache.get(a) != v}
             print(snapshot.trace_record(s.cyc, info, delta))
             s = nxt
         elif h is not None:
-            s, h = mah_step(s, h)
+            s, h, _ = mah_step(s, h)
         else:
             s = ma_step(s)
     print(snapshot.ma_to_text(s), end="")
@@ -134,11 +135,7 @@ def cmd_check(args) -> int:
     if args.replay:
         return _replay_bundle(args.replay, args.json)
     cfg = GenConfig(seed=args.seed, trials=args.trials)
-    try:
-        reports = suite_reports(args.suite, cfg)
-    except Exception as e:  # internal error: distinct exit code
-        print(f"internal error: {e}", file=sys.stderr)
-        return 2
+    reports = suite_reports(args.suite, cfg)
     doc = report_json(reports, args.suite)
     if args.json:
         print(doc)
@@ -161,50 +158,31 @@ def _print_human(reports: list[Report], suite: str) -> None:
 
 
 def _write_bundles(reports: list[Report], outdir: str, suite: str) -> None:
+    """One bundle per failing case: its report failure entry, plus the
+    property that failed."""
     os.makedirs(outdir, exist_ok=True)
     for r in reports:
-        for f in r.failures:
-            path = os.path.join(outdir, f"{suite}-{r.prop}-{f.trial}.bundle")
+        for entry in r.to_dict()["failures"]:
+            path = os.path.join(outdir, f"{suite}-{r.prop}-{entry['trial']}.bundle")
             with open(path, "w") as fh:
-                fh.write("%teasim-bundle\n")
-                fh.write(f"property {r.prop}\n")
-                fh.write(f"forward-steps {f.case.forward_steps}\n")
-                for a, v in f.case.seed_cache:
-                    fh.write(f"seed-cache {a:#x}:{v:#x}\n")
-                for x in f.findings:
-                    fh.write(f"finding {x.obligation} {x.kind} {x.detail}\n")
-                fh.write("%program\n")
-                fh.write(asm.render(f.case.program))
-
-
-def _read_bundle(path: str) -> tuple[str | None, Case]:
-    with open(path) as fh:
-        text = fh.read()
-    head, _, prog_text = text.partition("%program\n")
-    prop_name = None
-    forward = 0
-    cache = []
-    for line in head.splitlines():
-        toks = line.split()
-        if not toks:
-            continue
-        if toks[0] == "property":
-            prop_name = toks[1]
-        elif toks[0] == "forward-steps":
-            forward = int(toks[1])
-        elif toks[0] == "seed-cache":
-            a, v = toks[1].split(":")
-            cache.append((int(a, 16), int(v, 16)))
-    return prop_name, Case(asm.parse(prog_text), forward, tuple(cache))
+                json.dump({**entry, "property": r.prop}, fh, indent=2,
+                          sort_keys=True)
+                fh.write("\n")
 
 
 def _replay_bundle(path: str, as_json: bool) -> int:
     try:
-        prop_name, case = _read_bundle(path)
-    except (OSError, ValueError, IndexError) as e:
+        with open(path) as fh:
+            record = json.load(fh)
+        prop_name = record["property"]
+        case = Case.from_dict(record)
+    except KeyError as e:
+        print(f"error: cannot replay {path}: missing field {e}", file=sys.stderr)
+        return 2
+    except (OSError, TypeError, ValueError) as e:
         print(f"error: cannot replay {path}: {e}", file=sys.stderr)
         return 2
-    if prop_name is None or prop_name not in PROPERTIES:
+    if not isinstance(prop_name, str) or prop_name not in PROPERTIES:
         print("error: bundle names no known property", file=sys.stderr)
         return 2
     findings = PROPERTIES[prop_name].check(case)
@@ -262,7 +240,7 @@ def cmd_demo(args) -> int:
         for _ in range(args.max_steps):
             if s.halt:
                 break
-            u, hu, info = mah_step_info(s, h)
+            u, hu, info = mah_step(s, h)
             cex = check_cache_action(s, h, info, u, spec)
             if cex is not None and shown < 3:
                 print(f"cycle {s.cyc}: {cex.detail}")
@@ -350,7 +328,11 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(fn=cmd_bench)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except Exception as e:  # internal error: distinct exit code
+        print(f"internal error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -73,6 +73,27 @@ class Case:
     forward_steps: int = 0
     seed_cache: tuple[tuple[int, int], ...] = ()
 
+    def to_dict(self) -> dict:
+        return {
+            "program": render(self.program),
+            "forward_steps": self.forward_steps,
+            "seed_cache": list(map(list, self.seed_cache)),
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> Case:
+        """Inverse of to_dict.  A missing field raises KeyError, a
+        malformed one ValueError or TypeError."""
+        steps = d["forward_steps"]
+        if type(steps) is not int or steps < 0:
+            raise ValueError(f"forward_steps must be a non-negative integer, "
+                             f"got {steps!r}")
+        cache = tuple(tuple(pair) for pair in d["seed_cache"])
+        if not all(len(p) == 2 and all(type(x) is int for x in p) for p in cache):
+            raise ValueError(f"seed_cache must hold [address, value] integer "
+                             f"pairs, got {d['seed_cache']!r}")
+        return cls(asm.parse(d["program"]), steps, cache)
+
 
 def _trial_rng(cfg_seed: int, prop: str, trial: int) -> random.Random:
     h = zlib.crc32(prop.encode())
@@ -174,7 +195,7 @@ def case_pair(case: Case) -> tuple[MaState, History]:
     for _ in range(case.forward_steps):
         if s.halt:
             break
-        s, h = mah_step(s, h)
+        s, h, _ = mah_step(s, h)
     return s, h
 
 
@@ -197,11 +218,6 @@ def gen_entangled_case(cfg: GenConfig, rng: random.Random) -> Case:
     else:
         k = rng.randint(0, cfg.max_forward_steps)
     return Case(prog, k, cache)
-
-
-def gen_entangled(cfg: GenConfig, rng: random.Random) -> tuple[MaState, History]:
-    """An entangled pair: emit, seed a committed cache, run forward."""
-    return case_pair(gen_entangled_case(cfg, rng))
 
 
 # --- property checkers over cases ---
@@ -239,7 +255,7 @@ def _walk(case: Case, per_step, max_steps: int) -> list[Finding]:
         findings.extend(per_step(s, h))
         if len(findings) >= 8:
             break
-        s, h = mah_step(s, h)
+        s, h, _ = mah_step(s, h)
     return findings
 
 
@@ -396,9 +412,7 @@ class Report:
                          "detail": x.detail}
                         for x in f.findings
                     ],
-                    "program": render(f.case.program),
-                    "forward_steps": f.case.forward_steps,
-                    "seed_cache": list(map(list, f.case.seed_cache)),
+                    **f.case.to_dict(),
                 }
                 for f in self.failures
             ],

@@ -292,20 +292,6 @@ def apply_prefetches(
     return out
 
 
-def imem_has_in_cache(imem: dict[int, Instr]) -> bool:
-    return any(i.op == "in-cache" for i in imem.values())
-
-
-def isa_a_step(s: IsaState, action: AuthAction = ()) -> IsaState:
-    """Action-labeled architectural step: instruction, then apply the
-    authorized cache actions.  The action-labeled machine's instruction
-    set excludes in-cache."""
-    if imem_has_in_cache(s.imem):
-        raise ValueError("action-labeled machine does not support in-cache")
-    s1 = isa_det_step(s)
-    return _with(s1, cache=apply_prefetches(action, s1.dmem, s1.cache, s1.ga))
-
-
 def label(s: IsaState) -> IsaState:
     """Observation label: the state with the cache erased."""
     return _with(s, cache={})

@@ -150,6 +150,7 @@ DEFAULT_MOP_TIMES = {"mmul": 3, "mldri": 2, "mldr": 2}
 # caches a+step, a+2*step, ..; ("none",) disables prefetching.  Policies
 # only ever name accessible addresses.
 PrefetchSpec = tuple
+PREFETCH_ARITY = {"none": 0, "next": 1, "stride": 2}
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,6 +172,12 @@ class MaParams:
         for mop, t in self.mop_times.items():
             if t < 1:
                 raise ValueError(f"mop time for {mop} must be positive")
+        kind, args = self.prefetch[:1], self.prefetch[1:]
+        if (not kind or PREFETCH_ARITY.get(kind[0]) != len(args)
+                or not all(isinstance(a, int) for a in args)):
+            shown = " ".join(map(str, self.prefetch))
+            raise ValueError("prefetch must be 'none', 'next N' or "
+                             f"'stride S K', got {shown!r}")
 
     def mop_time(self, mop: str) -> int:
         return self.mop_times.get(mop, 1)
@@ -192,11 +199,9 @@ class MaParams:
         if kind == "next":
             n = self.prefetch[1]
             cand = [w32(a + i) for i in range(1, n + 1)]
-        elif kind == "stride":
+        else:
             step, count = self.prefetch[1], self.prefetch[2]
             cand = [w32(a + step * i) for i in range(1, count + 1)]
-        else:
-            raise ValueError(f"unknown prefetch policy {kind!r}")
         return tuple(p for p in cand if ga.allows(p))
 
 
@@ -317,20 +322,17 @@ def issuable(uops: tuple[MicroInstr, ...], s: MaState) -> bool:
 
 
 def max_fetch_n(s: MaState) -> int:
-    """Largest n (up to the fetch width) whose decoded sequence fits."""
-    decoded = [decode_one(i) for i in fetch_n(s.imem, s.fetch_pc, s.params.fetch_num)]
-    idle = idle_count(s.rs_f)
-    free = free_rob(s.rob, s.params)
-    for n in range(s.params.fetch_num, 0, -1):
-        total = needed = 0
-        for group in decoded[:n]:
-            total += len(group)
-            for u in group:
-                if u.mop in RS_NEEDED:
-                    needed += 1
-        if needed <= idle and total <= free:
-            return n
-    return 0
+    """Largest n (up to the fetch width) whose decoded sequence is
+    issuable.  A longer sequence needs no fewer resources, so the scan
+    stops at the first prefix that does not fit."""
+    uops: tuple[MicroInstr, ...] = ()
+    n = 0
+    for instr in fetch_n(s.imem, s.fetch_pc, s.params.fetch_num):
+        uops += decode_one(instr)
+        if not issuable(uops, s):
+            break
+        n += 1
+    return n
 
 
 def rob_ids(
@@ -434,23 +436,14 @@ def batch_invalidates(batch: tuple[RobLine, ...]) -> bool:
     )
 
 
-def will_invalidate(rob: tuple[RobLine, ...]) -> bool:
-    return batch_invalidates(to_commit(rob, _ALL))
+def retired_lines(batch: tuple[RobLine, ...]) -> list[RobLine]:
+    """The lines of a commit batch that each complete one instruction.
 
-
-def retired_count(batch: tuple[RobLine, ...]) -> int:
-    """Completed instructions in a commit batch.
-
-    A non-faulting access check retires with its load, so it counts
-    zero here and the load counts one when it commits; a faulting check
-    retires the whole load instruction by itself.
+    A non-faulting access check retires with its load, so only the load
+    counts when it commits; a faulting check retires the whole load
+    instruction by itself.
     """
-    n = 0
-    for line in batch:
-        if line.mop in CHECK_MOPS and not line.excep:
-            continue
-        n += 1
-    return n
+    return [l for l in batch if l.excep or l.mop not in CHECK_MOPS]
 
 
 class _All:
@@ -695,7 +688,7 @@ def step_core(s: MaState, choice: Choice | None = None) -> tuple[MaState, StepIn
     info = StepInfo(
         n=n, issued=tuple(issued), started=tuple(started),
         writebacks=tuple(writebacks), batch=batch,
-        invalidated=invalidated, retired=retired_count(batch),
+        invalidated=invalidated, retired=len(retired_lines(batch)),
     )
     return out, info
 

@@ -36,7 +36,6 @@ from .isa import (
     w32,
 )
 from .ma import (
-    CHECK_MOPS,
     MEMORY_OPS,
     MaState,
     RobLine,
@@ -46,36 +45,20 @@ from .ma import (
     ma_step,
     man_step,
     maximal_choice,
+    retired_lines,
     step_core,
 )
 from .variants import History, init_h, is_entangled, mah_step
 
-MaPair = tuple[MaState, History]
 
-
-def _ma_state(x) -> MaState:
-    return x[0] if isinstance(x, tuple) else x
-
-
-def r_ic(x: MaState | MaPair) -> IsaState:
+def r_ic(s: MaState) -> IsaState:
     """Commitment map: committed architectural state, cache discarded."""
-    return arch_project(_ma_state(x), keep_cache=False)
+    return arch_project(s, keep_cache=False)
 
 
-def r_a(x: MaState | MaPair) -> IsaState:
+def r_a(s: MaState) -> IsaState:
     """Commitment map with the cache observable."""
-    return arch_project(_ma_state(x), keep_cache=True)
-
-
-def b_ic(x, y) -> bool:
-    """Matching relation over the disjoint union of the two machines:
-    equality on the same side, label equality through r_ic across."""
-    x_ma = not isinstance(x, IsaState)
-    y_ma = not isinstance(y, IsaState)
-    if x_ma == y_ma:
-        return x == y
-    ma, isa = (x, y) if x_ma else (y, x)
-    return label(r_ic(ma)) == label(isa)
+    return arch_project(s, keep_cache=True)
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,14 +75,11 @@ class Finding:
     detail: str
 
 
-def stutter_wit(x: MaState | MaPair, w: IsaState | None = None) -> int | None:
+def stutter_wit(s: MaState) -> int | None:
     """Steps until this state's next retiring transition.
 
-    Returns None past the configured cap (a liveness violation).  The
-    second argument is accepted for signature parity; same-side pairs
-    always yield 0.
+    Returns None past the configured cap (a liveness violation).
     """
-    s = _ma_state(x)
     if s.halt:
         return 0
     cap = s.params.stutter_cap()
@@ -108,17 +88,6 @@ def stutter_wit(x: MaState | MaPair, w: IsaState | None = None) -> int | None:
         if info.retired > 0:
             return k
     return None
-
-
-def counted_lines(batch: tuple[RobLine, ...]) -> list[RobLine]:
-    """Commit batch filtered down to one line per retired instruction."""
-    return [l for l in batch if l.excep or l.mop not in CHECK_MOPS]
-
-
-def skip_wit(info: StepInfo) -> int:
-    """Instructions retired by a transition; 1 for non-retiring ones,
-    where the value is never consumed."""
-    return max(1, info.retired)
 
 
 def _expected_mop(instr, faulted: bool) -> str | None:
@@ -137,7 +106,7 @@ def run_ic(
     execution counterexample.
     """
     v = w
-    for line in counted_lines(batch):
+    for line in retired_lines(batch):
         instr = fetch_instr(v.imem, v.pc)
         if line.mop != _expected_mop(instr, line.excep):
             return None, Finding(
@@ -240,15 +209,6 @@ def apply_action(s: MaState, cache: dict[int, int], action: AuthAction) -> dict[
     return apply_prefetches(action, s.dmem, cache, s.ga)
 
 
-def auth_actions(s: MaState, u: MaState, spec: str = "writeback",
-                 h: History | None = None) -> AuthAction:
-    """Actions labelling the transition s -> u under the named policy."""
-    s2, info = step_core(s)
-    if s2 != u:
-        raise ValueError("u is not the successor of s")
-    return AUTH_SPECS[spec](s, h, info, u)
-
-
 def check_cache_action(
     s: MaState, h: History | None, info: StepInfo, u: MaState,
     spec: AuthSpec,
@@ -278,7 +238,7 @@ def run_ic_c(
     reachable by authorized fills alone.
     """
     v = w
-    for line in counted_lines(batch):
+    for line in retired_lines(batch):
         instr = fetch_instr(v.imem, v.pc)
         if instr.op == "in-cache":
             return None, Finding("wsk-a-run", "functional",
@@ -371,7 +331,7 @@ def is_initial(s: MaState) -> bool:
 
 
 def check_entangled_obligations(
-    samples: Iterable[MaPair],
+    samples: Iterable[tuple[MaState, History]],
 ) -> list[Finding]:
     """The four entangled-state obligations over a batch of samples:
     maximal choices reproduce the deterministic step, the history-
@@ -398,7 +358,7 @@ def check_entangled_obligations(
                 "entangled-sample", "functional",
                 "generated sample is not entangled"))
             continue
-        u, hu = mah_step(s, h)
+        u, hu, _ = mah_step(s, h)
         if not is_entangled(u, hu):
             findings.append(Finding(
                 "entangled-closure", "functional",

@@ -2,27 +2,20 @@
 
 One record per field; maps are rendered as sorted key:value pairs in
 hex so equal states serialize to identical text.  Used by the CLI's
-trace mode and by replayable counterexample bundles.
+`run` output and its trace mode.  Snapshots are written, never read
+back: a counterexample bundle rebuilds its (state, history) pair from
+the case that produced it.
 """
 
 from __future__ import annotations
 
-from .asm import parse_instr
-from .isa import AccessMap, IsaState, TsxState
-from .ma import MaParams, MaState, ResStation, RobLine, StepInfo
-from .variants import History, Status, StatusLine
+from .isa import IsaState
+from .ma import MaState, StepInfo
+from .variants import History, Status
 
 
 def _pairs(m: dict[int, int]) -> str:
     return " ".join(f"{a:#x}:{v:#x}" for a, v in sorted(m.items()))
-
-
-def _parse_pairs(rest: list[str]) -> dict[int, int]:
-    out = {}
-    for tok in rest:
-        a, v = tok.split(":")
-        out[int(a, 16)] = int(v, 16)
-    return out
 
 
 def _words(ws) -> str:
@@ -49,10 +42,6 @@ def isa_to_text(s: IsaState) -> str:
 
 def _opt(x) -> str:
     return "-" if x is None else f"{x:#x}"
-
-
-def _opt_parse(tok: str) -> int | None:
-    return None if tok == "-" else int(tok, 16)
 
 
 def ma_to_text(s: MaState) -> str:
@@ -84,10 +73,6 @@ def ma_to_text(s: MaState) -> str:
     return "\n".join(out) + "\n"
 
 
-def state_to_text(s) -> str:
-    return ma_to_text(s) if isinstance(s, MaState) else isa_to_text(s)
-
-
 def _status_to_text(st: Status) -> str:
     if st[0] == "fetch":
         rsi = "-" if st[2] is None else str(st[2])
@@ -95,23 +80,6 @@ def _status_to_text(st: Status) -> str:
     if st[0] == "wr-b":
         return "wr-b:{" + ",".join(f"{a:#x}:{v:#x}" for a, v in sorted(st[1].items())) + "}"
     return st[0]
-
-
-def _status_from_text(tok: str) -> Status:
-    if tok.startswith("fetch:"):
-        _, pc, rsi = tok.split(":")
-        return ("fetch", int(pc, 16), None if rsi == "-" else int(rsi))
-    if tok.startswith("wr-b:"):
-        body = tok[len("wr-b:"):].strip("{}")
-        cache = {}
-        if body:
-            for pair in body.split(","):
-                a, v = pair.split(":")
-                cache[int(a, 16)] = int(v, 16)
-        return ("wr-b", cache)
-    if tok in ("exec", "delay", "post-comm"):
-        return (tok,)
-    raise ValueError(f"bad status {tok!r}")
 
 
 def history_to_text(h: History) -> str:
@@ -125,119 +93,6 @@ def history_to_text(h: History) -> str:
         sts = " ".join(_status_to_text(st) for st in sl.statuses)
         out.append(f"histline {sl.rob_id:#x} {sl.pc:#x} {sts}")
     return "\n".join(out) + "\n"
-
-
-def history_from_text(text: str) -> History:
-    comm_cy = start_cy = 0
-    comm_cache: dict[int, int] = {}
-    ch_eff: dict[int, dict[int, int]] = {}
-    lines: list[StatusLine] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("%"):
-            continue
-        toks = line.split()
-        key, rest = toks[0], toks[1:]
-        if key == "comm-cy":
-            comm_cy = int(rest[0], 16)
-        elif key == "start-cy":
-            start_cy = int(rest[0], 16)
-        elif key == "comm-cache":
-            comm_cache = _parse_pairs(rest)
-        elif key == "ch-eff":
-            ch_eff[int(rest[0], 16)] = _parse_pairs(rest[1:])
-        elif key == "histline":
-            sts = tuple(_status_from_text(t) for t in rest[2:])
-            lines.append(StatusLine(int(rest[0], 16), int(rest[1], 16), sts))
-        else:
-            raise ValueError(f"bad history record {key!r}")
-    return History(comm_cy, start_cy, comm_cache, ch_eff, tuple(lines))
-
-
-def state_from_text(text: str) -> IsaState | MaState:
-    kind = None
-    fields: dict = {
-        "imem": {}, "dmem": {}, "cache": {}, "reg_st": {},
-        "rob": [], "rs": [], "params": {}, "mop_times": {},
-    }
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        toks = line.split()
-        if toks[0] == "%teasim-state":
-            kind = toks[1]
-            continue
-        key, rest = toks[0], toks[1:]
-        if key == "pc":
-            fields["pc"] = int(rest[0], 16)
-        elif key == "halt":
-            fields["halt"] = bool(int(rest[0]))
-        elif key == "rf":
-            fields["rf"] = tuple(int(x, 16) for x in rest)
-        elif key == "tsx":
-            fields["tsx"] = TsxState(
-                bool(int(rest[0])), tuple(int(x, 16) for x in rest[2:]),
-                int(rest[1], 16),
-            )
-        elif key == "access":
-            ranges = []
-            for tok in rest:
-                lo, hi = tok.split("-")
-                ranges.append((int(lo, 16), int(hi, 16)))
-            fields["ga"] = AccessMap(tuple(ranges))
-        elif key == "dmem":
-            fields["dmem"] = _parse_pairs(rest)
-        elif key == "cache":
-            fields["cache"] = _parse_pairs(rest)
-        elif key == "imem":
-            fields["imem"][int(rest[0], 16)] = parse_instr(rest[1:], 0, 64)
-        elif key == "cyc":
-            fields["cyc"] = int(rest[0], 16)
-        elif key == "fetch-pc":
-            fields["fetch_pc"] = int(rest[0], 16)
-        elif key == "reg-st":
-            for tok in rest:
-                r, t = tok.split(":")
-                fields["reg_st"][int(r)] = int(t, 16)
-        elif key == "rob":
-            fields["rob"].append(RobLine(
-                int(rest[0], 16), rest[1], _opt_parse(rest[2]),
-                bool(int(rest[3])), int(rest[4], 16), bool(int(rest[5])),
-            ))
-        elif key == "rs":
-            fields["rs"].append(ResStation(
-                int(rest[0]), None if rest[1] == "-" else rest[1],
-                _opt_parse(rest[2]), _opt_parse(rest[3]),
-                int(rest[4], 16), int(rest[5], 16), int(rest[6], 16),
-                bool(int(rest[7])), bool(int(rest[8])),
-                int(rest[9], 16), int(rest[10], 16),
-            ))
-        elif key == "param":
-            if rest[0] == "mop-time":
-                fields["mop_times"][rest[1]] = int(rest[2])
-            elif rest[0] == "prefetch":
-                vals = [rest[1]] + [int(x) for x in rest[2:]]
-                fields["params"]["prefetch"] = tuple(vals)
-            else:
-                fields["params"][rest[0].replace("-", "_")] = int(rest[1])
-        else:
-            raise ValueError(f"bad state record {key!r}")
-
-    if kind == "isa":
-        return IsaState(
-            fields["pc"], fields["rf"], fields["tsx"], fields["halt"],
-            fields["imem"], fields["dmem"], fields["ga"], fields["cache"],
-        )
-    if kind == "ma":
-        params = MaParams(mop_times=fields["mop_times"], **fields["params"])
-        return MaState(
-            fields["pc"], fields["rf"], fields["tsx"], fields["halt"],
-            fields["imem"], fields["dmem"], fields["ga"], fields["cache"],
-            tuple(fields["rob"]), tuple(fields["rs"]), fields["reg_st"],
-            fields["cyc"], fields["fetch_pc"], params,
-        )
-    raise ValueError("missing %teasim-state header")
 
 
 def trace_record(cyc: int, info: StepInfo, cache_delta: dict[int, int]) -> str:

@@ -135,17 +135,9 @@ def _update_history(s: MaState, h: History, info: StepInfo, out: MaState) -> His
     return History(comm_cy, start_cy, comm_cache, ch_eff, tuple(new_lines))
 
 
-def mah_step(s: MaState, h: History) -> tuple[MaState, History]:
-    """Deterministic step with history; the state component moves exactly
-    as the plain machine does."""
-    if s.halt:
-        return s, h
-    out, info = step_core(s)
-    return out, _update_history(s, h, info, out)
-
-
-def mah_step_info(s: MaState, h: History) -> tuple[MaState, History, StepInfo]:
-    """mah_step exposing what the cycle did, for tracing and audits."""
+def mah_step(s: MaState, h: History) -> tuple[MaState, History, StepInfo]:
+    """Deterministic step with history, and what the cycle did; the
+    state component moves exactly as the plain machine does."""
     out, info = step_core(s)
     if s.halt:
         return s, h, info

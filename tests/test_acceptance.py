@@ -74,7 +74,7 @@ def test_criterion_2_entangled_obligations():
         s0 = asm.emit_ma(case.program)
         if not is_entangled(s0, init_h(s0)):
             fails["initial"] += 1
-        u, hu = mah_step(s, h)
+        u, hu, _ = mah_step(s, h)
         if not is_entangled(u, hu):
             fails["closure"] += 1
     assert fails == {k: 0 for k in fails}, fails
@@ -139,7 +139,7 @@ def test_criterion_5_witness_well_foundedness():
                 v, fail = run_ic(r_ic(s), info.batch)
                 assert fail is None, fail
                 assert label(r_ic(u)) == label(v), "matched run disagrees"
-            s, h = mah_step(s, h)
+            s, h, _ = mah_step(s, h)
     assert noncommit >= 10_000 and commit >= 1_000
     report("5 witness-well-foundedness",
            f"{noncommit} non-committing transitions decreased, "

@@ -16,14 +16,14 @@ def write_prog(tmp_path, text, name="prog.asm"):
 
 class TestRun:
     def test_isa_run_halts(self, tmp_path, capsys):
-        path = write_prog(tmp_path, asm.bundled_text("primality"))
+        path = write_prog(tmp_path, asm.render(asm.load_bundled("primality")))
         assert main(["run", "--machine", "isa", path]) == 0
         out = capsys.readouterr().out
         assert "%teasim-state isa" in out
         assert "halt 1" in out
 
     def test_ma_run_matches_register(self, tmp_path, capsys):
-        path = write_prog(tmp_path, asm.bundled_text("primality"))
+        path = write_prog(tmp_path, asm.render(asm.load_bundled("primality")))
         assert main(["run", "--machine", "ma", path]) == 0
         out = capsys.readouterr().out
         # r10 = 1: 97 is prime
@@ -58,6 +58,16 @@ class TestRun:
         assert main(["run", path, "--machine", "ma-h"]) == 0
         assert "%teasim-history" in capsys.readouterr().out
 
+    def test_internal_error_exits_two(self, tmp_path, capsys, monkeypatch):
+        def broken_step(s):
+            raise RuntimeError("step failed")
+
+        monkeypatch.setattr("teasim.cli.ma_step", broken_step)
+        path = write_prog(tmp_path, "halt\n")
+        assert main(["run", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "internal error: step failed\n"
+
 
 class TestCheck:
     def test_clean_suite_exit_zero(self, capsys):
@@ -79,19 +89,25 @@ class TestCheck:
 
     def test_bundle_write_and_replay(self, tmp_path, capsys):
         rc = main(["check", "--suite", "meltdown-buggy", "--trials", "2",
-                   "--seed", "5", "--bundle-dir", str(tmp_path)])
+                   "--seed", "5", "--json", "--bundle-dir", str(tmp_path)])
         assert rc == 1
-        capsys.readouterr()
-        bundles = list(tmp_path.glob("*.bundle"))
-        assert bundles
+        failures = json.loads(capsys.readouterr().out)["reports"][0]["failures"]
+        bundles = sorted(tmp_path.glob("*.bundle"))
+        assert len(bundles) == len(failures) > 0
+        # A bundle is the report's failure entry plus the property.
+        for f in failures:
+            path = tmp_path / f"meltdown-buggy-wsk-{f['trial']}.bundle"
+            assert json.loads(path.read_text()) == {**f, "property": "wsk"}
         assert main(["check", "--replay", str(bundles[0])]) == 1
         out = capsys.readouterr().out
         assert "tea-meltdown" in out
 
 
-def bundle(forward="0", cache="0x4:0x9", program="halt\n"):
-    return (f"%teasim-bundle\nproperty wsk\nforward-steps {forward}\n"
-            f"seed-cache {cache}\n%program\n{program}")
+def bundle(drop=(), **fields):
+    record = {"property": "wsk", "trial": 0, "findings": [],
+              "program": "halt\n", "forward_steps": 0, "seed_cache": [[4, 9]]}
+    record.update(fields)
+    return json.dumps({k: v for k, v in record.items() if k not in drop})
 
 
 # argv with {tmp} standing for the test's directory, and the files to
@@ -99,18 +115,30 @@ def bundle(forward="0", cache="0x4:0x9", program="halt\n"):
 USAGE_ERRORS = {
     "replay-missing-file": (["check", "--replay", "{tmp}/absent.bundle"], {}),
     "replay-bad-forward-steps": (["check", "--replay", "{tmp}/b.bundle"],
-                                 {"b.bundle": bundle(forward="x")}),
+                                 {"b.bundle": bundle(forward_steps="x")}),
     "replay-bad-seed-cache": (["check", "--replay", "{tmp}/b.bundle"],
-                              {"b.bundle": bundle(cache="0x4")}),
+                              {"b.bundle": bundle(seed_cache=[[4]])}),
     "replay-bad-program": (["check", "--replay", "{tmp}/b.bundle"],
                            {"b.bundle": bundle(program="loadi r99 1\n")}),
+    # a record missing a field
     "replay-truncated-line": (["check", "--replay", "{tmp}/b.bundle"],
-                              {"b.bundle": "property\n%program\nhalt\n"}),
+                              {"b.bundle": bundle(drop=("forward_steps",))}),
     "negative-trials": (["check", "--suite", "entangled", "--trials", "-5"], {}),
     "param-without-value": (["run", "{tmp}/p.asm", "--param", "bogus"],
                             {"p.asm": "halt\n"}),
     "unknown-param": (["run", "{tmp}/p.asm", "--param", "bogus=1"],
                       {"p.asm": "halt\n"}),
+    "prefetch-missing-arguments": (
+        ["run", "{tmp}/p.asm", "--param", "prefetch=stride"],
+        {"p.asm": "ldri r1 r0 4\nhalt\n"}),
+    "prefetch-unknown-policy": (
+        ["run", "{tmp}/p.asm", "--param", "prefetch=bogus"],
+        {"p.asm": "ldri r1 r0 4\nhalt\n"}),
+    "prefetch-empty": (["run", "{tmp}/p.asm", "--param", "prefetch="],
+                       {"p.asm": "ldri r1 r0 4\nhalt\n"}),
+    "org-without-address": (["run", "{tmp}/p.asm"], {"p.asm": ".org\nhalt\n"}),
+    "entry-without-address": (["run", "{tmp}/p.asm"],
+                              {"p.asm": ".entry\nhalt\n"}),
 }
 
 

@@ -16,9 +16,7 @@ from teasim.isa import (
     compare,
     dmem_read,
     fetch_instr,
-    imem_has_in_cache,
     initial_isa_state,
-    isa_a_step,
     isa_cache_step,
     isa_det_step,
     isa_step,
@@ -233,21 +231,6 @@ class TestActions:
     def test_inaccessible_ignored(self):
         out = apply_prefetches((("cache", 0x300),), {0x300: 5}, {}, GA)
         assert out == {}
-
-    def test_a_step_matches_det_step(self):
-        s = mk(imem={0: Instr("loadi", 1, imm=3)})
-        assert isa_a_step(s) == isa_det_step(s)
-
-    def test_a_step_applies_after(self):
-        s = mk(dmem={8: 2})
-        s2 = isa_a_step(s, (("prefetch", 8),))
-        assert s2.cache == {8: 2} and s2.pc == 1
-
-    def test_a_step_rejects_in_cache_programs(self):
-        s = mk(imem={3: Instr("in-cache", 1, 2, 3)})
-        assert imem_has_in_cache(s.imem)
-        with pytest.raises(ValueError):
-            isa_a_step(s)
 
 
 # --- fuzzed invariants ---

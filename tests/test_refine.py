@@ -4,21 +4,24 @@ from dataclasses import replace
 
 from teasim import asm
 from teasim.isa import AccessMap, Instr, IsaState
-from teasim.ma import initial_ma_state, ma_step, run_ma, step_core
+from teasim.ma import (
+    RobLine,
+    initial_ma_state,
+    ma_step,
+    retired_lines,
+    run_ma,
+    step_core,
+)
 from teasim.refine import (
     AUTH_SPECS,
     apply_action,
-    auth_actions,
-    b_ic,
     check_cache_action,
     check_entangled_obligations,
     check_wsk_transition,
-    counted_lines,
     label,
     r_a,
     r_ic,
     run_ic,
-    skip_wit,
     stutter_wit,
 )
 from teasim.variants import init_h, mah_step
@@ -38,7 +41,7 @@ def walk(s, h=None):
     h = h or init_h(s)
     while not s.halt:
         yield s, h
-        s, h = mah_step(s, h)
+        s, h, _ = mah_step(s, h)
 
 
 class TestMaps:
@@ -59,22 +62,6 @@ class TestMaps:
         s1 = ma_step(s)
         s2 = ma_step(s1)
         assert r_ic(replace(s1, cyc=s2.cyc)) == r_ic(s1)
-
-    def test_b_same_side_is_equality(self):
-        w = r_ic(prog_state())
-        assert b_ic(w, w)
-        assert not b_ic(w, replace(w, pc=3))
-
-    def test_b_cross_side(self):
-        s = prog_state(Instr("loadi", 1, imm=2))
-        assert b_ic(s, r_ic(s))
-        assert b_ic(r_ic(s), s)
-        bad = replace(r_ic(s), rf=(5,) * 12)
-        assert not b_ic(s, bad)
-
-    def test_pair_argument_accepted(self):
-        s = prog_state()
-        assert r_ic((s, init_h(s))) == r_ic(s)
 
 
 class TestWitnesses:
@@ -101,18 +88,20 @@ class TestWitnesses:
             d += 1
         assert stutter_wit(s) == d > 0
 
-    def test_skip_wit_counts_instructions_not_uops(self):
+    def test_retired_lines_counts_instructions_not_uops(self):
+        check = RobLine(0, "memi-check", None, True, 0, False)
+        load = RobLine(1, "mldri", 1, True, 9, False)
+        assert retired_lines((check, load)) == [load]
+        fault = replace(check, excep=True)
+        assert retired_lines((fault,)) == [fault]
+        # Along a run, the check+load pair counts exactly once.
         s = prog_state(Instr("ldri", 1, 0, imm=4), Instr("halt"), dmem={4: 9})
-        retired = []
+        mops, count = [], 0
         while not s.halt:
-            _, info = step_core(s)
-            if info.retired:
-                retired.append((skip_wit(info),
-                                [l.mop for l in counted_lines(info.batch)]))
-            s = ma_step(s)
-        # the check+load pair counts once
-        assert any(n == 1 and mops == ["mldri"] for n, mops in retired) or \
-            any("mldri" in mops for _, mops in retired)
+            s, info = step_core(s)
+            mops += [l.mop for l in retired_lines(info.batch)]
+            count += info.retired
+        assert mops == ["mldri", "mhalt"] and count == 2
 
     def test_halted_pair_trivial(self):
         s, _ = run_ma(prog_state(Instr("halt")), 50)
@@ -189,15 +178,15 @@ class TestRunIc:
 class TestActions:
     def test_no_cache_change_empty_action(self):
         s = prog_state(Instr("add", 1, 0, 0), Instr("halt"))
-        u = ma_step(s)
-        assert auth_actions(s, u, "writeback") == ()
+        u, info = step_core(s)
+        assert AUTH_SPECS["writeback"](s, None, info, u) == ()
 
     def test_load_with_prefetch_shape(self):
         s = prog_state(Instr("ldri", 1, 0, imm=4), Instr("halt"), dmem={4: 9})
         seen = None
         while not s.halt:
-            u = ma_step(s)
-            acts = auth_actions(s, u, "writeback")
+            u, info = step_core(s)
+            acts = AUTH_SPECS["writeback"](s, None, info, u)
             if acts:
                 seen = acts
             s = u

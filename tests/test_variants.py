@@ -82,7 +82,7 @@ class TestHistory:
     def test_halted_identity(self):
         s, _ = run_ma(prog_state(Instr("halt")), 50)
         h = init_h(s)
-        assert mah_step(s, h) == (s, h)
+        assert mah_step(s, h)[:2] == (s, h)
 
     def test_init_h_shape(self):
         s = prog_state()
@@ -92,7 +92,7 @@ class TestHistory:
     def test_first_issue_sets_start_cy(self):
         s = prog_state(Instr("loadi", 1, imm=7), Instr("halt"))
         s = replace(s, cyc=5, fetch_pc=0)
-        s2, h2 = mah_step(s, init_h(s))
+        s2, h2, _ = mah_step(s, init_h(s))
         assert h2.start_cy == 5
         assert h2.lines and h2.lines[0].statuses[0][0] == "fetch"
 
@@ -112,7 +112,7 @@ class TestHistory:
             if s.halt:
                 break
             pre_cyc = s.cyc
-            s, h = mah_step(s, h)
+            s, h, _ = mah_step(s, h)
             if not h.lines and h.start_cy == w32(pre_cyc + 1):
                 seen_invld = True
                 assert h.comm_cache == s.cache
@@ -125,7 +125,7 @@ class TestHistory:
         for _ in range(20):
             if s.halt:
                 break
-            s, h = mah_step(s, h)
+            s, h, _ = mah_step(s, h)
             if h.lines:
                 anchor = len(h.lines[0].statuses)
                 for sl in h.lines:
@@ -148,7 +148,7 @@ class TestInvalidate:
                        Instr("halt"))
         h = init_h(s)
         for _ in range(3):
-            s, h = mah_step(s, h)
+            s, h, _ = mah_step(s, h)
         assert h.lines
         x = invl(s, h)
         assert x.cyc == h.start_cy
@@ -160,7 +160,7 @@ class TestInvalidate:
         s = prog_state(Instr("loadi", 1, imm=4), Instr("halt"))
         h = init_h(s)
         for _ in range(2):
-            s, h = mah_step(s, h)
+            s, h, _ = mah_step(s, h)
         x = invl(s, h)
         # invalidating again with a history that commits to the same
         # cache is the identity
@@ -182,7 +182,7 @@ class TestGetH:
         h = init_h(s)
         out = [(s, h)]
         for _ in range(steps):
-            s, h = mah_step(s, h)
+            s, h, _ = mah_step(s, h)
             out.append((s, h))
         return out
 
@@ -209,7 +209,7 @@ class TestGetH:
 
     def test_derive_choice_names_station(self):
         s0 = prog_state(Instr("add", 1, 1, 1), Instr("halt"))
-        s1, h1 = mah_step(s0, init_h(s0))
+        s1, h1, _ = mah_step(s0, init_h(s0))
         x = invl(s1, h1)
         c = derive_choice(x, h1)
         assert c.n == 3  # add + halt + trailing noop fetched together
@@ -237,14 +237,14 @@ class TestEntangled:
             for _ in range(12):
                 if s.halt:
                     break
-                s, h = mah_step(s, h)
+                s, h, _ = mah_step(s, h)
                 assert is_entangled(s, h)
 
     def test_corrupted_state_rejected(self):
         s = prog_state(Instr("mul", 1, 1, 1), Instr("halt"))
         h = init_h(s)
         for _ in range(2):
-            s, h = mah_step(s, h)
+            s, h, _ = mah_step(s, h)
         assert s.rob and is_entangled(s, h)
         ghost = s.rob + (RobLine(17, "madd", 2, False, 0, False),)
         assert not is_entangled(replace(s, rob=ghost), h)
