@@ -16,6 +16,7 @@ from importlib import resources
 
 from .isa import (
     OP_SHAPES,
+    REG_COUNT,
     AccessMap,
     Instr,
     IsaState,
@@ -95,7 +96,7 @@ def parse_instr(toks: list[str], line_no: int, reg_count: int) -> Instr:
     return Instr(op, rd, r1, r2, imm)
 
 
-def parse(text: str, reg_count: int = 12) -> Program:
+def parse(text: str, reg_count: int = REG_COUNT) -> Program:
     base = 0
     entry: int | None = None
     instrs: list[Instr] = []
@@ -155,7 +156,7 @@ def render(p: Program) -> str:
     return "\n".join(out) + "\n"
 
 
-def emit_isa(p: Program, reg_count: int = 12) -> IsaState:
+def emit_isa(p: Program, reg_count: int = REG_COUNT) -> IsaState:
     return initial_isa_state(p.imem, p.dmem, p.ga, pc=p.entry, reg_count=reg_count)
 
 

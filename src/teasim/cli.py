@@ -41,19 +41,18 @@ PROP_SEEDS: dict[str, list[str]] = {
 
 
 def _parse_params(path: str | None, overrides: list[str]) -> MaParams:
-    kv: dict[str, str] = {}
+    items = [("--param", item) for item in overrides]  # (where, text)
     if path:
         with open(path) as fh:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if line:
-                    k, v = line.split("=", 1)
-                    kv[k.strip()] = v.strip()
-    for item in overrides:
+            lines = [(f"{path} line {n}", line.split("#", 1)[0].strip())
+                     for n, line in enumerate(fh, start=1)]
+        items = [x for x in lines if x[1]] + items
+    kv: dict[str, str] = {}
+    for where, item in items:
         k, sep, v = item.partition("=")
         if not sep:
-            raise ValueError(f"--param expects key=value, got {item!r}")
-        kv[k] = v
+            raise ValueError(f"{where}: expected key=value, got {item!r}")
+        kv[k.strip()] = v.strip()
     base = MaParams()
     fields = {}
     for k, v in kv.items():
@@ -68,15 +67,11 @@ def _parse_params(path: str | None, overrides: list[str]) -> MaParams:
     return replace(base, **fields) if fields else base
 
 
-def _load_program(path: str):
-    with open(path) as fh:
-        return asm.parse(fh.read())
-
-
 def cmd_run(args) -> int:
     try:
-        prog = _load_program(args.program)
         params = _parse_params(args.params, args.param)
+        with open(args.program) as fh:
+            prog = asm.parse(fh.read(), params.reg_count)
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -234,18 +229,17 @@ def cmd_demo(args) -> int:
         from .refine import AUTH_SPECS, check_cache_action
         prog = asm.load_bundled("spectre")
         s = asm.emit_ma(prog)
-        h = init_h(s)
         spec = AUTH_SPECS["commit"]
         shown = 0
         for _ in range(args.max_steps):
             if s.halt:
                 break
-            u, hu, info = mah_step(s, h)
-            cex = check_cache_action(s, h, info, u, spec)
+            u, info = step_core(s)
+            cex = check_cache_action(s, info, u, spec)
             if cex is not None and shown < 3:
                 print(f"cycle {s.cyc}: {cex.detail}")
                 shown += 1
-            s, h = u, hu
+            s = u
         isa = asm.emit_isa(prog)
         for _ in range(args.max_steps):
             if isa.halt:

@@ -5,7 +5,11 @@ just before the block, ending in halt; load addresses are biased to
 straddle the user/kernel boundary so faults are exercised.  Entangled
 (state, history) pairs come from emitting a program, seeding a valid
 cache, and running the history-carrying machine forward a bounded
-number of steps.
+number of steps; the entangled and replay properties check those.  The
+per-transition properties walk instead: from the emitted, cache-seeded
+initial state they follow the deterministic step once per cycle, so
+every checked state is reachable, and hand each transition s -> u to
+the obligation.
 
 Each registered property pairs a case generator with a checker over the
 case; `run_property` drives seeded trials (per-trial streams are split
@@ -41,7 +45,13 @@ from . import asm
 FULL_ACCESS = ((0, MASK32),)
 
 
-DEFAULT_WEIGHTS: tuple[tuple[str, int], ...] = (
+# Shape of a generated program: its length before the final halt, the
+# registers its operands use (r0..r(REG_POOL-1)), the top of user memory
+# and the relative weights of its operations.
+MIN_LEN, MAX_LEN = 2, 12
+REG_POOL = 6
+ACCESSIBLE_TOP = 0x7F
+OP_WEIGHTS: tuple[tuple[str, int], ...] = (
     ("loadi", 18), ("addi", 8), ("add", 8), ("mul", 5), ("and", 4),
     ("cmp", 7), ("jg", 3), ("jge", 3), ("ldri", 14), ("ldr", 9),
     ("tsx-start", 4), ("tsx-end", 3), ("noop", 3), ("in-cache", 9),
@@ -53,16 +63,9 @@ class GenConfig:
     seed: int = 0
     trials: int = 100
     max_forward_steps: int = 40
-    min_len: int = 2
-    max_len: int = 12
-    reg_pool: int = 6  # operands drawn from r0..r(pool-1)
-    accessible_top: int = 0x7F
     include_in_cache: bool = True
     include_kernel: bool = True
-    weights: tuple[tuple[str, int], ...] = DEFAULT_WEIGHTS
-    sparse: bool = False
     max_failures: int = 10
-    max_run_steps: int = 400
 
 
 @dataclass(frozen=True)
@@ -101,7 +104,7 @@ def _trial_rng(cfg_seed: int, prop: str, trial: int) -> random.Random:
 
 
 def _gen_const(cfg: GenConfig, rng: random.Random) -> int:
-    top = cfg.accessible_top
+    top = ACCESSIBLE_TOP
     roll = rng.random()
     if roll < 0.4:
         return rng.randrange(0, max(2, top))
@@ -112,7 +115,7 @@ def _gen_const(cfg: GenConfig, rng: random.Random) -> int:
 
 
 def _gen_instr(cfg: GenConfig, rng: random.Random, length: int) -> Instr:
-    ops = [(op, w) for op, w in cfg.weights
+    ops = [(op, w) for op, w in OP_WEIGHTS
            if cfg.include_in_cache or op != "in-cache"]
     total = sum(w for _, w in ops)
     pick = rng.randrange(total)
@@ -120,7 +123,7 @@ def _gen_instr(cfg: GenConfig, rng: random.Random, length: int) -> Instr:
         pick -= w
         if pick < 0:
             break
-    r = lambda: rng.randrange(cfg.reg_pool)
+    r = lambda: rng.randrange(REG_POOL)
     if op == "loadi":
         return Instr("loadi", rd=r(), imm=_gen_const(cfg, rng))
     if op == "addi":
@@ -134,7 +137,7 @@ def _gen_instr(cfg: GenConfig, rng: random.Random, length: int) -> Instr:
         if cfg.include_kernel and rng.random() < 0.4:
             # offset straddling the boundary: faults whenever the base
             # register is small
-            imm = max(0, cfg.accessible_top + rng.randrange(-3, 8))
+            imm = max(0, ACCESSIBLE_TOP + rng.randrange(-3, 8))
         else:
             imm = rng.randrange(0, 6)
         return Instr("ldri", rd=r(), r1=r(), imm=imm)
@@ -150,48 +153,44 @@ def _gen_instr(cfg: GenConfig, rng: random.Random, length: int) -> Instr:
 
 
 def gen_program(cfg: GenConfig, rng: random.Random) -> Program:
-    length = rng.randint(cfg.min_len, cfg.max_len)
+    length = rng.randint(MIN_LEN, MAX_LEN)
     base = rng.randrange(0, 4)
     instrs = [_gen_instr(cfg, rng, length) for _ in range(length)]
     instrs.append(Instr("halt"))
     if cfg.include_kernel:
-        access = ((0, cfg.accessible_top),)
-        kernel_addr = cfg.accessible_top + 1 + rng.randrange(0, 64)
+        access = ((0, ACCESSIBLE_TOP),)
+        kernel_addr = ACCESSIBLE_TOP + 1 + rng.randrange(0, 64)
         data = [(kernel_addr, rng.randrange(1, 200))]
     else:
         access = FULL_ACCESS
         data = []
     for _ in range(rng.randrange(0, 4)):
-        data.append((rng.randrange(0, cfg.accessible_top + 1), rng.randrange(0, 256)))
-    if cfg.sparse:
-        entry = base + rng.randrange(-4, length + 4)
-    else:
-        entry = base - rng.randrange(0, 2)
-    entry = max(0, entry)
+        data.append((rng.randrange(0, ACCESSIBLE_TOP + 1), rng.randrange(0, 256)))
+    entry = max(0, base - rng.randrange(0, 2))
     return Program(base, tuple(instrs), tuple(data), access, entry)
 
 
-def seed_cache(
-    prog: Program, cfg: GenConfig, rng: random.Random
-) -> tuple[tuple[int, int], ...]:
+def seed_cache(prog: Program, rng: random.Random) -> tuple[tuple[int, int], ...]:
     """A valid cache: accessible addresses with their memory values."""
     ga = prog.ga
     dmem = prog.dmem
     pool = [a for a, _ in prog.data if ga.allows(a)]
-    pool += [rng.randrange(0, cfg.accessible_top + 1) for _ in range(2)]
+    pool += [rng.randrange(0, ACCESSIBLE_TOP + 1) for _ in range(2)]
     picked = sorted({a for a in pool if ga.allows(a) and rng.random() < 0.5})
     return tuple((a, dmem.get(a, 0)) for a in picked)
 
 
+def initial_state(case: Case) -> MaState:
+    """The case's emitted program with its seeded cache; forward_steps
+    is not applied."""
+    return replace(asm.emit_ma(case.program), cache=dict(case.seed_cache))
+
+
 def case_pair(case: Case) -> tuple[MaState, History]:
     """Deterministically rebuild the (state, history) pair of a case."""
-    s = asm.emit_ma(case.program)
-    if case.seed_cache:
-        cache = dict(case.seed_cache)
-        s = replace(s, cache=cache)
-        h = History(s.cyc, s.cyc, dict(cache), {}, ())
-    else:
-        h = init_h(s)
+    s = initial_state(case)
+    # The empty history, with the seeded cache as the committed one.
+    h = History(s.cyc, s.cyc, dict(s.cache), {}, ())
     for _ in range(case.forward_steps):
         if s.halt:
             break
@@ -201,12 +200,10 @@ def case_pair(case: Case) -> tuple[MaState, History]:
 
 def gen_entangled_case(cfg: GenConfig, rng: random.Random) -> Case:
     prog = gen_program(cfg, rng)
-    cache = seed_cache(prog, cfg, rng)
+    cache = seed_cache(prog, rng)
     # Probe the halt time so most samples land mid-flight rather than on
     # the (trivially entangled) halted tail of the run.
-    x = asm.emit_ma(prog)
-    if cache:
-        x = replace(x, cache=dict(cache))
+    x = initial_state(Case(prog, 0, cache))
     live = 0
     while live < cfg.max_forward_steps and not x.halt:
         x = ma_step(x)
@@ -247,15 +244,19 @@ def check_replay_case(case: Case) -> list[Finding]:
 
 
 def _walk(case: Case, per_step, max_steps: int) -> list[Finding]:
-    s, h = case_pair(replace(case, forward_steps=0))
+    """Check each transition s -> u of the run from the case's initial
+    state, stepping the machine once per cycle; per_step(s, u, info)
+    only reads the step."""
+    s = initial_state(case)
     findings: list[Finding] = []
     for _ in range(max_steps):
         if s.halt:
             break
-        findings.extend(per_step(s, h))
+        u, info = step_core(s)
+        findings.extend(per_step(s, u, info))
         if len(findings) >= 8:
             break
-        s, h, _ = mah_step(s, h)
+        s = u
     return findings
 
 
@@ -268,16 +269,16 @@ def check_spectre_case(case: Case, max_steps: int = 400) -> list[Finding]:
     """Cache-observable witness obligations plus the action audit under
     the designer-intent (commit-time) authorization policy."""
     spec = AUTH_SPECS["commit"]
-    return _walk(case, lambda s, h: check_wsk_transition(s, h, spec), max_steps)
+    return _walk(case, lambda s, u, info: check_wsk_transition(s, u, info, spec),
+                 max_steps)
 
 
 def check_action_writeback_case(case: Case, max_steps: int = 400) -> list[Finding]:
     """Sanity: the as-built policy authorizes everything this machine
     does (on kernel-free programs)."""
 
-    def per_step(s, h):
-        u, info = step_core(s)
-        cex = check_cache_action(s, h, info, u, AUTH_SPECS["writeback"])
+    def per_step(s, u, info):
+        cex = check_cache_action(s, info, u, AUTH_SPECS["writeback"])
         return [cex] if cex else []
 
     return _walk(case, per_step, max_steps)
@@ -312,7 +313,7 @@ def check_arch_equiv_case(case: Case, max_steps: int = 2000) -> list[Finding]:
 
 def gen_incache_case(cfg: GenConfig, rng: random.Random) -> Case:
     """A probe of a random inaccessible address, with a seeded cache."""
-    top = cfg.accessible_top
+    top = ACCESSIBLE_TOP
     kernel = top + 1 + rng.randrange(0, 1 << 16)
     split = rng.randrange(0, kernel + 1)
     instrs = (
@@ -323,7 +324,7 @@ def gen_incache_case(cfg: GenConfig, rng: random.Random) -> Case:
     )
     data = ((rng.randrange(0, top + 1), rng.randrange(0, 99)),)
     prog = Program(0, instrs, data, ((0, top),), 0)
-    return Case(prog, 0, seed_cache(prog, cfg, rng))
+    return Case(prog, 0, seed_cache(prog, rng))
 
 
 def check_incache_case(case: Case) -> list[Finding]:

@@ -2,18 +2,23 @@
 
 The committed work of a pipeline state maps to an architectural state by
 discarding everything in flight (`r_ic`, cache erased) or by keeping the
-cache observable (`r_a`, used for the prefetch/eviction audit).  One
-witness-skipping checker serves both maps and runs one pipeline
-transition at a time: a transition that retires nothing must leave the
-architectural fields unchanged and reach a retirement within the
-stutter bound (the step is deterministic, so the witness then strictly
-decreases), and a retiring transition must be matched by running the
-architectural machine one step per retired instruction, resolving its
-cache nondeterminism so the cache-membership results agree.  Failures
-come back as data (findings with a kind and message), never exceptions.
+cache observable (`r_a`, used for the prefetch/eviction audit).
+
+The obligations are one-transition properties.  Each takes a pipeline
+step s -> u together with what the cycle did (`u, info = step_core(s)`,
+computed by the caller) and reads it against the architectural machine.
+One witness-skipping checker serves both maps: a transition that
+retires nothing must leave the architectural fields unchanged and reach
+a retirement within the stutter bound (the step is deterministic, so
+the witness then strictly decreases), and a retiring transition must be
+matched by running the architectural machine one step per retired
+instruction, resolving its cache nondeterminism so the cache-membership
+results agree.  Failures come back as data (findings with a kind and
+message), never exceptions.
 
 The cache-action audit compares each transition's actual cache delta
-against the actions a designer-supplied authorization policy admits:
+against the actions a designer-supplied authorization policy admits for
+it (a policy sees the step's record and its successor state):
 `writeback` authorizes exactly what this machine does (including
 speculative fills), `commit` authorizes only the effects of retired
 loads — the intent policy that the speculative machine violates.
@@ -40,6 +45,7 @@ from .ma import (
     MaState,
     RobLine,
     StepInfo,
+    WbRec,
     arch_project,
     decode_one,
     ma_step,
@@ -147,21 +153,24 @@ def _arch_mismatch(u: IsaState, v: IsaState) -> str | None:
 
 # --- cache action audit (Spectre decomposition) ---
 
-# An authorization policy maps one transition to its admitted actions.
-AuthSpec = Callable[[MaState, History | None, StepInfo, MaState], AuthAction]
+# An authorization policy maps one transition s -> u, given by what the
+# cycle did and where it went, to its admitted actions.
+AuthSpec = Callable[[StepInfo, MaState], AuthAction]
 
 
-def auth_writeback(
-    s: MaState, h: History | None, info: StepInfo, u: MaState
-) -> AuthAction:
+def _fill_actions(wb: WbRec) -> AuthAction:
+    """A load writeback that filled the cache deposits its line, then
+    its prefetch set; any other writeback acts on nothing."""
+    if wb.mop not in MEMORY_OPS or not wb.inserted:
+        return ()
+    return (("cache", wb.inserted[0][0]),) + tuple(
+        ("prefetch", a) for a, _ in wb.inserted[1:])
+
+
+def auth_writeback(info: StepInfo, u: MaState) -> AuthAction:
     """Authorize exactly the fills this machine performs: every load
     writeback deposits its line and its prefetch set."""
-    acts: list[tuple[str, int]] = []
-    for wb in info.writebacks:
-        if wb.mop in MEMORY_OPS and wb.inserted:
-            acts.append(("cache", wb.inserted[0][0]))
-            acts.extend(("prefetch", a) for a, _ in wb.inserted[1:])
-    return tuple(acts)
+    return tuple(act for wb in info.writebacks for act in _fill_actions(wb))
 
 
 def _line_commits(u: MaState, tag: int) -> bool:
@@ -180,20 +189,15 @@ def _line_commits(u: MaState, tag: int) -> bool:
     return False
 
 
-def auth_commit(
-    s: MaState, h: History | None, info: StepInfo, u: MaState
-) -> AuthAction:
+def auth_commit(info: StepInfo, u: MaState) -> AuthAction:
     """Designer-intent policy: loads fill the cache at writeback only if
     they retire; squashed (transient) loads emit no actions at all."""
     acts: list[tuple[str, int]] = []
     for wb in info.writebacks:
-        if wb.mop not in MEMORY_OPS or not wb.inserted:
-            continue
-        retires = any(l.rob_id == wb.dst for l in info.batch) or \
-            _line_commits(u, wb.dst)
-        if retires:
-            acts.append(("cache", wb.inserted[0][0]))
-            acts.extend(("prefetch", a) for a, _ in wb.inserted[1:])
+        fill = _fill_actions(wb)
+        if fill and (any(l.rob_id == wb.dst for l in info.batch)
+                     or _line_commits(u, wb.dst)):
+            acts.extend(fill)
     return tuple(acts)
 
 
@@ -203,19 +207,13 @@ AUTH_SPECS: dict[str, AuthSpec] = {
 }
 
 
-def apply_action(s: MaState, cache: dict[int, int], action: AuthAction) -> dict[int, int]:
-    """Cache after applying an action sequence; kernel addresses cannot
-    be authorized and are ignored."""
-    return apply_prefetches(action, s.dmem, cache, s.ga)
-
-
 def check_cache_action(
-    s: MaState, h: History | None, info: StepInfo, u: MaState,
-    spec: AuthSpec,
+    s: MaState, info: StepInfo, u: MaState, spec: AuthSpec
 ) -> Finding | None:
     """cache_u must equal the cache after applying the authorized
-    actions of this transition."""
-    want = apply_action(s, s.cache, spec(s, h, info, u))
+    actions of the transition s -> u; kernel addresses cannot be
+    authorized and are ignored."""
+    want = apply_prefetches(spec(info, u), s.dmem, s.cache, s.ga)
     if want == u.cache:
         return None
     extra = sorted(a for a, d in u.cache.items() if want.get(a) != d)
@@ -265,23 +263,21 @@ def run_ic_c(
 
 
 def check_wsk_transition(
-    s: MaState, h: History, spec: AuthSpec | None = None
+    s: MaState, u: MaState, info: StepInfo, spec: AuthSpec | None = None
 ) -> list[Finding]:
-    """All witness-skipping obligations for one transition, with w = r(s).
+    """All witness-skipping obligations for one transition s -> u (with
+    `u, info = step_core(s)`), with w = r(s).
 
     With no policy this is the cache-erased (Meltdown) refinement,
     r = r_ic; with one it is the cache-observable refinement, r = r_a,
     and the policy's action audit comes first.
     """
     findings: list[Finding] = []
-    if s.halt:
-        return findings
-    u, info = step_core(s)
     if spec is None:
         r, match = r_ic, "wsk-match"
     else:
         r, match = r_a, "wsk-a-match"
-        cex = check_cache_action(s, h, info, u, spec)
+        cex = check_cache_action(s, info, u, spec)
         if cex is not None:
             findings.append(cex)
     w = r(s)

@@ -58,6 +58,27 @@ class TestRun:
         assert main(["run", path, "--machine", "ma-h"]) == 0
         assert "%teasim-history" in capsys.readouterr().out
 
+    def test_reg_count_param_widens_register_file(self, tmp_path, capsys):
+        path = write_prog(tmp_path, "loadi r13 5\nhalt\n")
+        assert main(["run", path, "--param", "reg-count=16"]) == 0
+        out = capsys.readouterr().out
+        rf_line = next(l for l in out.splitlines() if l.startswith("rf"))
+        assert rf_line.split()[1:] == ["0x0"] * 13 + ["0x5", "0x0", "0x0"]
+
+    def test_reg_count_param_narrows_register_file(self, tmp_path, capsys):
+        path = write_prog(tmp_path, "loadi r10 5\nhalt\n")
+        assert main(["run", path, "--param", "reg-count=4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: line 1: unknown register r10")
+
+    def test_params_file_error_names_file_and_line(self, tmp_path, capsys):
+        prog = write_prog(tmp_path, "halt\n")
+        params = write_prog(tmp_path, "# comment\nfetch-num\n", "p.params")
+        assert main(["run", prog, "--params", params]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {params} line 2: expected key=value, got 'fetch-num'\n")
+
     def test_internal_error_exits_two(self, tmp_path, capsys, monkeypatch):
         def broken_step(s):
             raise RuntimeError("step failed")
@@ -128,6 +149,9 @@ USAGE_ERRORS = {
                             {"p.asm": "halt\n"}),
     "unknown-param": (["run", "{tmp}/p.asm", "--param", "bogus=1"],
                       {"p.asm": "halt\n"}),
+    "params-line-without-value": (
+        ["run", "{tmp}/p.asm", "--params", "{tmp}/p.params"],
+        {"p.asm": "halt\n", "p.params": "fetch-num\n"}),
     "prefetch-missing-arguments": (
         ["run", "{tmp}/p.asm", "--param", "prefetch=stride"],
         {"p.asm": "ldri r1 r0 4\nhalt\n"}),

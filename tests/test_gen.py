@@ -6,6 +6,9 @@ from teasim.gen import (
     GenConfig,
     PROPERTIES,
     case_pair,
+    check_action_writeback_case,
+    check_spectre_case,
+    check_wsk_case,
     gen_entangled_case,
     gen_program,
     report_json,
@@ -99,3 +102,20 @@ def test_failures_replayable_from_case():
     f = rep.failures[0]
     again = PROPERTIES["spectre"].check(f.case)
     assert [x.obligation for x in again] == [x.obligation for x in f.findings]
+
+
+def test_walks_build_no_history(monkeypatch):
+    # The per-transition properties step the plain machine; building a
+    # history on the way would be work that nothing reads.
+    def no_history(*args):
+        raise AssertionError("a per-transition walk built a history")
+
+    monkeypatch.setattr("teasim.variants._update_history", no_history)
+    melt = check_wsk_case(Case(asm.load_bundled("meltdown")))
+    assert any(f.kind == "tea-meltdown" for f in melt)
+    spectre = check_spectre_case(Case(asm.load_bundled("spectre")))
+    assert any(f.obligation == "action-soundness" for f in spectre)
+    safe = GenConfig(seed=36, include_in_cache=False, include_kernel=False)
+    for i in range(5):
+        case = gen_entangled_case(safe, trial_rng("no-history", i))
+        assert check_action_writeback_case(case) == []

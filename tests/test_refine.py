@@ -14,7 +14,6 @@ from teasim.ma import (
 )
 from teasim.refine import (
     AUTH_SPECS,
-    apply_action,
     check_cache_action,
     check_entangled_obligations,
     check_wsk_transition,
@@ -24,8 +23,7 @@ from teasim.refine import (
     run_ic,
     stutter_wit,
 )
-from teasim.variants import init_h, mah_step
-from teasim.gen import GenConfig, case_pair, gen_entangled_case
+from teasim.gen import GenConfig, case_pair, gen_entangled_case, initial_state
 
 from conftest import trial_rng
 
@@ -37,11 +35,12 @@ def prog_state(*instrs, dmem=None, ga=GA):
                             dmem or {}, ga)
 
 
-def walk(s, h=None):
-    h = h or init_h(s)
+def walk(s):
+    """The transitions (s, u, info) of the deterministic run from s."""
     while not s.halt:
-        yield s, h
-        s, h, _ = mah_step(s, h)
+        u, info = step_core(s)
+        yield s, u, info
+        s = u
 
 
 class TestMaps:
@@ -113,13 +112,10 @@ class TestWitnesses:
         cfg = GenConfig(seed=15)
         checked = 0
         for i in range(30):
-            s, h = case_pair(replace(
-                gen_entangled_case(cfg, trial_rng("stutter", i)),
-                forward_steps=0))
-            for n, (s, h) in enumerate(walk(s, h)):
+            s = initial_state(gen_entangled_case(cfg, trial_rng("stutter", i)))
+            for n, (s, u, info) in enumerate(walk(s)):
                 if n == 150:
                     break
-                u, info = step_core(s)
                 if info.retired:
                     continue
                 d_u = stutter_wit(u)
@@ -134,9 +130,7 @@ class TestWitnesses:
 class TestRunIc:
     def test_single_add_commit_matches(self):
         s = prog_state(Instr("add", 1, 0, 0), Instr("halt"))
-        h = init_h(s)
-        for s, h in walk(s, h):
-            u, info = step_core(s)
+        for s, u, info in walk(s):
             if info.retired:
                 v, fail = run_ic(r_ic(s), info.batch)
                 assert fail is None
@@ -144,8 +138,7 @@ class TestRunIc:
 
     def test_load_commit_matches(self):
         s = prog_state(Instr("ldri", 1, 0, imm=4), Instr("halt"), dmem={4: 9})
-        for s, h in walk(s):
-            u, info = step_core(s)
+        for s, u, info in walk(s):
             if info.retired:
                 v, fail = run_ic(r_ic(s), info.batch)
                 assert fail is None and label(r_ic(u)) == label(v)
@@ -153,8 +146,8 @@ class TestRunIc:
     def test_meltdown_probe_is_unmatchable(self):
         case_findings = []
         s = asm.emit_ma(asm.load_bundled("meltdown"))
-        for s, h in walk(s):
-            case_findings += check_wsk_transition(s, h)
+        for s, u, info in walk(s):
+            case_findings += check_wsk_transition(s, u, info)
             if case_findings:
                 break
         assert case_findings
@@ -164,12 +157,10 @@ class TestRunIc:
     def test_safe_trajectories_clean(self):
         cfg = GenConfig(seed=11, include_in_cache=False)
         for i in range(25):
-            s, _ = case_pair(replace(
-                gen_entangled_case(cfg, trial_rng("safewsk", i)),
-                forward_steps=0))
+            s = initial_state(gen_entangled_case(cfg, trial_rng("safewsk", i)))
             count = 0
-            for s, h in walk(s):
-                assert check_wsk_transition(s, h) == []
+            for s, u, info in walk(s):
+                assert check_wsk_transition(s, u, info) == []
                 count += 1
                 if count > 120:
                     break
@@ -179,43 +170,33 @@ class TestActions:
     def test_no_cache_change_empty_action(self):
         s = prog_state(Instr("add", 1, 0, 0), Instr("halt"))
         u, info = step_core(s)
-        assert AUTH_SPECS["writeback"](s, None, info, u) == ()
+        assert AUTH_SPECS["writeback"](info, u) == ()
 
     def test_load_with_prefetch_shape(self):
         s = prog_state(Instr("ldri", 1, 0, imm=4), Instr("halt"), dmem={4: 9})
         seen = None
         while not s.halt:
             u, info = step_core(s)
-            acts = AUTH_SPECS["writeback"](s, None, info, u)
+            acts = AUTH_SPECS["writeback"](info, u)
             if acts:
                 seen = acts
             s = u
         assert seen == (("cache", 4), ("prefetch", 5))
 
-    def test_apply_action(self):
-        s = prog_state(dmem={4: 9})
-        assert apply_action(s, {}, ()) == {}
-        assert apply_action(s, {}, (("cache", 4),)) == {4: 9}
-        assert apply_action(s, {}, (("cache", 0x300),)) == {}
-
     def test_writeback_policy_covers_safe_runs(self):
         cfg = GenConfig(seed=12, include_in_cache=False, include_kernel=False)
         spec = AUTH_SPECS["writeback"]
         for i in range(20):
-            s, _ = case_pair(replace(
-                gen_entangled_case(cfg, trial_rng("wbpol", i)),
-                forward_steps=0))
-            for s, h in walk(s):
-                u, info = step_core(s)
-                assert check_cache_action(s, h, info, u, spec) is None
+            s = initial_state(gen_entangled_case(cfg, trial_rng("wbpol", i)))
+            for s, u, info in walk(s):
+                assert check_cache_action(s, info, u, spec) is None
 
     def test_commit_policy_flags_transient_fills(self):
         s = asm.emit_ma(asm.load_bundled("spectre"))
         spec = AUTH_SPECS["commit"]
         flagged = []
-        for s, h in walk(s):
-            u, info = step_core(s)
-            cex = check_cache_action(s, h, info, u, spec)
+        for s, u, info in walk(s):
+            cex = check_cache_action(s, info, u, spec)
             if cex:
                 flagged.append(cex.detail)
         assert len(flagged) == 2
@@ -225,16 +206,15 @@ class TestActions:
     def test_commit_policy_authorizes_retiring_loads(self):
         s = prog_state(Instr("ldri", 1, 0, imm=4), Instr("halt"), dmem={4: 9})
         spec = AUTH_SPECS["commit"]
-        for s, h in walk(s):
-            u, info = step_core(s)
-            assert check_cache_action(s, h, info, u, spec) is None
+        for s, u, info in walk(s):
+            assert check_cache_action(s, info, u, spec) is None
 
     def test_spectre_wsk_a_transitions(self):
         s = asm.emit_ma(asm.load_bundled("spectre"))
         spec = AUTH_SPECS["commit"]
         kinds = set()
-        for s, h in walk(s):
-            for f in check_wsk_transition(s, h, spec):
+        for s, u, info in walk(s):
+            for f in check_wsk_transition(s, u, info, spec):
                 kinds.add((f.obligation, f.kind))
         assert ("action-soundness", "tea-spectre") in kinds
         assert not any(k == "functional" for _, k in kinds)
