@@ -7,17 +7,8 @@ import argparse
 import sys
 
 from teasim import asm
-from teasim.isa import isa_det_step
+from teasim.isa import run_isa
 from teasim.ma import MaParams, run_ma
-
-
-def isa_steps(prog, cap=200_000) -> int:
-    s = asm.emit_isa(prog)
-    for i in range(cap):
-        if s.halt:
-            return i
-        s = isa_det_step(s)
-    return cap
 
 
 def main() -> int:
@@ -27,7 +18,7 @@ def main() -> int:
     args = ap.parse_args()
 
     prog = asm.load_bundled(args.program)
-    base_instr = isa_steps(prog)
+    _, base_instr = run_isa(asm.emit_isa(prog), 200_000)
     print(f"{args.program}: {base_instr} architectural steps\n")
     print(f"{'fetch':>5} {'stations':>8} {'prefetch':>10} {'cycles':>8} "
           f"{'instr/cycle':>12}")

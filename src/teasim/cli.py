@@ -20,8 +20,8 @@ from dataclasses import replace
 
 from . import asm, snapshot
 from .gen import Case, GenConfig, PROPERTIES, Report, report_json, run_property
-from .isa import isa_det_step
-from .ma import MaParams, ma_step, step_core
+from .isa import isa_det_step, run_isa
+from .ma import MaParams, ma_step, run_ma, step_core
 from .variants import init_h, mah_step
 
 SUITES: dict[str, list[str]] = {
@@ -77,11 +77,7 @@ def cmd_run(args) -> int:
         return 2
 
     if args.machine == "isa":
-        s = asm.emit_isa(prog, params.reg_count)
-        for step in range(args.max_steps):
-            if s.halt:
-                break
-            s = isa_det_step(s)
+        s, _ = run_isa(asm.emit_isa(prog, params.reg_count), args.max_steps)
         print(snapshot.isa_to_text(s), end="")
         return 0 if s.halt else 3
 
@@ -204,16 +200,8 @@ def cmd_demo(args) -> int:
     if args.attack == "meltdown":
         prog = asm.load_bundled("meltdown")
         secret = dict(prog.data)[4096]
-        ma = asm.emit_ma(prog)
-        for _ in range(args.max_steps):
-            if ma.halt:
-                break
-            ma = ma_step(ma)
-        isa = asm.emit_isa(prog)
-        for _ in range(args.max_steps):
-            if isa.halt:
-                break
-            isa = isa_det_step(isa)
+        ma, _ = run_ma(asm.emit_ma(prog), args.max_steps)
+        isa, _ = run_isa(asm.emit_isa(prog), args.max_steps)
         print(f"planted kernel byte:            {secret}")
         print(f"pipeline run recovered (r10):   {ma.rf[10]}"
               f"   kernel line cached (r7): {ma.rf[7]}")
@@ -240,11 +228,7 @@ def cmd_demo(args) -> int:
                 print(f"cycle {s.cyc}: {cex.detail}")
                 shown += 1
             s = u
-        isa = asm.emit_isa(prog)
-        for _ in range(args.max_steps):
-            if isa.halt:
-                break
-            isa = isa_det_step(isa)
+        isa, _ = run_isa(asm.emit_isa(prog), args.max_steps)
         print(f"pipeline cache after run:      "
               + ", ".join(f"{a:#x}" for a in sorted(s.cache)))
         print(f"architectural cache after run: "

@@ -5,17 +5,19 @@ just before the block, ending in halt; load addresses are biased to
 straddle the user/kernel boundary so faults are exercised.  Entangled
 (state, history) pairs come from emitting a program, seeding a valid
 cache, and running the history-carrying machine forward a bounded
-number of steps; the entangled and replay properties check those.  The
-per-transition properties walk instead: from the emitted, cache-seeded
-initial state they follow the deterministic step once per cycle, so
-every checked state is reachable, and hand each transition s -> u to
-the obligation.
+number of steps from the empty history; the entangled and replay
+properties check that one sample.  The per-transition properties walk
+instead: from the emitted, cache-seeded initial state they follow the
+deterministic step once per cycle, so every checked state is reachable,
+and hand each transition s -> u to the obligation.
 
 Each registered property pairs a case generator with a checker over the
 case; `run_property` drives seeded trials (per-trial streams are split
-deterministically from the root seed, so reports are reproducible) and
-shrinks failures while re-verifying that the same obligation still
-fails.
+deterministically from the root seed, so reports are reproducible).  A
+failing case is shrunk greedily: `_smaller` yields the candidates in one
+fixed order, and `shrink` keeps the first that still fails the same
+obligation and starts over, within SHRINK_BUDGET checks.  The report
+holds the shrunk case and its re-checked findings.
 """
 
 from __future__ import annotations
@@ -27,13 +29,13 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 from .asm import Program, render
-from .isa import MASK32, Instr, isa_det_step
-from .ma import MaState, ma_step, step_core
+from .isa import MASK32, Instr, run_isa
+from .ma import MaState, run_ma, step_core
 from .refine import (
     AUTH_SPECS,
     Finding,
     check_cache_action,
-    check_entangled_obligations,
+    check_entangled_sample,
     check_wsk_transition,
     is_initial,
     label,
@@ -95,6 +97,8 @@ class Case:
         if not all(len(p) == 2 and all(type(x) is int for x in p) for p in cache):
             raise ValueError(f"seed_cache must hold [address, value] integer "
                              f"pairs, got {d['seed_cache']!r}")
+        if type(d["program"]) is not str:
+            raise ValueError(f"program must be text, got {d['program']!r}")
         return cls(asm.parse(d["program"]), steps, cache)
 
 
@@ -189,8 +193,7 @@ def initial_state(case: Case) -> MaState:
 def case_pair(case: Case) -> tuple[MaState, History]:
     """Deterministically rebuild the (state, history) pair of a case."""
     s = initial_state(case)
-    # The empty history, with the seeded cache as the committed one.
-    h = History(s.cyc, s.cyc, dict(s.cache), {}, ())
+    h = init_h(s)
     for _ in range(case.forward_steps):
         if s.halt:
             break
@@ -203,11 +206,7 @@ def gen_entangled_case(cfg: GenConfig, rng: random.Random) -> Case:
     cache = seed_cache(prog, rng)
     # Probe the halt time so most samples land mid-flight rather than on
     # the (trivially entangled) halted tail of the run.
-    x = initial_state(Case(prog, 0, cache))
-    live = 0
-    while live < cfg.max_forward_steps and not x.halt:
-        x = ma_step(x)
-        live += 1
+    x, live = run_ma(initial_state(Case(prog, 0, cache)), cfg.max_forward_steps)
     if x.halt:
         live -= 1
     if live > 0 and rng.random() < 0.8:
@@ -220,19 +219,13 @@ def gen_entangled_case(cfg: GenConfig, rng: random.Random) -> Case:
 # --- property checkers over cases ---
 
 def check_entangled_case(case: Case) -> list[Finding]:
+    """The entangled-state obligations on the case's sample, which
+    starts from an emitted state that must be pipeline-empty."""
     findings: list[Finding] = []
-    # Emitted initial states (cold cache) pair with the empty history.
-    s0 = asm.emit_ma(case.program)
-    if not is_initial(s0):
+    if not is_initial(asm.emit_ma(case.program)):
         findings.append(Finding("init-entangled", "functional",
                                 "emitted state is not pipeline-empty"))
-    elif not is_entangled(s0, init_h(s0)):
-        findings.append(Finding("init-entangled", "functional",
-                                "emitted state not entangled with the "
-                                "empty history"))
-    pair = case_pair(case)
-    findings.extend(check_entangled_obligations([pair]))
-    return findings
+    return findings + check_entangled_sample(*case_pair(case))
 
 
 def check_replay_case(case: Case) -> list[Finding]:
@@ -260,20 +253,20 @@ def _walk(case: Case, per_step, max_steps: int) -> list[Finding]:
     return findings
 
 
-def check_wsk_case(case: Case, max_steps: int = 2500) -> list[Finding]:
+def check_wsk_case(case: Case) -> list[Finding]:
     """Witness obligations (cache-erased map) along the whole run."""
-    return _walk(case, check_wsk_transition, max_steps)
+    return _walk(case, check_wsk_transition, 2500)
 
 
-def check_spectre_case(case: Case, max_steps: int = 400) -> list[Finding]:
+def check_spectre_case(case: Case) -> list[Finding]:
     """Cache-observable witness obligations plus the action audit under
     the designer-intent (commit-time) authorization policy."""
     spec = AUTH_SPECS["commit"]
     return _walk(case, lambda s, u, info: check_wsk_transition(s, u, info, spec),
-                 max_steps)
+                 400)
 
 
-def check_action_writeback_case(case: Case, max_steps: int = 400) -> list[Finding]:
+def check_action_writeback_case(case: Case) -> list[Finding]:
     """Sanity: the as-built policy authorizes everything this machine
     does (on kernel-free programs)."""
 
@@ -281,23 +274,15 @@ def check_action_writeback_case(case: Case, max_steps: int = 400) -> list[Findin
         cex = check_cache_action(s, info, u, AUTH_SPECS["writeback"])
         return [cex] if cex else []
 
-    return _walk(case, per_step, max_steps)
+    return _walk(case, per_step, 400)
 
 
-def check_arch_equiv_case(case: Case, max_steps: int = 2000) -> list[Finding]:
+def check_arch_equiv_case(case: Case) -> list[Finding]:
     """Run both machines to halt and compare the committed state."""
-    isa = asm.emit_isa(case.program)
-    for _ in range(max_steps):
-        if isa.halt:
-            break
-        isa = isa_det_step(isa)
+    isa, _ = run_isa(asm.emit_isa(case.program), 2000)
     if not isa.halt:
         return []  # non-terminating program: vacuous
-    ma = asm.emit_ma(case.program)
-    for _ in range(20 * max_steps):
-        if ma.halt:
-            break
-        ma = ma_step(ma)
+    ma, _ = run_ma(asm.emit_ma(case.program), 40_000)
     if not ma.halt:
         return [Finding("arch-equivalence", "liveness",
                         "pipeline did not halt where the ISA run halted")]
@@ -328,13 +313,8 @@ def gen_incache_case(cfg: GenConfig, rng: random.Random) -> Case:
 
 
 def check_incache_case(case: Case) -> list[Finding]:
-    s = asm.emit_isa(case.program)
-    if case.seed_cache:
-        s = replace(s, cache=dict(case.seed_cache))
-    for _ in range(8):
-        if s.halt:
-            break
-        s = isa_det_step(s)
+    s = replace(asm.emit_isa(case.program), cache=dict(case.seed_cache))
+    s, _ = run_isa(s, 8)
     if s.rf[3] != 0:
         return [Finding("incache-constraint", "functional",
                         "in-cache returned 1 for an inaccessible address")]
@@ -420,65 +400,49 @@ class Report:
         }
 
 
-def shrink(prop: Property, case: Case, obligation: str, budget: int = 150) -> Case:
-    """Greedy reduction preserving failure of the same obligation."""
+# Checks one shrink may spend.
+SHRINK_BUDGET = 150
 
-    def fails(c: Case) -> bool:
-        return any(f.obligation == obligation for f in prop.check(c))
 
+def _smaller(case: Case):
+    """Candidate reductions of a case, in the order shrink tries them:
+    drop one instruction, then rewind the forward steps, then halve one
+    immediate."""
+    prog = case.program
+    instrs = prog.instrs
+    for i in range(len(instrs)):
+        yield replace(case, program=replace(prog, instrs=instrs[:i] + instrs[i + 1:]))
+    if case.forward_steps > 0:
+        for k in (0, case.forward_steps // 2, case.forward_steps - 1):
+            yield replace(case, forward_steps=k)
+    for i, ins in enumerate(instrs):
+        if ins.imm and ins.imm < 0x1000:
+            halved = instrs[:i] + (replace(ins, imm=ins.imm // 2),) + instrs[i + 1:]
+            yield replace(case, program=replace(prog, instrs=halved))
+
+
+def shrink(prop: Property, case: Case, obligation: str) -> Case:
+    """Greedy reduction preserving failure of the same obligation: take
+    the first candidate that still fails and start over from it, until
+    no candidate fails or SHRINK_BUDGET checks are spent."""
+    budget = SHRINK_BUDGET
     best = case
-    improved = True
-    while improved and budget > 0:
-        improved = False
-        instrs = best.program.instrs
-        for i in range(len(instrs)):
-            cand_prog = replace(best.program, instrs=instrs[:i] + instrs[i + 1:])
-            cand = replace(best, program=cand_prog)
+    while True:
+        for cand in _smaller(best):
+            if budget == 0:
+                return best
             budget -= 1
-            if fails(cand):
-                best, improved = cand, True
+            if any(f.obligation == obligation for f in prop.check(cand)):
+                best = cand
                 break
-            if budget <= 0:
-                break
-        if improved:
-            continue
-        if best.forward_steps > 0:
-            for k in (0, best.forward_steps // 2, best.forward_steps - 1):
-                cand = replace(best, forward_steps=k)
-                budget -= 1
-                if fails(cand):
-                    best, improved = cand, True
-                    break
-                if budget <= 0:
-                    break
-        if improved:
-            continue
-        # shrink immediates toward zero
-        instrs = best.program.instrs
-        for i, ins in enumerate(instrs):
-            if ins.imm and ins.imm < 0x1000:
-                cand_prog = replace(
-                    best.program,
-                    instrs=instrs[:i] + (replace(ins, imm=ins.imm // 2),)
-                    + instrs[i + 1:],
-                )
-                cand = replace(best, program=cand_prog)
-                budget -= 1
-                if fails(cand):
-                    best, improved = cand, True
-                    break
-                if budget <= 0:
-                    break
-    return best
+        else:
+            return best
 
 
 def run_property(
-    name: str,
-    cfg: GenConfig,
-    extra_cases: tuple[Case, ...] = (),
-    do_shrink: bool = True,
+    name: str, cfg: GenConfig, extra_cases: tuple[Case, ...] = ()
 ) -> Report:
-    """Seeded trials of one property; failures are shrunk and re-verified."""
+    """Seeded trials of one property; failures are shrunk and re-checked."""
     if name not in PROPERTIES:
         raise KeyError(f"unknown property {name!r}")
     prop = PROPERTIES[name]
@@ -486,12 +450,10 @@ def run_property(
     failures: list[Failure] = []
 
     def record(trial: int, case: Case, findings: list[Finding]) -> None:
-        if do_shrink and findings:
-            small = shrink(prop, case, findings[0].obligation)
-            fs = prop.check(small)
-            if any(f.obligation == findings[0].obligation for f in fs):
-                case, findings = small, fs
-        failures.append(Failure(trial, tuple(findings), case))
+        # The shrunk case fails the same obligation (checks are
+        # deterministic), so its findings are the ones reported.
+        small = shrink(prop, case, findings[0].obligation)
+        failures.append(Failure(trial, tuple(prop.check(small)), small))
 
     for t, case in enumerate(extra_cases):
         findings = prop.check(case)

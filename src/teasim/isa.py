@@ -260,16 +260,20 @@ def isa_cache_step(s: IsaState, add: CacheChoice = (), rem: CacheChoice = ()) ->
 
 
 def isa_step(
-    s: IsaState,
-    pre_add: CacheChoice = (),
-    pre_rem: CacheChoice = (),
-    post_add: CacheChoice = (),
-    post_rem: CacheChoice = (),
+    s: IsaState, pre_add: CacheChoice = (), pre_rem: CacheChoice = ()
 ) -> IsaState:
-    """One full architectural step: cache choice, instruction, cache choice."""
-    s1 = isa_cache_step(s, pre_add, pre_rem)
-    s2 = isa_det_step(s1)
-    return isa_cache_step(s2, post_add, post_rem)
+    """One full architectural step: cache choice, then instruction.  (A
+    cache choice after the instruction is the next step's pre-choice.)"""
+    return isa_det_step(isa_cache_step(s, pre_add, pre_rem))
+
+
+def run_isa(s: IsaState, max_steps: int) -> tuple[IsaState, int]:
+    """Step until halt or the budget runs out; returns (state, steps)."""
+    for i in range(max_steps):
+        if s.halt:
+            return s, i
+        s = isa_det_step(s)
+    return s, max_steps
 
 
 def apply_prefetches(

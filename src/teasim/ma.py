@@ -152,6 +152,11 @@ DEFAULT_MOP_TIMES = {"mmul": 3, "mldri": 2, "mldr": 2}
 PrefetchSpec = tuple
 PREFETCH_ARITY = {"none": 0, "next": 1, "stride": 2}
 
+# Upper limit on every size the machine builds or scans per cycle: the
+# register file, the stations, the fetch group, the ROB tags and the
+# prefetch set of a load.
+MAX_SIZE = 256
+
 
 @dataclass(frozen=True, slots=True)
 class MaParams:
@@ -169,6 +174,8 @@ class MaParams:
             raise ValueError("max_rob must be at least the decode width")
         if self.rs_count < 1:
             raise ValueError("need at least one reservation station")
+        if self.reg_count < 1:
+            raise ValueError("reg_count must be at least 1")
         for mop, t in self.mop_times.items():
             if t < 1:
                 raise ValueError(f"mop time for {mop} must be positive")
@@ -178,6 +185,12 @@ class MaParams:
             shown = " ".join(map(str, self.prefetch))
             raise ValueError("prefetch must be 'none', 'next N' or "
                              f"'stride S K', got {shown!r}")
+        sizes = {"fetch_num": self.fetch_num, "max_rob": self.max_rob,
+                 "rs_count": self.rs_count, "reg_count": self.reg_count,
+                 "prefetch count": args[-1] if args else 0}
+        for name, n in sizes.items():
+            if n > MAX_SIZE:
+                raise ValueError(f"{name} must be at most {MAX_SIZE}, got {n}")
 
     def mop_time(self, mop: str) -> int:
         return self.mop_times.get(mop, 1)

@@ -27,7 +27,7 @@ loads — the intent policy that the speculative machine violates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 from .isa import (
     AuthAction,
@@ -326,37 +326,28 @@ def is_initial(s: MaState) -> bool:
     )
 
 
-def check_entangled_obligations(
-    samples: Iterable[tuple[MaState, History]],
-) -> list[Finding]:
-    """The four entangled-state obligations over a batch of samples:
-    maximal choices reproduce the deterministic step, the history-
-    carrying step projects to it, initial states are entangled, and
+def check_entangled_sample(s: MaState, h: History) -> list[Finding]:
+    """The entangled-state obligations for one sample (s, h): maximal
+    choices reproduce the deterministic step, a pipeline-empty state is
+    entangled with the empty history, the sample is entangled, and
     entangledness is closed under stepping."""
     findings: list[Finding] = []
-    for s, h in samples:
-        if ma_step(s) != man_step(s, maximal_choice(s)):
-            findings.append(Finding(
-                "maximal-step-subset", "functional",
-                "deterministic step differs from the maximal choice"))
-        if mah_step(s, h)[0] != ma_step(s):
-            findings.append(Finding(
-                "history-projection", "functional",
-                "history-carrying step changed the machine component"))
-        # Emitted initial states start with a cold cache; the empty
-        # history commits to exactly that.
-        if is_initial(s) and not s.cache and not is_entangled(s, init_h(s)):
-            findings.append(Finding(
-                "init-entangled", "functional",
-                "initial state not entangled with the empty history"))
-        if not is_entangled(s, h):
-            findings.append(Finding(
-                "entangled-sample", "functional",
-                "generated sample is not entangled"))
-            continue
-        u, hu, _ = mah_step(s, h)
-        if not is_entangled(u, hu):
-            findings.append(Finding(
-                "entangled-closure", "functional",
-                "successor of an entangled state is not entangled"))
+    if ma_step(s) != man_step(s, maximal_choice(s)):
+        findings.append(Finding(
+            "maximal-step-subset", "functional",
+            "deterministic step differs from the maximal choice"))
+    if is_initial(s) and not is_entangled(s, init_h(s)):
+        findings.append(Finding(
+            "init-entangled", "functional",
+            "initial state not entangled with the empty history"))
+    if not is_entangled(s, h):
+        findings.append(Finding(
+            "entangled-sample", "functional",
+            "generated sample is not entangled"))
+        return findings
+    u, hu, _ = mah_step(s, h)
+    if not is_entangled(u, hu):
+        findings.append(Finding(
+            "entangled-closure", "functional",
+            "successor of an entangled state is not entangled"))
     return findings

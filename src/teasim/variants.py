@@ -47,8 +47,9 @@ class History:
 
 
 def init_h(s: MaState) -> History:
-    """Empty history for a pipeline-empty state."""
-    return History(s.cyc, s.cyc, {}, {}, ())
+    """Empty history for a pipeline-empty state; it commits to the
+    state's cache."""
+    return History(s.cyc, s.cyc, dict(s.cache), {}, ())
 
 
 def _prev_tag(tag: int, s: MaState) -> int:

@@ -1,11 +1,17 @@
 """Command-line behavior: exit codes, output shapes, replay bundles."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from teasim import asm
 from teasim.cli import main
+from teasim.gen import PROPERTIES
 
 
 def write_prog(tmp_path, text, name="prog.asm"):
@@ -141,6 +147,8 @@ USAGE_ERRORS = {
                               {"b.bundle": bundle(seed_cache=[[4]])}),
     "replay-bad-program": (["check", "--replay", "{tmp}/b.bundle"],
                            {"b.bundle": bundle(program="loadi r99 1\n")}),
+    "replay-program-not-text": (["check", "--replay", "{tmp}/b.bundle"],
+                                {"b.bundle": bundle(program=None)}),
     # a record missing a field
     "replay-truncated-line": (["check", "--replay", "{tmp}/b.bundle"],
                               {"b.bundle": bundle(drop=("forward_steps",))}),
@@ -160,6 +168,16 @@ USAGE_ERRORS = {
         {"p.asm": "ldri r1 r0 4\nhalt\n"}),
     "prefetch-empty": (["run", "{tmp}/p.asm", "--param", "prefetch="],
                        {"p.asm": "ldri r1 r0 4\nhalt\n"}),
+    "reg-count-negative": (["run", "{tmp}/p.asm", "--param", "reg-count=-3"],
+                           {"p.asm": "halt\n"}),
+    "reg-count-zero": (["run", "{tmp}/p.asm", "--param", "reg-count=0"],
+                       {"p.asm": "halt\n"}),
+    "reg-count-oversized": (
+        ["run", "{tmp}/p.asm", "--param", "reg-count=100000000"],
+        {"p.asm": "halt\n"}),
+    "prefetch-count-oversized": (
+        ["run", "{tmp}/p.asm", "--param", "prefetch=next 100000000"],
+        {"p.asm": "ldri r1 r0 4\nhalt\n"}),
     "org-without-address": (["run", "{tmp}/p.asm"], {"p.asm": ".org\nhalt\n"}),
     "entry-without-address": (["run", "{tmp}/p.asm"],
                               {"p.asm": ".entry\nhalt\n"}),
@@ -176,6 +194,84 @@ def test_usage_error_exits_two(tmp_path, capsys, argv, files):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+# Program lines, well-formed and malformed, for the exit-code contract.
+LINES = (
+    "halt", "noop", "loadi r1 5", "loadi r2 200", "addi r1 r1 1",
+    "add r3 r1 r2", "mul r3 r3 r3", "ldri r4 r1 4", "ldr r5 r1 r2",
+    "in-cache r6 r1 r2", "tsx-start 2", "tsx-end", "jge r1 2",
+    ".access 0 127", ".data 4 9", ".entry 0", ".org 3",
+    "loadi r99 1", "bogus r1", "ldri r1", ".org", ".data 4", ".access 9 2",
+    ".access 5 20", "loadi r1 0x1g", "loadi r1 99999999999", ".weird 1",
+)
+programs = st.one_of(
+    st.lists(st.sampled_from(LINES), max_size=6).map(lambda ls: "\n".join(ls) + "\n"),
+    st.text(alphabet="r0123456789 .-xadhilt\n", max_size=24),
+)
+params = st.one_of(
+    st.sampled_from(["fetch-num", "reg-count", "bogus", ""]),
+    st.builds("{}={}".format,
+              st.sampled_from(["fetch-num", "max-rob", "rs-count", "reg-count",
+                               "prefetch", "bogus", ""]),
+              st.one_of(st.integers(-3, 300).map(str),
+                        st.sampled_from(["none", "next 2", "stride 3 2", "next",
+                                         "stride 1", "next 1000", "x", ""]))),
+)
+records = st.builds(
+    lambda rec, drop: {k: v for k, v in rec.items() if k != drop},
+    st.fixed_dictionaries({
+        "property": st.one_of(st.sampled_from(sorted(PROPERTIES)), st.just("bogus"),
+                              st.integers()),
+        "program": st.one_of(programs, st.integers(), st.none()),
+        "forward_steps": st.one_of(st.integers(-2, 8), st.just("x"), st.none()),
+        "seed_cache": st.one_of(
+            st.lists(st.lists(st.integers(-1, 130), max_size=3), max_size=3),
+            st.just("ab"), st.integers()),
+        "trial": st.integers(), "findings": st.just([]),
+    }),
+    st.sampled_from(["", "property", "program", "forward_steps", "seed_cache"]),
+)
+bundles = st.one_of(records.map(json.dumps),
+                    st.sampled_from(["", "{", "[]", "null", '"x"', "3"]))
+
+
+def call_with_file(argv, text):
+    """main(argv) with {file} standing for a file holding text; returns
+    (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input")
+        with open(path, "w") as fh:
+            fh.write(text)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main([a.format(file=path) for a in argv])
+    return rc, out.getvalue(), err.getvalue()
+
+
+def assert_usage_error_shape(rc, err):
+    if rc == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=programs, overrides=st.lists(params, max_size=3),
+       machine=st.sampled_from(["isa", "ma", "ma-h"]), trace=st.booleans())
+def test_run_exit_codes(text, overrides, machine, trace):
+    argv = ["run", "{file}", "--machine", machine, "--max-steps", "100"]
+    argv += [f"--param={p}" for p in overrides] + ["--trace"] * trace
+    rc, _, err = call_with_file(argv, text)
+    assert rc in (0, 2, 3)
+    assert_usage_error_shape(rc, err)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(text=bundles, as_json=st.booleans())
+def test_replay_exit_codes(text, as_json):
+    rc, _, err = call_with_file(["check", "--replay", "{file}"] + ["--json"] * as_json,
+                                text)
+    assert rc in (0, 1, 2)
+    assert_usage_error_shape(rc, err)
 
 
 class TestDemoBench:

@@ -1,14 +1,18 @@
-"""No public helper in the package exists only for the tests.
+"""No public helper, and no parameter default, exists only for the tests.
 
 Every public top-level function or class in `src/teasim` must be named
-somewhere in `src/` or `scripts/` outside its own definition.
+somewhere in `src/` or `scripts/` outside its own definition, and every
+defaulted parameter of a function there must be set by some call in
+`src/` or `scripts/`.
 """
 
 import ast
 import pathlib
-from collections import Counter
+from collections import Counter, defaultdict
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = sorted((ROOT / "src" / "teasim").glob("*.py"))
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 # Paper definitions kept although only tests use them.
 KEPT_FOR_TESTS = {
@@ -32,15 +36,55 @@ def mentions(tree: ast.AST) -> Counter:
 
 
 def test_every_public_definition_is_used_outside_tests():
-    package = sorted((ROOT / "src" / "teasim").glob("*.py"))
-    scripts = sorted((ROOT / "scripts").glob("*.py"))
-    trees = {f: ast.parse(f.read_text()) for f in package + scripts}
+    trees = {f: ast.parse(f.read_text()) for f in PACKAGE + SCRIPTS}
     total = sum((mentions(t) for t in trees.values()), Counter())
     unused = set()
-    for f in package:
+    for f in PACKAGE:
         for node in trees[f].body:
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and not node.name.startswith("_")
                     and total[node.name] == mentions(node)[node.name]):
                 unused.add(node.name)
     assert unused == KEPT_FOR_TESTS
+
+
+# Parameter defaults kept although no call in src/ or scripts/ sets them.
+DEFAULTS_SET_BY_TESTS = {
+    # The console script calls main() and argparse reads sys.argv; tests
+    # pass argv.
+    ("main", "argv"),
+}
+
+
+def defaulted(fn: ast.FunctionDef) -> list[tuple[int | None, str]]:
+    """(position, name) of each parameter with a default; keyword-only
+    parameters have no position."""
+    a = fn.args
+    positional = a.posonlyargs + a.args
+    first = len(positional) - len(a.defaults)
+    out = [(i, p.arg) for i, p in enumerate(positional) if i >= first]
+    out += [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+            if d is not None]
+    return out
+
+
+def test_every_parameter_default_is_overridden_outside_tests():
+    trees = [ast.parse(f.read_text()) for f in PACKAGE + SCRIPTS]
+    calls = defaultdict(list)  # called name -> its call nodes
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls[name].append(node)
+    never_set = set()
+    for tree in trees[:len(PACKAGE)]:
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for pos, param in defaulted(fn):
+                if not any(any(k.arg == param for k in c.keywords)
+                           or (pos is not None and len(c.args) > pos)
+                           for c in calls[fn.name]):
+                    never_set.add((fn.name, param))
+    assert never_set == DEFAULTS_SET_BY_TESTS

@@ -1,21 +1,26 @@
 """Generation quality, report determinism, shrinking soundness."""
 
 from teasim import asm
+from teasim.asm import Program
 from teasim.gen import (
     Case,
     GenConfig,
     PROPERTIES,
+    Property,
     case_pair,
     check_action_writeback_case,
     check_spectre_case,
     check_wsk_case,
     gen_entangled_case,
     gen_program,
+    initial_state,
     report_json,
     run_property,
     shrink,
 )
-from teasim.isa import isa_det_step
+from teasim.isa import Instr, isa_det_step
+from teasim.refine import Finding
+from teasim.variants import init_h, is_entangled
 
 from conftest import trial_rng
 
@@ -95,9 +100,36 @@ def test_shrink_meltdown_case_stays_small():
                for f in prop.check(small))
 
 
+def test_shrink_spends_at_most_its_budget():
+    # Only the original fails, so no candidate is accepted and the
+    # budget runs out among the 200 deletions.
+    prog = Program(0, (Instr("noop"),) * 199 + (Instr("halt"),), (),
+                   ((0, 0x7F),), 0)
+    case = Case(prog, forward_steps=3)
+    checked = []
+
+    def check(c):
+        checked.append(c)
+        return [Finding("only-original", "functional", "")] if c == case else []
+
+    prop = Property("fake", gen_entangled_case, check)
+    assert shrink(prop, case, "only-original") == case
+    assert len(checked) == 150
+
+
+def test_seeded_initial_state_entangled_with_empty_history():
+    prog = Program(0, (Instr("ldri", rd=1, r1=0, imm=4), Instr("halt")),
+                   ((4, 9),), ((0, 0x7F),), 0)
+    case = Case(prog, 0, ((4, 9),))
+    s = initial_state(case)
+    assert s.cache == {4: 9}
+    assert is_entangled(s, init_h(s))
+    assert case_pair(case) == (s, init_h(s))
+
+
 def test_failures_replayable_from_case():
     cfg = GenConfig(seed=35, trials=60)
-    rep = run_property("spectre", cfg, do_shrink=False)
+    rep = run_property("spectre", cfg)
     assert rep.failures
     f = rep.failures[0]
     again = PROPERTIES["spectre"].check(f.case)

@@ -15,7 +15,7 @@ from teasim.ma import (
 from teasim.refine import (
     AUTH_SPECS,
     check_cache_action,
-    check_entangled_obligations,
+    check_entangled_sample,
     check_wsk_transition,
     label,
     r_a,
@@ -224,7 +224,7 @@ class TestEntangledObligations:
     def test_batch_checker_clean(self):
         samples = [case_pair(gen_entangled_case(
             GenConfig(seed=13), trial_rng("oblig", i))) for i in range(40)]
-        assert check_entangled_obligations(samples) == []
+        assert [f for s, h in samples for f in check_entangled_sample(s, h)] == []
 
     def test_mutated_replay_detected(self):
         # Replay that ignores the recorded station assignments must
