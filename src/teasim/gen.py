@@ -9,15 +9,20 @@ number of steps from the empty history; the entangled and replay
 properties check that one sample.  The per-transition properties walk
 instead: from the emitted, cache-seeded initial state they follow the
 deterministic step once per cycle, so every checked state is reachable,
-and hand each transition s -> u to the obligation.
+and hand each transition s -> u to the obligation.  Their cases (and
+arch-equivalence's) carry no forward steps: the same program and cache
+draws, without the sample's.
 
 Each registered property pairs a case generator with a checker over the
 case; `run_property` drives seeded trials (per-trial streams are split
 deterministically from the root seed, so reports are reproducible).  A
 failing case is shrunk greedily: `_smaller` yields the candidates in one
 fixed order, and `shrink` keeps the first that still fails the same
-obligation and starts over, within SHRINK_BUDGET checks.  The report
-holds the shrunk case and its re-checked findings.
+obligation and starts over, within SHRINK_BUDGET candidates.  A walk
+property's candidate fails only if it fails the obligation within
+2c + 8 steps, c being the step at which the current best case first
+failed it.  The report holds the shrunk case and its findings,
+re-checked by the full, unbounded check.
 """
 
 from __future__ import annotations
@@ -70,6 +75,12 @@ class GenConfig:
     max_failures: int = 10
 
 
+# Most forward steps a case may carry: rebuilding its sample runs the
+# history-carrying machine that many steps (10,000 take about a second),
+# and generated cases carry at most GenConfig.max_forward_steps.
+MAX_FORWARD_STEPS = 10_000
+
+
 @dataclass(frozen=True)
 class Case:
     """Replayable input to a property check."""
@@ -90,9 +101,9 @@ class Case:
         """Inverse of to_dict.  A missing field raises KeyError, a
         malformed one ValueError or TypeError."""
         steps = d["forward_steps"]
-        if type(steps) is not int or steps < 0:
-            raise ValueError(f"forward_steps must be a non-negative integer, "
-                             f"got {steps!r}")
+        if type(steps) is not int or not 0 <= steps <= MAX_FORWARD_STEPS:
+            raise ValueError(f"forward_steps must be an integer from 0 to "
+                             f"{MAX_FORWARD_STEPS}, got {steps!r}")
         cache = tuple(tuple(pair) for pair in d["seed_cache"])
         if not all(len(p) == 2 and all(type(x) is int for x in p) for p in cache):
             raise ValueError(f"seed_cache must hold [address, value] integer "
@@ -201,19 +212,26 @@ def case_pair(case: Case) -> tuple[MaState, History]:
     return s, h
 
 
-def gen_entangled_case(cfg: GenConfig, rng: random.Random) -> Case:
+def gen_walk_case(cfg: GenConfig, rng: random.Random) -> Case:
+    """A program and its seeded cache: a walk starts from the initial
+    state, so the case carries no forward steps."""
     prog = gen_program(cfg, rng)
-    cache = seed_cache(prog, rng)
+    return Case(prog, 0, seed_cache(prog, rng))
+
+
+def gen_entangled_case(cfg: GenConfig, rng: random.Random) -> Case:
+    """gen_walk_case's draws, then a number of forward steps."""
+    case = gen_walk_case(cfg, rng)
     # Probe the halt time so most samples land mid-flight rather than on
     # the (trivially entangled) halted tail of the run.
-    x, live = run_ma(initial_state(Case(prog, 0, cache)), cfg.max_forward_steps)
+    x, live = run_ma(initial_state(case), cfg.max_forward_steps)
     if x.halt:
         live -= 1
     if live > 0 and rng.random() < 0.8:
         k = rng.randint(1, live)
     else:
         k = rng.randint(0, cfg.max_forward_steps)
-    return Case(prog, k, cache)
+    return replace(case, forward_steps=k)
 
 
 # --- property checkers over cases ---
@@ -236,45 +254,72 @@ def check_replay_case(case: Case) -> list[Finding]:
     return []
 
 
-def _walk(case: Case, per_step, max_steps: int) -> list[Finding]:
+# What a bounded walk looks for: an obligation, and the number of steps
+# it may take to fail it (None: as many as the walk's own limit).
+Until = tuple[str, int | None]
+
+
+def _walk(case: Case, per_step, max_steps: int,
+          until: Until | None = None) -> list[Finding]:
     """Check each transition s -> u of the run from the case's initial
-    state, stepping the machine once per cycle; per_step(s, u, info)
-    only reads the step."""
+    state, stepping the machine once per cycle, until it halts, has
+    taken max_steps steps or has made 8 findings; per_step(s, u, info)
+    only reads the step.  Each finding records its step.
+
+    until = (obligation, within) also stops the walk after `within`
+    steps and after the first step that fails the obligation.  Its
+    findings are then a prefix of the full walk's, so an obligation it
+    finds failing, the full walk finds failing too."""
+    target, within = until or (None, None)
     s = initial_state(case)
     findings: list[Finding] = []
-    for _ in range(max_steps):
+    for step in range(max_steps if within is None else min(max_steps, within)):
         if s.halt:
             break
         u, info = step_core(s)
-        findings.extend(per_step(s, u, info))
-        if len(findings) >= 8:
-            break
+        found = per_step(s, u, info)
+        if found:
+            findings.extend(replace(f, step=step) for f in found)
+            if len(findings) >= 8 or any(f.obligation == target for f in found):
+                break
         s = u
     return findings
 
 
-def check_wsk_case(case: Case) -> list[Finding]:
-    """Witness obligations (cache-erased map) along the whole run."""
-    return _walk(case, check_wsk_transition, 2500)
+def _walk_check(per_step, max_steps: int):
+    """The check of a walk property, check(case, until=None): see _walk."""
+
+    def check(case: Case, until: Until | None = None) -> list[Finding]:
+        return _walk(case, per_step, max_steps, until)
+
+    return check
 
 
-def check_spectre_case(case: Case) -> list[Finding]:
-    """Cache-observable witness obligations plus the action audit under
-    the designer-intent (commit-time) authorization policy."""
-    spec = AUTH_SPECS["commit"]
-    return _walk(case, lambda s, u, info: check_wsk_transition(s, u, info, spec),
-                 400)
+# The per-step checks name the obligation checkers and policies when
+# called, so that a wrapper installed on a module binding or in
+# AUTH_SPECS (perfbench's tracer) sees every step.
+
+def _wsk_step(s, u, info):
+    return check_wsk_transition(s, u, info)
 
 
-def check_action_writeback_case(case: Case) -> list[Finding]:
-    """Sanity: the as-built policy authorizes everything this machine
-    does (on kernel-free programs)."""
+def _spectre_step(s, u, info):
+    return check_wsk_transition(s, u, info, AUTH_SPECS["commit"])
 
-    def per_step(s, u, info):
-        cex = check_cache_action(s, info, u, AUTH_SPECS["writeback"])
-        return [cex] if cex else []
 
-    return _walk(case, per_step, 400)
+def _writeback_step(s, u, info):
+    cex = check_cache_action(s, info, u, AUTH_SPECS["writeback"])
+    return [cex] if cex else []
+
+
+# Witness obligations (cache-erased map) along the whole run.
+check_wsk_case = _walk_check(_wsk_step, 2500)
+# Cache-observable witness obligations plus the action audit under the
+# designer-intent (commit-time) authorization policy.
+check_spectre_case = _walk_check(_spectre_step, 400)
+# Sanity: the as-built policy authorizes everything this machine does
+# (on kernel-free programs).
+check_action_writeback_case = _walk_check(_writeback_step, 400)
 
 
 def check_arch_equiv_case(case: Case) -> list[Finding]:
@@ -327,8 +372,10 @@ def check_incache_case(case: Case) -> list[Finding]:
 class Property:
     name: str
     gen: Callable[[GenConfig, random.Random], Case]
-    check: Callable[[Case], list[Finding]]
+    check: Callable[..., list[Finding]]
     adjust: Callable[[GenConfig], GenConfig] = lambda c: c
+    # check(case, until) walks the run and can stop early (see _walk).
+    walks: bool = False
 
 
 def _no_ic(cfg: GenConfig) -> GenConfig:
@@ -344,12 +391,14 @@ PROPERTIES: dict[str, Property] = {
     for p in [
         Property("entangled", gen_entangled_case, check_entangled_case),
         Property("replay-identity", gen_entangled_case, check_replay_case),
-        Property("wsk", gen_entangled_case, check_wsk_case),
-        Property("wsk-safe", gen_entangled_case, check_wsk_case, _no_ic),
-        Property("spectre", gen_entangled_case, check_spectre_case, _no_ic),
-        Property("action-writeback", gen_entangled_case,
-                 check_action_writeback_case, _safe),
-        Property("arch-equivalence", gen_entangled_case,
+        Property("wsk", gen_walk_case, check_wsk_case, walks=True),
+        Property("wsk-safe", gen_walk_case, check_wsk_case, _no_ic,
+                 walks=True),
+        Property("spectre", gen_walk_case, check_spectre_case, _no_ic,
+                 walks=True),
+        Property("action-writeback", gen_walk_case,
+                 check_action_writeback_case, _safe, walks=True),
+        Property("arch-equivalence", gen_walk_case,
                  check_arch_equiv_case, _safe),
         Property("incache-constraint", gen_incache_case, check_incache_case),
     ]
@@ -400,7 +449,7 @@ class Report:
         }
 
 
-# Checks one shrink may spend.
+# Candidates one shrink may check.
 SHRINK_BUDGET = 150
 
 
@@ -424,16 +473,30 @@ def _smaller(case: Case):
 def shrink(prop: Property, case: Case, obligation: str) -> Case:
     """Greedy reduction preserving failure of the same obligation: take
     the first candidate that still fails and start over from it, until
-    no candidate fails or SHRINK_BUDGET checks are spent."""
+    no candidate fails or SHRINK_BUDGET candidates are checked.
+
+    A walk property's candidate counts as failing only if it fails the
+    obligation within 2c + 8 steps, where c is the step at which the
+    current best case first failed it; its walk stops there.  Deleting
+    a loop exit thus costs a few steps, not a walk to max_steps."""
+
+    def first_failure(cand: Case, within: int | None) -> Finding | None:
+        found = (prop.check(cand, (obligation, within)) if prop.walks
+                 else prop.check(cand))
+        return next((f for f in found if f.obligation == obligation), None)
+
     budget = SHRINK_BUDGET
     best = case
+    # A walk property's first failure on the current best case.
+    hit = first_failure(case, None) if prop.walks else None
     while True:
         for cand in _smaller(best):
             if budget == 0:
                 return best
             budget -= 1
-            if any(f.obligation == obligation for f in prop.check(cand)):
-                best = cand
+            found = first_failure(cand, 2 * hit.step + 8 if hit else None)
+            if found:
+                best, hit = cand, found
                 break
         else:
             return best

@@ -73,12 +73,15 @@ class Finding:
 
     kind is "tea-meltdown" or "tea-spectre" for transient-execution
     evidence, "functional" for plain ISA/MA disagreement, "liveness"
-    when the machine exceeds its commit-distance bound.
+    when the machine exceeds its commit-distance bound.  step is the
+    index, from 0, of the failing transition in a walk (see `gen`), and
+    None for a finding that no walk made.
     """
 
     obligation: str
     kind: str
     detail: str
+    step: int | None = None
 
 
 def stutter_wit(s: MaState) -> int | None:

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from teasim import asm
 from teasim.cli import main
-from teasim.gen import PROPERTIES
+from teasim.gen import MAX_FORWARD_STEPS, PROPERTIES
 
 
 def write_prog(tmp_path, text, name="prog.asm"):
@@ -149,6 +149,11 @@ USAGE_ERRORS = {
                            {"b.bundle": bundle(program="loadi r99 1\n")}),
     "replay-program-not-text": (["check", "--replay", "{tmp}/b.bundle"],
                                 {"b.bundle": bundle(program=None)}),
+    # a replay that would rebuild its sample for too many steps
+    "replay-forward-steps-oversized": (
+        ["check", "--replay", "{tmp}/b.bundle"],
+        {"b.bundle": bundle(property="replay-identity",
+                            forward_steps=MAX_FORWARD_STEPS + 1)}),
     # a record missing a field
     "replay-truncated-line": (["check", "--replay", "{tmp}/b.bundle"],
                               {"b.bundle": bundle(drop=("forward_steps",))}),

@@ -1,6 +1,10 @@
 """Generation quality, report determinism, shrinking soundness."""
 
-from teasim import asm
+from dataclasses import replace
+
+import pytest
+
+from teasim import asm, gen
 from teasim.asm import Program
 from teasim.gen import (
     Case,
@@ -13,6 +17,7 @@ from teasim.gen import (
     check_wsk_case,
     gen_entangled_case,
     gen_program,
+    gen_walk_case,
     initial_state,
     report_json,
     run_property,
@@ -73,7 +78,6 @@ def test_reports_deterministic():
 
 
 def test_unknown_property_rejected():
-    import pytest
     with pytest.raises(KeyError):
         run_property("nope", GenConfig())
 
@@ -98,6 +102,69 @@ def test_shrink_meltdown_case_stays_small():
     assert len(small.program.instrs) <= 10
     assert any(f.obligation == findings[0].obligation
                for f in prop.check(small))
+
+
+# Without the step bound on candidates, these shrinks walked 6,723
+# (spectre) and 89,489 (meltdown) steps and reached the same programs.
+BUNDLED_SHRINKS = [
+    ("spectre", "spectre", 1_000,
+     ".access 0 511\n.data 16 1\n.data 17 2\n.data 18 3\n.data 19 4\n"
+     ".data 22 77\n.entry 0\nmul r9 r9 r9\njge r5 0\nldr r7 r2 r6\n"),
+    ("wsk", "meltdown", 8_000,
+     ".access 0 511\n.data 4096 57\n.entry 0\nloadi r1 4096\ntsx-start 5\n"
+     "ldri r3 r1 0\nnoop\nnoop\nin-cache r7 r1 r0\n"),
+]
+
+
+@pytest.mark.parametrize("name, bundled, max_steps, shrunk", BUNDLED_SHRINKS,
+                         ids=[b for _, b, _, _ in BUNDLED_SHRINKS])
+def test_shrink_walks_few_steps(monkeypatch, name, bundled, max_steps, shrunk):
+    prop = PROPERTIES[name]
+    case = Case(asm.load_bundled(bundled))
+    obligation = prop.check(case)[0].obligation
+    steps = 0
+    step_core = gen.step_core
+
+    def counting(s):
+        nonlocal steps
+        steps += 1
+        return step_core(s)
+
+    monkeypatch.setattr(gen, "step_core", counting)
+    small = shrink(prop, case, obligation)
+    assert steps <= max_steps
+    assert asm.render(small.program) == shrunk
+
+
+@pytest.mark.parametrize("fail_at, accepted", [(13, True), (14, False)])
+def test_shrink_bounds_walk_candidates(fail_at, accepted):
+    # The original fails at step 3, so a candidate must fail within
+    # 2 * 3 + 8 = 14 steps (steps 0-13).  Either candidate fails under
+    # the full check.
+    prog = Program(0, (Instr("noop"), Instr("noop")), (), ((0, 0x7F),), 0)
+    case = Case(prog)
+
+    def check(c, until=None):
+        at = 3 if c == case else fail_at
+
+        def per_step(s, u, info):
+            return [Finding("late", "functional", "")] if s.cyc == at else []
+
+        return gen._walk(c, per_step, 2500, until)
+
+    assert check(replace(case, program=replace(prog, instrs=prog.instrs[1:])))
+    prop = Property("fake", gen_walk_case, check, walks=True)
+    small = shrink(prop, case, "late")
+    assert (small != case) == accepted
+
+
+def test_walk_and_entangled_cases_draw_the_same():
+    cfg = GenConfig(seed=37)
+    for i in range(50):
+        walk = gen_walk_case(cfg, trial_rng("draws", i))
+        sample = gen_entangled_case(cfg, trial_rng("draws", i))
+        assert walk.forward_steps == 0
+        assert (walk.program, walk.seed_cache) == (sample.program, sample.seed_cache)
 
 
 def test_shrink_spends_at_most_its_budget():
