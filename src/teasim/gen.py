@@ -9,7 +9,8 @@ number of steps from the empty history; the entangled and replay
 properties check that one sample.  The per-transition properties walk
 instead: from the emitted, cache-seeded initial state they follow the
 deterministic step once per cycle, so every checked state is reachable,
-and hand each transition s -> u to the obligation.  Their cases (and
+and hand each transition s -> u to the obligation, with the stutter
+witness of s read off the walk's own run.  Their cases (and
 arch-equivalence's) carry no forward steps: the same program and cache
 draws, without the sample's.
 
@@ -30,6 +31,7 @@ from __future__ import annotations
 import json
 import random
 import zlib
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -45,6 +47,7 @@ from .refine import (
     is_initial,
     label,
     r_ic,
+    stutter_wit,
 )
 from .variants import History, init_h, is_entangled, mah_step
 from . import asm
@@ -263,21 +266,38 @@ def _walk(case: Case, per_step, max_steps: int,
           until: Until | None = None) -> list[Finding]:
     """Check each transition s -> u of the run from the case's initial
     state, stepping the machine once per cycle, until it halts, has
-    taken max_steps steps or has made 8 findings; per_step(s, u, info)
-    only reads the step.  Each finding records its step.
+    taken max_steps steps or has made 8 findings; per_step(s, u, info,
+    wit) only reads the step.  Each finding records its step.  wit, the
+    stutter witness of s, is read off the walk's own run, which steps
+    ahead to the next retirement (None past the cap); only a step whose
+    next retirement lies past the walk's last step runs stutter_wit(s).
 
     until = (obligation, within) also stops the walk after `within`
     steps and after the first step that fails the obligation.  Its
     findings are then a prefix of the full walk's, so an obligation it
     finds failing, the full walk finds failing too."""
     target, within = until or (None, None)
+    limit = max_steps if within is None else min(max_steps, within)
     s = initial_state(case)
+    cap = s.params.stutter_cap()
+    # The transitions (u, info) from this step up to the next retiring
+    # one, at most cap + 1 of them and none past the walk's last step.
+    ahead = deque()
     findings: list[Finding] = []
-    for step in range(max_steps if within is None else min(max_steps, within)):
+    for step in range(limit):
         if s.halt:
             break
-        u, info = step_core(s)
-        found = per_step(s, u, info)
+        while (not (ahead and ahead[-1][1].retired) and len(ahead) <= cap
+               and step + len(ahead) < limit):
+            ahead.append(step_core(ahead[-1][0] if ahead else s))
+        if ahead[-1][1].retired:
+            wit = len(ahead) - 1
+        elif len(ahead) > cap:
+            wit = None
+        else:
+            wit = stutter_wit(s)
+        u, info = ahead.popleft()
+        found = per_step(s, u, info, wit)
         if found:
             findings.extend(replace(f, step=step) for f in found)
             if len(findings) >= 8 or any(f.obligation == target for f in found):
@@ -299,15 +319,15 @@ def _walk_check(per_step, max_steps: int):
 # called, so that a wrapper installed on a module binding or in
 # AUTH_SPECS (perfbench's tracer) sees every step.
 
-def _wsk_step(s, u, info):
-    return check_wsk_transition(s, u, info)
+def _wsk_step(s, u, info, wit):
+    return check_wsk_transition(s, u, info, wit)
 
 
-def _spectre_step(s, u, info):
-    return check_wsk_transition(s, u, info, AUTH_SPECS["commit"])
+def _spectre_step(s, u, info, wit):
+    return check_wsk_transition(s, u, info, wit, AUTH_SPECS["commit"])
 
 
-def _writeback_step(s, u, info):
+def _writeback_step(s, u, info, wit):
     cex = check_cache_action(s, info, u, AUTH_SPECS["writeback"])
     return [cex] if cex else []
 

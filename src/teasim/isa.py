@@ -161,59 +161,64 @@ def isa_det_step(s: IsaState) -> IsaState:
     """
     if s.halt:
         return s
-    i = fetch_instr(s.imem, s.pc)
-    op = i.op
-    pc1 = w32(s.pc + 1)
+    i = s.imem.get(s.pc, NOOP)  # fetch_instr, inlined on this hot path
+    execute = _EXECUTE.get(i.op)
+    if execute is None:
+        raise AssertionError(f"unknown op {i.op!r}")
+    return execute(s, i)
+
+
+def _next(s: IsaState, rf: tuple[int, ...]) -> IsaState:
+    """Fall through to pc + 1 with register file rf."""
+    return IsaState((s.pc + 1) & MASK32, rf, s.tsx, False, s.imem, s.dmem,
+                    s.ga, s.cache)
+
+
+def _write(s: IsaState, i: Instr, v: int) -> IsaState:
+    """Write v to rd and fall through."""
     rf = s.rf
-
-    if op == "noop":
-        return _with(s, pc=pc1)
-    if op == "halt":
-        return _with(s, pc=pc1, halt=True)
-    if op == "loadi":
-        return _with(s, pc=pc1, rf=_set(rf, i.rd, w32(i.imm)))
-    if op == "addi":
-        return _with(s, pc=pc1, rf=_set(rf, i.rd, w32(rf[i.r1] + i.imm)))
-    if op == "add":
-        return _with(s, pc=pc1, rf=_set(rf, i.rd, w32(rf[i.r1] + rf[i.r2])))
-    if op == "mul":
-        return _with(s, pc=pc1, rf=_set(rf, i.rd, w32(rf[i.r1] * rf[i.r2])))
-    if op == "and":
-        return _with(s, pc=pc1, rf=_set(rf, i.rd, rf[i.r1] & rf[i.r2]))
-    if op == "cmp":
-        return _with(s, pc=pc1, rf=_set(rf, i.rd, compare(rf[i.r1], rf[i.r2])))
-    if op == "jg":
-        taken = rf[i.r1] == 2
-        return _with(s, pc=w32(s.pc + i.imm) if taken else pc1)
-    if op == "jge":
-        taken = rf[i.r1] in (1, 2)
-        return _with(s, pc=w32(s.pc + i.imm) if taken else pc1)
-    if op == "tsx-start":
-        return _with(s, pc=pc1, tsx=TsxState(True, rf, w32(i.imm)))
-    if op == "tsx-end":
-        return _with(s, pc=pc1, tsx=TsxState(False, s.tsx.rf, s.tsx.fb))
-    if op in ("ldri", "ldr"):
-        ea = w32(rf[i.r1] + (i.imm if op == "ldri" else rf[i.r2]))
-        if s.ga.allows(ea):
-            v = dmem_read(s.dmem, ea)
-            cache = dict(s.cache)
-            cache[ea] = v
-            return _with(s, pc=pc1, rf=_set(rf, i.rd, v), cache=cache)
-        if s.tsx.active:
-            return _with(
-                s, pc=s.tsx.fb, rf=s.tsx.rf,
-                tsx=TsxState(False, s.tsx.rf, s.tsx.fb),
-            )
-        return _with(s, halt=True)
-    if op == "in-cache":
-        ea = w32(rf[i.r1] + rf[i.r2])
-        hit = 1 if (s.ga.allows(ea) and ea in s.cache) else 0
-        return _with(s, pc=pc1, rf=_set(rf, i.rd, hit))
-    raise AssertionError(f"unknown op {op!r}")
+    return _next(s, rf[:i.rd] + (v,) + rf[i.rd + 1:])
 
 
-def _set(rf: tuple[int, ...], r: int, v: int) -> tuple[int, ...]:
-    return rf[:r] + (v,) + rf[r + 1:]
+def _branch(s: IsaState, i: Instr, taken: bool) -> IsaState:
+    pc = w32(s.pc + i.imm) if taken else w32(s.pc + 1)
+    return IsaState(pc, s.rf, s.tsx, False, s.imem, s.dmem, s.ga, s.cache)
+
+
+def _load(s: IsaState, i: Instr, ea: int) -> IsaState:
+    """Fill the line, or fault: roll back a transaction, or halt."""
+    if s.ga.allows(ea):
+        v = dmem_read(s.dmem, ea)
+        cache = dict(s.cache)
+        cache[ea] = v
+        return _with(_write(s, i, v), cache=cache)
+    if s.tsx.active:
+        return _with(s, pc=s.tsx.fb, rf=s.tsx.rf,
+                     tsx=TsxState(False, s.tsx.rf, s.tsx.fb))
+    return _with(s, halt=True)
+
+
+# op -> the deterministic step of a live state whose pc holds that op.
+_EXECUTE = {
+    "noop": lambda s, i: _next(s, s.rf),
+    "halt": lambda s, i: _with(s, pc=w32(s.pc + 1), halt=True),
+    "loadi": lambda s, i: _write(s, i, w32(i.imm)),
+    "addi": lambda s, i: _write(s, i, w32(s.rf[i.r1] + i.imm)),
+    "add": lambda s, i: _write(s, i, w32(s.rf[i.r1] + s.rf[i.r2])),
+    "mul": lambda s, i: _write(s, i, w32(s.rf[i.r1] * s.rf[i.r2])),
+    "and": lambda s, i: _write(s, i, s.rf[i.r1] & s.rf[i.r2]),
+    "cmp": lambda s, i: _write(s, i, compare(s.rf[i.r1], s.rf[i.r2])),
+    "jg": lambda s, i: _branch(s, i, s.rf[i.r1] == 2),
+    "jge": lambda s, i: _branch(s, i, s.rf[i.r1] in (1, 2)),
+    "tsx-start": lambda s, i: _with(s, pc=w32(s.pc + 1),
+                                    tsx=TsxState(True, s.rf, w32(i.imm))),
+    "tsx-end": lambda s, i: _with(s, pc=w32(s.pc + 1),
+                                  tsx=TsxState(False, s.tsx.rf, s.tsx.fb)),
+    "ldri": lambda s, i: _load(s, i, w32(s.rf[i.r1] + i.imm)),
+    "ldr": lambda s, i: _load(s, i, w32(s.rf[i.r1] + s.rf[i.r2])),
+    "in-cache": lambda s, i: _write(s, i, int(
+        s.ga.allows(ea := w32(s.rf[i.r1] + s.rf[i.r2])) and ea in s.cache)),
+}
 
 
 def _with(s: IsaState, **kw) -> IsaState:

@@ -10,7 +10,8 @@ computed by the caller) and reads it against the architectural machine.
 One witness-skipping checker serves both maps: a transition that
 retires nothing must leave the architectural fields unchanged and reach
 a retirement within the stutter bound (the step is deterministic, so
-the witness then strictly decreases), and a retiring transition must be
+the witness then strictly decreases; the caller supplies the witness,
+which a walk reads off its own run), and a retiring transition must be
 matched by running the architectural machine one step per retired
 instruction, resolving its cache nondeterminism so the cache-membership
 results agree.  Failures come back as data (findings with a kind and
@@ -87,7 +88,8 @@ class Finding:
 def stutter_wit(s: MaState) -> int | None:
     """Steps until this state's next retiring transition.
 
-    Returns None past the configured cap (a liveness violation).
+    Returns None past the configured cap (a liveness violation).  A walk
+    reads it off its own run and calls this only past its last step.
     """
     if s.halt:
         return 0
@@ -266,10 +268,11 @@ def run_ic_c(
 
 
 def check_wsk_transition(
-    s: MaState, u: MaState, info: StepInfo, spec: AuthSpec | None = None
+    s: MaState, u: MaState, info: StepInfo, wit: int | None,
+    spec: AuthSpec | None = None,
 ) -> list[Finding]:
     """All witness-skipping obligations for one transition s -> u (with
-    `u, info = step_core(s)`), with w = r(s).
+    `u, info = step_core(s)` and `wit = stutter_wit(s)`), with w = r(s).
 
     With no policy this is the cache-erased (Meltdown) refinement,
     r = r_ic; with one it is the cache-observable refinement, r = r_a,
@@ -294,7 +297,7 @@ def check_wsk_transition(
             findings.append(Finding(match, "functional",
                                     "architectural fields changed on a "
                                     "non-retiring step"))
-        elif stutter_wit(s) is None:
+        elif wit is None:
             findings.append(Finding(match, "liveness",
                                     "no commit within the stutter bound"))
         return findings

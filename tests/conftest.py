@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from teasim import ma
 from teasim.gen import GenConfig, _trial_rng
 
 
@@ -17,3 +18,19 @@ def trial_rng(tag: str, i: int) -> random.Random:
 @pytest.fixture
 def cfg():
     return GenConfig(seed=0xBEEF)
+
+
+@pytest.fixture
+def stall(monkeypatch):
+    """The ROB head never commits a `mul`: a commit batch stops before
+    any mmul line, so a program that reaches a mul stops retiring."""
+    to_commit = ma.to_commit
+
+    def stalled(rob, allow_commit):
+        batch = to_commit(rob, allow_commit)
+        for k, line in enumerate(batch):
+            if line.mop == "mmul":
+                return batch[:k]
+        return batch
+
+    monkeypatch.setattr(ma, "to_commit", stalled)

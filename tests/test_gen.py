@@ -24,7 +24,8 @@ from teasim.gen import (
     shrink,
 )
 from teasim.isa import Instr, isa_det_step
-from teasim.refine import Finding
+from teasim.ma import run_ma
+from teasim.refine import Finding, stutter_wit
 from teasim.variants import init_h, is_entangled
 
 from conftest import trial_rng
@@ -147,7 +148,7 @@ def test_shrink_bounds_walk_candidates(fail_at, accepted):
     def check(c, until=None):
         at = 3 if c == case else fail_at
 
-        def per_step(s, u, info):
+        def per_step(s, u, info, wit):
             return [Finding("late", "functional", "")] if s.cyc == at else []
 
         return gen._walk(c, per_step, 2500, until)
@@ -156,6 +157,53 @@ def test_shrink_bounds_walk_candidates(fail_at, accepted):
     prop = Property("fake", gen_walk_case, check, walks=True)
     small = shrink(prop, case, "late")
     assert (small != case) == accepted
+
+
+@pytest.mark.parametrize("kind", ["halts", "max-steps", "until", "stall"])
+def test_walk_witness_is_stutter_wit(monkeypatch, request, kind):
+    # The witness the walk hands to per_step is stutter_wit(s).  Walks
+    # cut off by max_steps or by until's bound take their tail's
+    # witnesses from stutter_wit itself; a halting walk never does.
+    if kind == "stall":
+        request.getfixturevalue("stall")
+    calls = 0
+
+    def counted(s):
+        nonlocal calls
+        calls += 1
+        return stutter_wit(s)
+
+    monkeypatch.setattr(gen, "stutter_wit", counted)
+    wits = []
+
+    def per_step(s, u, info, wit):
+        assert wit == stutter_wit(s)
+        wits.append(wit)
+        return gen._wsk_step(s, u, info, wit)
+
+    cfg = GenConfig(seed=38, include_in_cache=False)
+    cases = [gen_walk_case(cfg, trial_rng("witness", i)) for i in range(30)]
+    walks = [(c, 2500, None) for c in cases]  # (case, max_steps, until)
+    if kind == "halts":
+        walks = [w for w in walks if run_ma(initial_state(w[0]), 300)[0].halt]
+    elif kind == "max-steps":
+        walks = [(c, 10, None) for c in cases]
+    elif kind == "until":
+        # Bounded walks, and one stopped at its first wsk-run failure.
+        walks = [(c, 2500, ("wsk-run", 10)) for c in cases]
+        meltdown = Case(asm.load_bundled("meltdown"))
+        walks.append((meltdown, 2500, ("wsk-run", None)))
+    for case, max_steps, until in walks:
+        found = gen._walk(case, per_step, max_steps, until)
+    assert len(walks) >= 10 and len(wits) >= 200
+    if kind == "halts":
+        assert calls == 0
+    elif kind == "stall":
+        assert None in wits
+    else:
+        assert calls > 0
+    if kind == "until":
+        assert found[-1].obligation == "wsk-run"
 
 
 def test_walk_and_entangled_cases_draw_the_same():

@@ -1,7 +1,7 @@
 """Seeded pipeline mutants that a clean verdict must not survive.
 
-Each mutant monkeypatches one function of `teasim.ma`, and its test
-names the suite that must report it within a fixed trial budget and
+Each mutant is a fixture (in conftest.py) that monkeypatches one
+function of `teasim.ma`, and its test names the suite that must report it within a fixed trial budget and
 seed; the unmutated machine is clean on the same trials.
 """
 
@@ -11,25 +11,9 @@ from dataclasses import replace
 import pytest
 
 from teasim import cli, gen, ma
-from teasim.refine import AUTH_SPECS, check_wsk_transition
+from teasim.refine import AUTH_SPECS, check_wsk_transition, stutter_wit
 
 SEED, TRIALS = 1, 40
-
-
-@pytest.fixture
-def stall(monkeypatch):
-    """The ROB head never commits a `mul`: a commit batch stops before
-    any mmul line, so a program that reaches a mul stops retiring."""
-    to_commit = ma.to_commit
-
-    def stalled(rob, allow_commit):
-        batch = to_commit(rob, allow_commit)
-        for k, line in enumerate(batch):
-            if line.mop == "mmul":
-                return batch[:k]
-        return batch
-
-    monkeypatch.setattr(ma, "to_commit", stalled)
 
 
 def check_json(capsys, suite: str) -> tuple[int, dict]:
@@ -56,15 +40,15 @@ def test_stall_mutant_fails_liveness(stall, capsys):
 def reference_walk(case: gen.Case, max_steps: int, spec) -> list:
     """The walk of `gen._walk` with the witness-skipping obligations,
     taking each non-retiring transition's stutter witness by a forward
-    run of its own (`check_wsk_transition` without a witness)."""
+    run of its own, `stutter_wit(s)`."""
     s = gen.initial_state(case)
     findings = []
     for step in range(max_steps):
         if s.halt:
             break
         u, info = ma.step_core(s)
-        found = (check_wsk_transition(s, u, info) if spec is None
-                 else check_wsk_transition(s, u, info, spec))
+        wit = 0 if info.retired else stutter_wit(s)
+        found = check_wsk_transition(s, u, info, wit, spec)
         findings += [replace(f, step=step) for f in found]
         if len(findings) >= 8:
             break

@@ -147,7 +147,7 @@ class TestRunIc:
         case_findings = []
         s = asm.emit_ma(asm.load_bundled("meltdown"))
         for s, u, info in walk(s):
-            case_findings += check_wsk_transition(s, u, info)
+            case_findings += check_wsk_transition(s, u, info, stutter_wit(s))
             if case_findings:
                 break
         assert case_findings
@@ -160,7 +160,7 @@ class TestRunIc:
             s = initial_state(gen_entangled_case(cfg, trial_rng("safewsk", i)))
             count = 0
             for s, u, info in walk(s):
-                assert check_wsk_transition(s, u, info) == []
+                assert check_wsk_transition(s, u, info, stutter_wit(s)) == []
                 count += 1
                 if count > 120:
                     break
@@ -214,7 +214,7 @@ class TestActions:
         spec = AUTH_SPECS["commit"]
         kinds = set()
         for s, u, info in walk(s):
-            for f in check_wsk_transition(s, u, info, spec):
+            for f in check_wsk_transition(s, u, info, stutter_wit(s), spec):
                 kinds.add((f.obligation, f.kind))
         assert ("action-soundness", "tea-spectre") in kinds
         assert not any(k == "functional" for _, k in kinds)
