@@ -1,8 +1,9 @@
 """Seeded pipeline mutants that a clean verdict must not survive.
 
 Each mutant is a fixture (in conftest.py) that monkeypatches one
-function of `teasim.ma`, and its test names the suite that must report it within a fixed trial budget and
-seed; the unmutated machine is clean on the same trials.
+function of `teasim.ma`, and its test names the suite that must report
+it within a fixed trial budget and seed; the unmutated machine is clean
+on the same trials.
 """
 
 import json
