@@ -1,0 +1,22 @@
+"""Golden report: the `check --json` report of a fixed run, pinned by digest.
+
+The run covers all eight properties.  Any change to what the checkers
+find, to the order they find it in, or to the report format changes the
+digest, so a refactor or speed-up that claims byte-identical reports is
+held to it.  Update the digest only with a change that means to alter
+reports, and say why in that change.
+"""
+
+import hashlib
+
+from teasim.cli import main
+
+ARGV = ["check", "--suite", "all", "--trials", "40", "--seed", "3", "--json"]
+EXIT_CODE = 1  # the buggy suites report counterexamples
+SHA256 = "aa2a1ee443cb637eff4c1284f0cdbf3cdf38fd99ec9680d21cb87feab74fd57c"
+
+
+def test_check_all_report_is_unchanged(capsys):
+    assert main(ARGV) == EXIT_CODE
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SHA256
