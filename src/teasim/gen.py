@@ -201,7 +201,7 @@ def seed_cache(prog: Program, rng: random.Random) -> tuple[tuple[int, int], ...]
 def initial_state(case: Case) -> MaState:
     """The case's emitted program with its seeded cache; forward_steps
     is not applied."""
-    return replace(asm.emit_ma(case.program), cache=dict(case.seed_cache))
+    return asm.emit_ma(case.program)._replace(cache=dict(case.seed_cache))
 
 
 def case_pair(case: Case) -> tuple[MaState, History]:
@@ -378,7 +378,7 @@ def gen_incache_case(cfg: GenConfig, rng: random.Random) -> Case:
 
 
 def check_incache_case(case: Case) -> list[Finding]:
-    s = replace(asm.emit_isa(case.program), cache=dict(case.seed_cache))
+    s = asm.emit_isa(case.program)._replace(cache=dict(case.seed_cache))
     s, _ = run_isa(s, 8)
     if s.rf[3] != 0:
         return [Finding("incache-constraint", "functional",

@@ -8,11 +8,15 @@ visible cache.  Cache contents evolve nondeterministically: on every step
 the environment may insert or evict any set of accessible, value-correct
 lines.  The `in-cache` instruction queries cache membership and is the
 covert channel the microarchitectural model is audited against.
+
+`TsxState` and `IsaState` are immutable NamedTuples, about 4x cheaper to
+build than frozen dataclasses (measured in `ma`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 MASK32 = 0xFFFF_FFFF
 REG_COUNT = 12
@@ -84,8 +88,7 @@ NOOP = Instr("noop")
 AuthAction = tuple[tuple[str, int], ...]
 
 
-@dataclass(frozen=True, slots=True)
-class TsxState:
+class TsxState(NamedTuple):
     active: bool
     rf: tuple[int, ...]
     fb: int
@@ -117,8 +120,7 @@ class AccessMap:
         return False
 
 
-@dataclass(frozen=True, slots=True)
-class IsaState:
+class IsaState(NamedTuple):
     pc: int
     rf: tuple[int, ...]
     tsx: TsxState

@@ -8,11 +8,14 @@ the last commit and the pending cache effects of written-back loads.
 history and replays forward.  A (state, history) pair is *entangled*
 when that replay reproduces the state exactly — a checkable superset of
 the reachable states that every obligation checker quantifies over.
+
+`StatusLine` and `History` are immutable NamedTuples, about 4x cheaper
+to build than frozen dataclasses (measured in `ma`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .isa import ChoiceError, w32
 from .ma import (
@@ -30,15 +33,13 @@ from .ma import (
 Status = tuple
 
 
-@dataclass(frozen=True, slots=True)
-class StatusLine:
+class StatusLine(NamedTuple):
     rob_id: int
     pc: int
     statuses: tuple[Status, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class History:
+class History(NamedTuple):
     comm_cy: int
     start_cy: int
     comm_cache: dict[int, int]
@@ -146,7 +147,7 @@ def mah_step(s: MaState, h: History) -> tuple[MaState, History, StepInfo]:
 
 
 def reset_rs_f(rs_f):
-    return tuple(replace(rs, busy=False, exec=False) for rs in rs_f)
+    return tuple(rs._replace(busy=False, exec=False) for rs in rs_f)
 
 
 def comp_start_cyc(s: MaState, h: History) -> int:

@@ -1,7 +1,5 @@
 """Out-of-order core: decode, resource accounting, stepping, invariants."""
 
-from dataclasses import replace
-
 import pytest
 
 from teasim import asm
@@ -18,7 +16,6 @@ from teasim.ma import (
     decode_one,
     detect_raw,
     initial_ma_state,
-    issuable,
     ma_step,
     max_fetch_n,
     rob_before,
@@ -93,45 +90,33 @@ class TestRobIds:
             rob_ids(1, rob, p)
 
 
-class TestIssuable:
-    def test_empty_always(self):
-        assert issuable((), mk())
-
-    def test_rs_shortage(self):
-        s = mk()
-        busy = tuple(
-            ResStation(rs.rs_id, "madd", None, None, 0, 0, 0, True, False, 0, 0)
-            for rs in s.rs_f[:3])
-        s = replace(s, rs_f=busy + s.rs_f[3:])
-        uops = decode_one(Instr("add", 1, 1, 1)) * 3
-        assert not issuable(uops, s)
-
-    def test_rob_space(self):
-        s = mk()
-        full = tuple(RobLine(i, "mnoop", None, False, 0, False)
-                     for i in range(s.params.max_rob))
-        s = replace(s, rob=full)
-        assert not issuable(decode_one(Instr("noop")), s)
-
-
 class TestMaxFetch:
     def test_empty_pipeline_full_width(self):
         s = prog_state(Instr("add", 1, 1, 1), Instr("add", 2, 2, 2),
                        Instr("add", 3, 3, 3))
         assert max_fetch_n(s) == 3
 
+    def test_rs_shortage(self):
+        s = prog_state(Instr("add", 1, 1, 1), Instr("add", 2, 2, 2),
+                       Instr("add", 3, 3, 3))
+        busy = tuple(
+            ResStation(rs.rs_id, "madd", None, None, 0, 0, 0, True, False, 0, 0)
+            for rs in s.rs_f[:3])
+        s = s._replace(rs_f=busy + s.rs_f[3:])
+        assert max_fetch_n(s) == 1
+
     def test_full_rob_zero(self):
         s = prog_state(Instr("add", 1, 1, 1))
         full = tuple(RobLine(i, "mnoop", None, False, 0, False)
                      for i in range(s.params.max_rob))
-        s = replace(s, rob=full)
+        s = s._replace(rob=full)
         assert max_fetch_n(s) == 0
 
     def test_one_slot_but_load_needs_two(self):
         s = prog_state(Instr("ldr", 1, 2, 3))
         nearly = tuple(RobLine(i, "mnoop", None, False, 0, False)
                        for i in range(s.params.max_rob - 1))
-        s = replace(s, rob=nearly)
+        s = s._replace(rob=nearly)
         assert max_fetch_n(s) == 0
 
 
@@ -182,7 +167,7 @@ class TestCompVal:
 
     def test_in_cache_membership_only(self):
         s = mk()
-        s = replace(s, cache={6: 0})
+        s = s._replace(cache={6: 0})
         assert comp_val(self.rs("min-cache", vj=2, vk=4), s) == 1
         assert comp_val(self.rs("min-cache", vj=2, vk=5), s) == 0
 

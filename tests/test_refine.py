@@ -1,7 +1,5 @@
 """Refinement maps, witnesses, matched runs, and the action audit."""
 
-from dataclasses import replace
-
 from teasim import asm
 from teasim.isa import AccessMap, Instr, IsaState
 from teasim.ma import (
@@ -60,7 +58,7 @@ class TestMaps:
         s = prog_state(Instr("mul", 1, 1, 1), Instr("halt"))
         s1 = ma_step(s)
         s2 = ma_step(s1)
-        assert r_ic(replace(s1, cyc=s2.cyc)) == r_ic(s1)
+        assert r_ic(s1._replace(cyc=s2.cyc)) == r_ic(s1)
 
 
 class TestWitnesses:
@@ -91,7 +89,7 @@ class TestWitnesses:
         check = RobLine(0, "memi-check", None, True, 0, False)
         load = RobLine(1, "mldri", 1, True, 9, False)
         assert retired_lines((check, load)) == [load]
-        fault = replace(check, excep=True)
+        fault = check._replace(excep=True)
         assert retired_lines((fault,)) == [fault]
         # Along a run, the check+load pair counts exactly once.
         s = prog_state(Instr("ldri", 1, 0, imm=4), Instr("halt"), dmem={4: 9})
@@ -234,7 +232,7 @@ class TestEntangledObligations:
 
         def no_busy(s, h):
             c = orig(s, h)
-            return replace(c, busy_rs=frozenset())
+            return c._replace(busy_rs=frozenset())
 
         found = False
         try:

@@ -1,7 +1,6 @@
 """Snapshot text format, and (state, history) pairs persisted as cases."""
 
 import json
-from dataclasses import replace
 
 from teasim import asm
 from teasim.gen import Case, GenConfig, case_pair, gen_entangled_case
@@ -27,4 +26,4 @@ def test_equal_states_equal_text():
     s = asm.emit_ma(asm.load_bundled("primality"))
     t = asm.emit_ma(asm.load_bundled("primality"))
     assert ma_to_text(s) == ma_to_text(t)
-    assert ma_to_text(replace(s, cyc=1)) != ma_to_text(t)
+    assert ma_to_text(s._replace(cyc=1)) != ma_to_text(t)

@@ -86,12 +86,12 @@ class TestHistory:
 
     def test_init_h_shape(self):
         s = prog_state()
-        s = replace(s, cyc=42)
+        s = s._replace(cyc=42)
         assert init_h(s) == History(42, 42, {}, {}, ())
 
     def test_first_issue_sets_start_cy(self):
         s = prog_state(Instr("loadi", 1, imm=7), Instr("halt"))
-        s = replace(s, cyc=5, fetch_pc=0)
+        s = s._replace(cyc=5, fetch_pc=0)
         s2, h2, _ = mah_step(s, init_h(s))
         assert h2.start_cy == 5
         assert h2.lines and h2.lines[0].statuses[0][0] == "fetch"
@@ -105,7 +105,7 @@ class TestHistory:
     def test_invalidating_commit_resets_history(self):
         s = prog_state(Instr("jge", r1=0, imm=2), Instr("halt"))
         # make the jump taken: condition register value 1
-        s = replace(s, rf=(1,) + s.rf[1:])
+        s = s._replace(rf=(1,) + s.rf[1:])
         h = init_h(s)
         seen_invld = False
         for _ in range(12):
@@ -138,7 +138,7 @@ class TestInvalidate:
     def test_empty_pipeline_only_cache_changes(self):
         s = prog_state()
         h = History(0, 0, {3: 0}, {}, ())
-        s = replace(s, cache={3: 0, 7: 0})
+        s = s._replace(cache={3: 0, 7: 0})
         x = invl(s, h)
         assert x.cache == {3: 0}
         assert (x.pc, x.rf, x.cyc) == (s.pc, s.rf, s.cyc)
@@ -171,8 +171,8 @@ class TestInvalidate:
         s = prog_state()
         assert steps_to_take(s, init_h(s)) == 0
         h = History(0, 7, {}, {}, (init_h(s),))  # nonempty lines marker
-        s10 = replace(s, cyc=10)
-        h = replace(h, lines=(("dummy"),))
+        s10 = s._replace(cyc=10)
+        h = h._replace(lines=(("dummy"),))
         assert steps_to_take(s10, h) == 3
 
 
@@ -247,7 +247,7 @@ class TestEntangled:
             s, h, _ = mah_step(s, h)
         assert s.rob and is_entangled(s, h)
         ghost = s.rob + (RobLine(17, "madd", 2, False, 0, False),)
-        assert not is_entangled(replace(s, rob=ghost), h)
+        assert not is_entangled(s._replace(rob=ghost), h)
 
     def test_replay_window_bounded(self):
         cap = None
