@@ -10,7 +10,8 @@ properties check that one sample.  The per-transition properties walk
 instead: from the emitted, cache-seeded initial state they follow the
 deterministic step once per cycle, so every checked state is reachable,
 and hand each transition s -> u to the obligation, with the stutter
-witness of s read off the walk's own run.  Their cases (and
+witness of s read off the walk's own run (which steps past the walk's
+last step when the next retirement lies beyond it).  Their cases (and
 arch-equivalence's) carry no forward steps: the same program and cache
 draws, without the sample's.
 
@@ -36,7 +37,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 from .asm import Program, render
-from .isa import MASK32, Instr, run_isa
+from .isa import MASK32, Instr, cache_invariant_ok, run_isa
 from .ma import MaState, run_ma, step_core
 from .refine import (
     AUTH_SPECS,
@@ -47,7 +48,6 @@ from .refine import (
     is_initial,
     label,
     r_ic,
-    stutter_wit,
 )
 from .variants import History, init_h, is_entangled, mah_step
 from . import asm
@@ -113,7 +113,14 @@ class Case:
                              f"pairs, got {d['seed_cache']!r}")
         if type(d["program"]) is not str:
             raise ValueError(f"program must be text, got {d['program']!r}")
-        return cls(asm.parse(d["program"]), steps, cache)
+        program = asm.parse(d["program"])
+        # The ISA's cache invariant: a seeded line is accessible and holds
+        # its data memory value.
+        seeded = asm.emit_isa(program)._replace(cache=dict(cache))
+        if not cache_invariant_ok(seeded):
+            raise ValueError(f"seed_cache must hold accessible lines with "
+                             f"their memory values, got {d['seed_cache']!r}")
+        return cls(program, steps, cache)
 
 
 def _trial_rng(cfg_seed: int, prop: str, trial: int) -> random.Random:
@@ -269,8 +276,8 @@ def _walk(case: Case, per_step, max_steps: int,
     taken max_steps steps or has made 8 findings; per_step(s, u, info,
     wit) only reads the step.  Each finding records its step.  wit, the
     stutter witness of s, is read off the walk's own run, which steps
-    ahead to the next retirement (None past the cap); only a step whose
-    next retirement lies past the walk's last step runs stutter_wit(s).
+    ahead to the next retirement, past the walk's last step if need be,
+    and is None when none falls within stutter_cap + 1 transitions.
 
     until = (obligation, within) also stops the walk after `within`
     steps and after the first step that fails the obligation.  Its
@@ -281,21 +288,15 @@ def _walk(case: Case, per_step, max_steps: int,
     s = initial_state(case)
     cap = s.params.stutter_cap()
     # The transitions (u, info) from this step up to the next retiring
-    # one, at most cap + 1 of them and none past the walk's last step.
+    # one, at most cap + 1 of them.
     ahead = deque()
     findings: list[Finding] = []
     for step in range(limit):
         if s.halt:
             break
-        while (not (ahead and ahead[-1][1].retired) and len(ahead) <= cap
-               and step + len(ahead) < limit):
+        while not (ahead and ahead[-1][1].retired) and len(ahead) <= cap:
             ahead.append(step_core(ahead[-1][0] if ahead else s))
-        if ahead[-1][1].retired:
-            wit = len(ahead) - 1
-        elif len(ahead) > cap:
-            wit = None
-        else:
-            wit = stutter_wit(s)
+        wit = len(ahead) - 1 if ahead[-1][1].retired else None
         u, info = ahead.popleft()
         found = per_step(s, u, info, wit)
         if found:
@@ -486,7 +487,7 @@ def _smaller(case: Case):
             yield replace(case, forward_steps=k)
     for i, ins in enumerate(instrs):
         if ins.imm and ins.imm < 0x1000:
-            halved = instrs[:i] + (replace(ins, imm=ins.imm // 2),) + instrs[i + 1:]
+            halved = instrs[:i] + (ins._replace(imm=ins.imm // 2),) + instrs[i + 1:]
             yield replace(case, program=replace(prog, instrs=halved))
 
 

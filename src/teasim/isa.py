@@ -9,8 +9,9 @@ the environment may insert or evict any set of accessible, value-correct
 lines.  The `in-cache` instruction queries cache membership and is the
 covert channel the microarchitectural model is audited against.
 
-`TsxState` and `IsaState` are immutable NamedTuples, about 4x cheaper to
-build than frozen dataclasses (measured in `ma`).
+`Instr`, `TsxState` and `IsaState` are immutable NamedTuples, about 4x
+cheaper to build than frozen dataclasses (measured in `ma`), and an
+`Instr` hashes as a plain tuple when `ma.decode_one` looks it up.
 """
 
 from __future__ import annotations
@@ -59,8 +60,7 @@ def compare(a: int, b: int) -> int:
     return 0
 
 
-@dataclass(frozen=True, slots=True)
-class Instr:
+class Instr(NamedTuple):
     """One instruction; unused operand fields are None."""
 
     op: str

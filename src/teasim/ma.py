@@ -31,7 +31,7 @@ Scheduling within a cycle, in order:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -49,14 +49,9 @@ from .isa import (
     zero_rf,
 )
 
-RS_NEEDED = frozenset({
-    "mnoop", "mloadi", "maddi", "madd", "mmul", "mand", "mcmp", "mjg",
-    "mjge", "mldri", "memi-check", "mldr", "mem-check", "min-cache",
-})
-REG_WRITE = frozenset({
-    "mloadi", "maddi", "madd", "mmul", "mand", "mcmp", "mldri", "mldr",
-    "min-cache",
-})
+# Micro-instructions that take no reservation station: their ROB line is
+# ready at issue and carries the instruction's immediate as its value.
+NO_STATION = frozenset({"mhalt", "mtsx-start", "mtsx-end"})
 BARRIER_OPS = frozenset({"min-cache"})
 MEMORY_OPS = frozenset({"mldri", "mldr"})
 INVALIDATING_MOPS = frozenset({"mhalt", "mjg", "mjge"})
@@ -68,13 +63,14 @@ Slot = tuple[str, int] | None
 
 @dataclass(frozen=True, slots=True)
 class MicroInstr:
-    """Micro-instruction with J/K source slots resolved at decode."""
+    """Micro-instruction with J/K source slots resolved at decode; rd is
+    set exactly when it writes a register."""
 
     mop: str
     rd: int | None = None
     j: Slot = None
     k: Slot = None
-    imm: int | None = None  # mtsx-start fallback address
+    imm: int = 0  # mtsx-start fallback address
 
 
 @lru_cache(maxsize=8192)
@@ -148,7 +144,9 @@ def idle_station(rs_id: int) -> ResStation:
     return ResStation(rs_id, None, None, None, 0, 0, 0, False, False, 0, 0)
 
 
-DEFAULT_MOP_TIMES = {"mmul": 3, "mldri": 2, "mldr": 2}
+# Execution latency in cycles of the micro-instructions that take more
+# than one; every other one takes one.
+MOP_TIMES = {"mmul": 3, "mldri": 2, "mldr": 2}
 
 # Prefetch policies: ("next", n) caches a+1..a+n, ("stride", step, count)
 # caches a+step, a+2*step, ..; ("none",) disables prefetching.  Policies
@@ -164,11 +162,13 @@ MAX_SIZE = 256
 
 @dataclass(frozen=True, slots=True)
 class MaParams:
+    """The machine's sizes and its prefetch policy, which `run --param`
+    sets.  The execution latencies are fixed (MOP_TIMES)."""
+
     fetch_num: int = 3
     max_rob: int = 19
     rs_count: int = 4
     reg_count: int = REG_COUNT
-    mop_times: dict[str, int] = field(default_factory=lambda: dict(DEFAULT_MOP_TIMES))
     prefetch: PrefetchSpec = ("next", 1)
 
     def __post_init__(self) -> None:
@@ -180,9 +180,6 @@ class MaParams:
             raise ValueError("need at least one reservation station")
         if self.reg_count < 1:
             raise ValueError("reg_count must be at least 1")
-        for mop, t in self.mop_times.items():
-            if t < 1:
-                raise ValueError(f"mop time for {mop} must be positive")
         kind, args = self.prefetch[:1], self.prefetch[1:]
         if (not kind or PREFETCH_ARITY.get(kind[0]) != len(args)
                 or not all(isinstance(a, int) for a in args)):
@@ -196,9 +193,6 @@ class MaParams:
             if n > MAX_SIZE:
                 raise ValueError(f"{name} must be at most {MAX_SIZE}, got {n}")
 
-    def mop_time(self, mop: str) -> int:
-        return self.mop_times.get(mop, 1)
-
     @property
     def rob_tag_space(self) -> int:
         # Smallest cyclic tag space keeping in-flight tags fresh.
@@ -206,7 +200,7 @@ class MaParams:
 
     def stutter_cap(self) -> int:
         """Upper bound on steps between commits on a live machine."""
-        longest = max([1] + list(self.mop_times.values()))
+        longest = max(MOP_TIMES.values())
         return self.max_rob * longest + 2 * self.fetch_num + 8
 
     def prefetch_addrs(self, ga: AccessMap, a: int) -> tuple[int, ...]:
@@ -295,8 +289,8 @@ class WbRec(NamedTuple):
     mop: str
     val: int
     excep: bool
-    ea: int | None
-    inserted: tuple[tuple[int, int], ...]  # cache lines deposited
+    # Cache lines deposited: a load's own line first, then its prefetch set.
+    inserted: tuple[tuple[int, int], ...]
 
 
 class StepInfo(NamedTuple):
@@ -329,7 +323,7 @@ def _fetch_group(s: MaState) -> tuple[int, list[MicroInstr], list[int]]:
         ipc = w32(s.fetch_pc + n)
         group = decode_one(fetch_instr(s.imem, ipc))
         for u in group:
-            if u.mop in RS_NEEDED:
+            if u.mop not in NO_STATION:
                 needed += 1
         if needed > idle or len(uops) + len(group) > free:
             return n, uops, ipcs
@@ -355,10 +349,6 @@ def rob_ids(
     return tuple((start + k) % space for k in range(count))
 
 
-def reg_dst(u: MicroInstr) -> int | None:
-    return u.rd if u.mop in REG_WRITE else None
-
-
 def detect_raw(
     uops: list[MicroInstr], tags: tuple[int, ...]
 ) -> list[tuple[int | None, int | None]]:
@@ -374,7 +364,7 @@ def detect_raw(
             dep = None
             if slot is not None and slot[0] == "r":
                 for j in range(i - 1, -1, -1):
-                    if reg_dst(uops[j]) == slot[1]:
+                    if uops[j].rd == slot[1]:
                         dep = tags[j]
                         break
             out.append(dep)
@@ -548,14 +538,14 @@ def step_core(s: MaState, choice: Choice | None = None) -> tuple[MaState, StepIn
                 continue
         stations[i] = ResStation(
             rs.rs_id, rs.mop, rs.qj, rs.qk, rs.vj, rs.vk,
-            w32(cyc + params.mop_time(rs.mop)), True, True, rs.dst, rs.rb_pc,
+            w32(cyc + MOP_TIMES.get(rs.mop, 1)), True, True, rs.dst, rs.rb_pc,
         )
         started.append(rs.rs_id)
 
     # Issue into idle stations not removed by the choice.
     issued: list[IssueRec] = []
     for u, tag, (dj, dk), ipc in zip(uops, tags, deps, ipcs):
-        if u.mop not in RS_NEEDED:
+        if u.mop in NO_STATION:
             issued.append(IssueRec(u, tag, None, ipc))
             continue
         pick = None
@@ -582,7 +572,6 @@ def step_core(s: MaState, choice: Choice | None = None) -> tuple[MaState, StepIn
             continue
         val = comp_val(rs, s)
         exc = comp_exc(rs, s)
-        ea = None
         inserted: tuple[tuple[int, int], ...] = ()
         if rs.mop in MEMORY_OPS:
             ea = w32(rs.vj + rs.vk)
@@ -605,7 +594,7 @@ def step_core(s: MaState, choice: Choice | None = None) -> tuple[MaState, StepIn
                     val if other.qk == dst else other.vk,
                     other.cpc, other.busy, other.exec, other.dst, other.rb_pc,
                 )
-        writebacks.append(WbRec(rs.rs_id, dst, rs.mop, val, exc, ea, inserted))
+        writebacks.append(WbRec(rs.rs_id, dst, rs.mop, val, exc, inserted))
 
     # Reorder buffer update: drop the committed prefix, apply writebacks,
     # append the issue group.
@@ -622,14 +611,8 @@ def step_core(s: MaState, choice: Choice | None = None) -> tuple[MaState, StepIn
                                       True, wb.val, wb.excep)
         for rec in issued:
             u = rec.uop
-            if u.mop in ("mjg", "mjge"):
-                kept.append(RobLine(rec.tag, u.mop, None, False, 0, False))
-            elif u.mop in ("mtsx-end", "mhalt"):
-                kept.append(RobLine(rec.tag, u.mop, None, True, 0, False))
-            elif u.mop == "mtsx-start":
-                kept.append(RobLine(rec.tag, u.mop, None, True, u.imm, False))
-            else:
-                kept.append(RobLine(rec.tag, u.mop, reg_dst(u), False, 0, False))
+            kept.append(RobLine(rec.tag, u.mop, u.rd, u.mop in NO_STATION,
+                                u.imm, False))
         rob = tuple(kept)
         assert len(rob) <= params.max_rob
 
@@ -666,7 +649,7 @@ def step_core(s: MaState, choice: Choice | None = None) -> tuple[MaState, StepIn
     else:
         reg_st = dict(s.reg_st)
         for rec in issued:
-            r = reg_dst(rec.uop)
+            r = rec.uop.rd
             if r is not None:
                 reg_st[r] = rec.tag
         for line in batch:

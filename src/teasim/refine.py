@@ -89,7 +89,8 @@ def stutter_wit(s: MaState) -> int | None:
     """Steps until this state's next retiring transition.
 
     Returns None past the configured cap (a liveness violation).  A walk
-    reads it off its own run and calls this only past its last step.
+    reads the same number off its own run (see `gen._walk`); the tests
+    hold the two equal.
     """
     if s.halt:
         return 0
@@ -196,12 +197,13 @@ def _line_commits(u: MaState, tag: int) -> bool:
 
 def auth_commit(info: StepInfo, u: MaState) -> AuthAction:
     """Designer-intent policy: loads fill the cache at writeback only if
-    they retire; squashed (transient) loads emit no actions at all."""
+    they retire; squashed (transient) loads emit no actions at all.  A
+    line written back in a cycle is commit-visible only in the next, so
+    it never retires in this cycle's batch: the look-ahead starts at u."""
     acts: list[tuple[str, int]] = []
     for wb in info.writebacks:
         fill = _fill_actions(wb)
-        if fill and (any(l.rob_id == wb.dst for l in info.batch)
-                     or _line_commits(u, wb.dst)):
+        if fill and _line_commits(u, wb.dst):
             acts.extend(fill)
     return tuple(acts)
 

@@ -10,7 +10,7 @@ the case that produced it.
 from __future__ import annotations
 
 from .isa import IsaState
-from .ma import MaState, StepInfo
+from .ma import MOP_TIMES, MaState, StepInfo
 from .variants import History, Status
 
 
@@ -67,7 +67,7 @@ def ma_to_text(s: MaState) -> str:
     out.append(f"param max-rob {p.max_rob}")
     out.append(f"param rs-count {p.rs_count}")
     out.append(f"param reg-count {p.reg_count}")
-    for mop, t in sorted(p.mop_times.items()):
+    for mop, t in sorted(MOP_TIMES.items()):
         out.append(f"param mop-time {mop} {t}")
     out.append("param prefetch " + " ".join(str(x) for x in p.prefetch))
     return "\n".join(out) + "\n"

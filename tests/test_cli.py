@@ -132,10 +132,13 @@ class TestCheck:
 
 def bundle(drop=(), **fields):
     record = {"property": "wsk", "trial": 0, "findings": [],
-              "program": "halt\n", "forward_steps": 0, "seed_cache": [[4, 9]]}
+              "program": "halt\n", "forward_steps": 0, "seed_cache": []}
     record.update(fields)
     return json.dumps({k: v for k, v in record.items() if k not in drop})
 
+
+# Probes whether the kernel line 4096 is cached; user memory is 0..127.
+PROBE = ".access 0 127\n.data 4096 57\nloadi r1 4096\nin-cache r7 r1 r0\nhalt\n"
 
 # argv with {tmp} standing for the test's directory, and the files to
 # put there first.
@@ -145,6 +148,17 @@ USAGE_ERRORS = {
                                  {"b.bundle": bundle(forward_steps="x")}),
     "replay-bad-seed-cache": (["check", "--replay", "{tmp}/b.bundle"],
                               {"b.bundle": bundle(seed_cache=[[4]])}),
+    # a kernel line in the seeded cache: it would replay as a false
+    # tea-meltdown report
+    "replay-seed-cache-kernel-line": (
+        ["check", "--replay", "{tmp}/b.bundle"],
+        {"b.bundle": bundle(program=PROBE, seed_cache=[[4096, 57]])}),
+    "replay-seed-cache-negative-address": (
+        ["check", "--replay", "{tmp}/b.bundle"],
+        {"b.bundle": bundle(program=PROBE, seed_cache=[[-1, 0]])}),
+    "replay-seed-cache-wrong-value": (
+        ["check", "--replay", "{tmp}/b.bundle"],
+        {"b.bundle": bundle(program=PROBE, seed_cache=[[4, 9]])}),
     "replay-bad-program": (["check", "--replay", "{tmp}/b.bundle"],
                            {"b.bundle": bundle(program="loadi r99 1\n")}),
     "replay-program-not-text": (["check", "--replay", "{tmp}/b.bundle"],

@@ -1,9 +1,10 @@
-"""No public helper, and no parameter default, exists only for the tests.
+"""No public helper, parameter default or field exists only for the tests.
 
 Every public top-level function or class in `src/teasim` must be named
-somewhere in `src/` or `scripts/` outside its own definition, and every
+somewhere in `src/` or `scripts/` outside its own definition, every
 defaulted parameter of a function there must be set by some call in
-`src/` or `scripts/`.
+`src/` or `scripts/`, and every annotated field of a class there must be
+read as an attribute in `src/` or `scripts/`.
 """
 
 import ast
@@ -16,9 +17,9 @@ SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 # Paper definitions kept although only tests use them.
 KEPT_FOR_TESTS = {
-    # The ISA's cache invariant: every line is accessible and agrees
-    # with data memory.  The fuzzed ISA invariants check it.
-    "cache_invariant_ok",
+    # The paper's stutter witness, and the tests' reference for the
+    # witness a walk reads off its own run.
+    "stutter_wit",
 }
 
 
@@ -88,3 +89,20 @@ def test_every_parameter_default_is_overridden_outside_tests():
                            for c in calls[fn.name]):
                     never_set.add((fn.name, param))
     assert never_set == DEFAULTS_SET_BY_TESTS
+
+
+def test_every_field_is_read():
+    trees = [ast.parse(f.read_text()) for f in PACKAGE + SCRIPTS]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = set()
+    for tree in trees[:len(PACKAGE)]:
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (isinstance(node, ast.AnnAssign)
+                        and isinstance(node.target, ast.Name)
+                        and node.target.id not in read):
+                    unread.add(f"{cls.name}.{node.target.id}")
+    assert unread == set()

@@ -160,20 +160,12 @@ def test_shrink_bounds_walk_candidates(fail_at, accepted):
 
 
 @pytest.mark.parametrize("kind", ["halts", "max-steps", "until", "stall"])
-def test_walk_witness_is_stutter_wit(monkeypatch, request, kind):
-    # The witness the walk hands to per_step is stutter_wit(s).  Walks
-    # cut off by max_steps or by until's bound take their tail's
-    # witnesses from stutter_wit itself; a halting walk never does.
+def test_walk_witness_is_stutter_wit(request, kind):
+    # The witness the walk hands to per_step is stutter_wit(s), also on
+    # the tail of a walk cut off by max_steps or by until's bound, whose
+    # look-ahead runs past the walk's last step.
     if kind == "stall":
         request.getfixturevalue("stall")
-    calls = 0
-
-    def counted(s):
-        nonlocal calls
-        calls += 1
-        return stutter_wit(s)
-
-    monkeypatch.setattr(gen, "stutter_wit", counted)
     wits = []
 
     def per_step(s, u, info, wit):
@@ -196,12 +188,8 @@ def test_walk_witness_is_stutter_wit(monkeypatch, request, kind):
     for case, max_steps, until in walks:
         found = gen._walk(case, per_step, max_steps, until)
     assert len(walks) >= 10 and len(wits) >= 200
-    if kind == "halts":
-        assert calls == 0
-    elif kind == "stall":
+    if kind == "stall":
         assert None in wits
-    else:
-        assert calls > 0
     if kind == "until":
         assert found[-1].obligation == "wsk-run"
 

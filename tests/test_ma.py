@@ -3,11 +3,20 @@
 import pytest
 
 from teasim import asm
-from teasim.isa import AccessMap, ChoiceError, Instr, isa_det_step, w32
+from teasim.gen import GenConfig, gen_walk_case, initial_state
+from teasim.isa import (
+    OP_SHAPES,
+    AccessMap,
+    ChoiceError,
+    Instr,
+    isa_det_step,
+    w32,
+)
 from teasim.ma import (
     BARRIER_OPS,
+    CHECK_MOPS,
     MEMORY_OPS,
-    RS_NEEDED,
+    NO_STATION,
     MaParams,
     ResStation,
     RobLine,
@@ -21,6 +30,7 @@ from teasim.ma import (
     rob_before,
     rob_ids,
     run_ma,
+    step_core,
 )
 from teasim.refine import label, r_ic
 from teasim.snapshot import ma_to_text
@@ -60,9 +70,37 @@ class TestDecode:
 
     def test_mop_classes_disjoint(self):
         assert not (BARRIER_OPS & MEMORY_OPS)
-        assert "mhalt" not in RS_NEEDED
-        assert "mtsx-start" not in RS_NEEDED
-        assert "mnoop" in RS_NEEDED
+        assert not (NO_STATION & (BARRIER_OPS | MEMORY_OPS | CHECK_MOPS))
+        assert "mhalt" in NO_STATION
+        assert "mtsx-start" in NO_STATION
+        assert "mnoop" not in NO_STATION
+
+    @pytest.mark.parametrize("op", sorted(OP_SHAPES))
+    def test_rd_set_exactly_for_register_writers(self, op):
+        # An op writes its destination through its last micro-op; an
+        # access check writes no register.
+        has_rd = OP_SHAPES[op][0]
+        i = sample_instr(op)
+        for u in decode_one(i):
+            writes = has_rd and u.mop not in CHECK_MOPS
+            assert u.rd == (i.rd if writes else None), u
+
+    @pytest.mark.parametrize("op", sorted(OP_SHAPES))
+    def test_fresh_rob_line_ready_exactly_without_station(self, op):
+        s = prog_state(sample_instr(op))
+        u, info = step_core(s)
+        assert info.issued and not info.batch
+        for rec in info.issued:
+            line = next(l for l in u.rob if l.rob_id == rec.tag)
+            assert line.rdy == (rec.uop.mop in NO_STATION)
+            assert (rec.rs_id is None) == (rec.uop.mop in NO_STATION)
+
+
+def sample_instr(op):
+    """An instruction of this op with every operand its shape has."""
+    has_rd, n_src, has_imm = OP_SHAPES[op]
+    return Instr(op, rd=1 if has_rd else None, r1=2 if n_src >= 1 else None,
+                 r2=3 if n_src == 2 else None, imm=4 if has_imm else None)
 
 
 class TestRobIds:
@@ -264,3 +302,28 @@ class TestInvariants:
                 isa = isa_det_step(isa)
             assert ma.halt and isa.halt
             assert label(r_ic(ma)) == label(isa)
+
+
+def runs_for_writebacks():
+    """Deterministic runs: the bundled programs and 50 random walks."""
+    for name in ("meltdown", "spectre", "primality"):
+        yield asm.emit_ma(asm.load_bundled(name))
+    cfg = GenConfig(seed=1)
+    for i in range(50):
+        yield initial_state(gen_walk_case(cfg, trial_rng("writeback", i)))
+
+
+def test_no_writeback_commits_in_its_own_cycle():
+    # A line written back in a cycle is commit-visible only in the next,
+    # so no writeback's line is in the same cycle's commit batch.
+    loads = 0
+    for s in runs_for_writebacks():
+        for _ in range(3000):
+            if s.halt:
+                break
+            s, info = step_core(s)
+            batch = {l.rob_id for l in info.batch}
+            for wb in info.writebacks:
+                assert wb.dst not in batch
+                loads += wb.mop in MEMORY_OPS
+    assert loads >= 50

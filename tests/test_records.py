@@ -9,7 +9,7 @@ their input state, as its text snapshot shows it, as they found it.
 import pytest
 
 from teasim import asm
-from teasim.isa import IsaState, TsxState, isa_det_step
+from teasim.isa import Instr, IsaState, TsxState, isa_det_step
 from teasim.ma import (
     Choice,
     IssueRec,
@@ -50,6 +50,7 @@ def record_samples():
                 seen.setdefault(type(r), r)
         u = asm.emit_isa(asm.load_bundled(name))
         seen.setdefault(IsaState, u)
+        seen.setdefault(Instr, u.imem[u.pc])
     return seen
 
 
@@ -57,7 +58,7 @@ def test_no_record_field_can_be_set():
     samples = record_samples()
     assert set(samples) == {
         RobLine, ResStation, IssueRec, WbRec, StepInfo, MaState, Choice,
-        TsxState, IsaState, StatusLine, History,
+        TsxState, IsaState, Instr, StatusLine, History,
     }
     for record in samples.values():
         for name in type(record)._fields:
