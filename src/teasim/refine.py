@@ -199,7 +199,11 @@ def auth_commit(info: StepInfo, u: MaState) -> AuthAction:
     """Designer-intent policy: loads fill the cache at writeback only if
     they retire; squashed (transient) loads emit no actions at all.  A
     line written back in a cycle is commit-visible only in the next, so
-    it never retires in this cycle's batch: the look-ahead starts at u."""
+    it never retires in this cycle's batch: the look-ahead starts at u.
+    It is also younger than the batch, so when the batch squashes, the
+    line goes with it (a later line reusing its ROB tag is not it)."""
+    if info.invalidated:
+        return ()
     acts: list[tuple[str, int]] = []
     for wb in info.writebacks:
         fill = _fill_actions(wb)

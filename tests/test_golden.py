@@ -13,7 +13,7 @@ from teasim.cli import main
 
 ARGV = ["check", "--suite", "all", "--trials", "40", "--seed", "3", "--json"]
 EXIT_CODE = 1  # the buggy suites report counterexamples
-SHA256 = "aa2a1ee443cb637eff4c1284f0cdbf3cdf38fd99ec9680d21cb87feab74fd57c"
+SHA256 = "89cc02bd40ebe0943d01f0888af04bf30a8eeaf1b6e9f329884f7496bcf6835b"
 
 
 def test_check_all_report_is_unchanged(capsys):

@@ -207,6 +207,17 @@ class TestActions:
         for s, u, info in walk(s):
             assert check_cache_action(s, info, u, spec) is None
 
+    def test_commit_policy_rejects_fill_squashed_as_it_writes_back(self):
+        # At cycle 3 the mispredicted jge commits and squashes while the
+        # ldr (ROB tag 2) fills lines 0x0 and 0x1; the halt that commits
+        # at cycle 8 reuses tag 2 but is not the load.
+        s = asm.emit_ma(asm.parse(".org 2\n.access 0 127\n.entry 2\n"
+                                  "jge r1 4294967294\nldr r3 r0 r2\nhalt\n"))
+        spec = AUTH_SPECS["commit"]
+        flagged = {s.cyc: cex.detail for s, u, info in walk(s)
+                   if (cex := check_cache_action(s, info, u, spec))}
+        assert flagged == {3: "unauthorized lines 0x0, 0x1"}
+
     def test_spectre_wsk_a_transitions(self):
         s = asm.emit_ma(asm.load_bundled("spectre"))
         spec = AUTH_SPECS["commit"]
