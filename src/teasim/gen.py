@@ -6,7 +6,11 @@ straddle the user/kernel boundary so faults are exercised.  Entangled
 (state, history) pairs come from emitting a program, seeding a valid
 cache, and running the history-carrying machine forward a bounded
 number of steps from the empty history; the entangled and replay
-properties check that one sample.  The per-transition properties walk
+properties check that one sample.  Each entangled case's deterministic
+run is computed once: the generator's halt probe records it (`_run`
+keeps the last case's run, keyed by program and cache), and the
+sample's history is then folded over that record (`case_pair`) instead
+of running the machine again.  The per-transition properties walk
 instead: from the emitted, cache-seeded initial state they follow the
 deterministic step once per cycle, so every checked state is reachable,
 and hand each transition s -> u to the obligation, with the stutter
@@ -34,11 +38,12 @@ import random
 import zlib
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable
 
 from .asm import Program, render
 from .isa import MASK32, Instr, cache_invariant_ok, run_isa
-from .ma import MaState, run_ma, step_core
+from .ma import MaState, StepInfo, run_ma, step_core
 from .refine import (
     AUTH_SPECS,
     Finding,
@@ -49,7 +54,7 @@ from .refine import (
     label,
     r_ic,
 )
-from .variants import History, init_h, is_entangled, mah_step
+from .variants import History, init_h, is_entangled, mah_step, next_h
 from . import asm
 
 FULL_ACCESS = ((0, MASK32),)
@@ -211,11 +216,33 @@ def initial_state(case: Case) -> MaState:
     return asm.emit_ma(case.program)._replace(cache=dict(case.seed_cache))
 
 
+@lru_cache(maxsize=1)
+def _run(program: Program, seed_cache: tuple[tuple[int, int], ...]
+         ) -> tuple[MaState, list[tuple[MaState, StepInfo]]]:
+    """The deterministic run from a case's initial state, as far as it is
+    recorded: that state, and the transitions (u, info) of `step_core`
+    in order, which only the generator's halt probe appends to.  One
+    entry, keyed by value: the probe records a case's run and the
+    case's check reads it back.  The run is a function of the step
+    functions as well, so a test that patches `ma` or `variants` clears
+    this memo around the patch."""
+    return initial_state(Case(program, 0, seed_cache)), []
+
+
 def case_pair(case: Case) -> tuple[MaState, History]:
-    """Deterministically rebuild the (state, history) pair of a case."""
-    s = initial_state(case)
+    """Deterministically rebuild the (state, history) pair of a case.
+
+    The history is folded (`next_h`) over the transitions of the case's
+    run that `_run` holds; past the recorded end the history-carrying
+    machine steps on and records nothing, so a case that was never
+    probed costs what a plain run with history costs."""
+    s, steps = _run(case.program, case.seed_cache)
     h = init_h(s)
-    for _ in range(case.forward_steps):
+    k = case.forward_steps
+    for u, info in steps[:k]:
+        h = next_h(s, h, info, u)
+        s = u
+    for _ in range(k - len(steps)):
         if s.halt:
             break
         s, h, _ = mah_step(s, h)
@@ -233,8 +260,17 @@ def gen_entangled_case(cfg: GenConfig, rng: random.Random) -> Case:
     """gen_walk_case's draws, then a number of forward steps."""
     case = gen_walk_case(cfg, rng)
     # Probe the halt time so most samples land mid-flight rather than on
-    # the (trivially entangled) halted tail of the run.
-    x, live = run_ma(initial_state(case), cfg.max_forward_steps)
+    # the (trivially entangled) halted tail of the run: live counts the
+    # steps before the halting one, within the horizon.  The probe
+    # records the run that the case's check reads (see _run).
+    horizon = cfg.max_forward_steps
+    s, steps = _run(case.program, case.seed_cache)
+    x = steps[-1][0] if steps else s
+    while len(steps) < horizon and not x.halt:
+        x, info = step_core(x)
+        steps.append((x, info))
+    live = min(len(steps), horizon)
+    x = steps[live - 1][0] if live else s
     if x.halt:
         live -= 1
     if live > 0 and rng.random() < 0.8:
@@ -250,7 +286,7 @@ def check_entangled_case(case: Case) -> list[Finding]:
     """The entangled-state obligations on the case's sample, which
     starts from an emitted state that must be pipeline-empty."""
     findings: list[Finding] = []
-    if not is_initial(asm.emit_ma(case.program)):
+    if not is_initial(_run(case.program, case.seed_cache)[0]):
         findings.append(Finding("init-entangled", "functional",
                                 "emitted state is not pipeline-empty"))
     return findings + check_entangled_sample(*case_pair(case))

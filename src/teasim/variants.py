@@ -9,6 +9,12 @@ history and replays forward.  A (state, history) pair is *entangled*
 when that replay reproduces the state exactly — a checkable superset of
 the reachable states that every obligation checker quantifies over.
 
+The history is a fold over step records: `next_h` reads one transition
+s -> u of the plain machine, with what the cycle did, and extends the
+history by it, so `mah_step` is `step_core` plus `next_h`, and a run
+already recorded by `step_core` gets its history without stepping again
+(`gen.case_pair`).
+
 `StatusLine` and `History` are immutable NamedTuples, about 4x cheaper
 to build than frozen dataclasses (measured in `ma`).
 """
@@ -58,7 +64,9 @@ def _prev_tag(tag: int, s: MaState) -> int:
     return (tag - 1) % space
 
 
-def _update_history(s: MaState, h: History, info: StepInfo, out: MaState) -> History:
+def next_h(s: MaState, h: History, info: StepInfo, out: MaState) -> History:
+    """The history after the transition s -> out of the plain machine,
+    `out, info = step_core(s)` from a state s that has not halted."""
     cyc = s.cyc
     will_commit = bool(s.rob) and s.rob[0].rdy
     comm_cy = cyc if will_commit else h.comm_cy
@@ -138,12 +146,13 @@ def _update_history(s: MaState, h: History, info: StepInfo, out: MaState) -> His
 
 
 def mah_step(s: MaState, h: History) -> tuple[MaState, History, StepInfo]:
-    """Deterministic step with history, and what the cycle did; the
-    state component moves exactly as the plain machine does."""
+    """Deterministic step with history, and what the cycle did: the
+    plain machine's step, `step_core`, with the history folded over its
+    record by `next_h`; a halted state stays as it is."""
     out, info = step_core(s)
     if s.halt:
         return s, h, info
-    return out, _update_history(s, h, info, out), info
+    return out, next_h(s, h, info, out), info
 
 
 def reset_rs_f(rs_f):

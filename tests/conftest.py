@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from teasim import ma
+from teasim import gen, ma
 from teasim.gen import GenConfig, _trial_rng
 
 
@@ -21,7 +21,17 @@ def cfg():
 
 
 @pytest.fixture
-def stall(monkeypatch):
+def fresh_run():
+    """Clear gen's recorded run before and after the test."""
+    # A run recorded under other step functions must never be read
+    # under a patch of `ma` or `variants`, nor one recorded under it after.
+    gen._run.cache_clear()
+    yield
+    gen._run.cache_clear()
+
+
+@pytest.fixture
+def stall(monkeypatch, fresh_run):
     """The ROB head never commits a `mul`: a commit batch stops before
     any mmul line, so a program that reaches a mul stops retiring."""
     to_commit = ma.to_commit

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from teasim import asm, gen
+from teasim import asm, cli, gen, ma, refine, variants
 from teasim.asm import Program
 from teasim.gen import (
     Case,
@@ -13,6 +13,7 @@ from teasim.gen import (
     Property,
     case_pair,
     check_action_writeback_case,
+    check_entangled_case,
     check_spectre_case,
     check_wsk_case,
     gen_entangled_case,
@@ -26,7 +27,7 @@ from teasim.gen import (
 from teasim.isa import Instr, isa_det_step
 from teasim.ma import run_ma
 from teasim.refine import Finding, stutter_wit
-from teasim.variants import init_h, is_entangled
+from teasim.variants import init_h, is_entangled, mah_step
 
 from conftest import trial_rng
 
@@ -239,13 +240,14 @@ def test_failures_replayable_from_case():
     assert [x.obligation for x in again] == [x.obligation for x in f.findings]
 
 
-def test_walks_build_no_history(monkeypatch):
+def test_walks_build_no_history(monkeypatch, fresh_run):
     # The per-transition properties step the plain machine; building a
     # history on the way would be work that nothing reads.
     def no_history(*args):
         raise AssertionError("a per-transition walk built a history")
 
-    monkeypatch.setattr("teasim.variants._update_history", no_history)
+    monkeypatch.setattr("teasim.variants.next_h", no_history)
+    monkeypatch.setattr(gen, "next_h", no_history)
     melt = check_wsk_case(Case(asm.load_bundled("meltdown")))
     assert any(f.kind == "tea-meltdown" for f in melt)
     spectre = check_spectre_case(Case(asm.load_bundled("spectre")))
@@ -254,3 +256,122 @@ def test_walks_build_no_history(monkeypatch):
     for i in range(5):
         case = gen_entangled_case(safe, trial_rng("no-history", i))
         assert check_action_writeback_case(case) == []
+
+
+# --- one recorded run per entangled case ---
+
+def reference_pair(case: Case):
+    """The (state, history) pair by running the history-carrying machine
+    from the initial state, reading no recorded run."""
+    s = initial_state(case)
+    h = init_h(s)
+    for _ in range(case.forward_steps):
+        if s.halt:
+            break
+        s, h, _ = mah_step(s, h)
+    return s, h
+
+
+def reference_entangled_case(cfg: GenConfig, rng) -> Case:
+    """gen_entangled_case with its halt probe run by run_ma."""
+    case = gen_walk_case(cfg, rng)
+    x, live = run_ma(initial_state(case), cfg.max_forward_steps)
+    if x.halt:
+        live -= 1
+    if live > 0 and rng.random() < 0.8:
+        k = rng.randint(1, live)
+    else:
+        k = rng.randint(0, cfg.max_forward_steps)
+    return replace(case, forward_steps=k)
+
+
+def recorded(case: Case):
+    return gen._run(case.program, case.seed_cache)[1]
+
+
+def test_case_pair_reads_the_probed_run(fresh_run):
+    # Every sample up to the probe's horizon is folded from the recorded
+    # run without a new entry.
+    cfg = GenConfig(seed=40)
+    for i in range(30):
+        case = gen_entangled_case(cfg, trial_rng("shared-run", i))
+        misses = gen._run.cache_info().misses
+        for k in range(cfg.max_forward_steps + 1):
+            sample = replace(case, forward_steps=k)
+            assert case_pair(sample) == reference_pair(sample)
+        assert gen._run.cache_info().misses == misses
+
+
+def test_case_pair_past_the_recorded_end(fresh_run):
+    # Beyond the horizon, and beyond a halt, the machine steps on and
+    # the recorded run does not grow.
+    cfg = GenConfig(seed=41, max_forward_steps=12)
+    past = halted = 0
+    for i in range(30):
+        case = gen_entangled_case(cfg, trial_rng("past-end", i))
+        steps = recorded(case)
+        n = len(steps)
+        ends_halted = bool(steps) and steps[-1][0].halt
+        for k in (n + 1, n + 7, 200):
+            sample = replace(case, forward_steps=k)
+            assert case_pair(sample) == reference_pair(sample)
+        assert len(recorded(case)) == n
+        past += n == cfg.max_forward_steps and not ends_halted
+        halted += ends_halted
+    assert past >= 5 and halted >= 5
+
+
+def test_case_pair_on_a_cold_memo(fresh_run):
+    cfg = GenConfig(seed=42)
+    for i in range(10):
+        case = gen_entangled_case(cfg, trial_rng("cold", i))
+        gen._run.cache_clear()
+        assert case_pair(case) == reference_pair(case)
+        assert recorded(case) == []
+
+
+def test_check_after_another_case_was_generated(fresh_run):
+    # gen(A), gen(B), check(A): A's run was evicted by B's and is
+    # rebuilt, with the same findings as right after gen(A).
+    cfg = GenConfig(seed=43)
+    for i in range(10):
+        a = gen_entangled_case(cfg, trial_rng("evict-a", i))
+        want = check_entangled_case(a)
+        gen_entangled_case(cfg, trial_rng("evict-b", i))
+        assert case_pair(a) == reference_pair(a)
+        assert check_entangled_case(a) == want
+
+
+@pytest.mark.parametrize("order", [(40,), (60,), (60, 40), (40, 60), (20, 12)],
+                         ids=["40", "60", "60-40", "40-60", "20-12"])
+def test_probe_draws_as_run_ma_probe(fresh_run, order):
+    # The same forward steps as a run_ma probe at each horizon, also
+    # when the recorded run is longer than the horizon (60, then 40;
+    # 20, then 12).
+    for i in range(40):
+        for horizon in order:
+            cfg = GenConfig(seed=44, max_forward_steps=horizon)
+            got = gen_entangled_case(cfg, trial_rng("probe", i))
+            want = reference_entangled_case(cfg, trial_rng("probe", i))
+            assert got == want
+
+
+def test_entangled_verdict_step_budget(monkeypatch, fresh_run, capsys):
+    # Each transition of a sample's run is computed once: by the halt
+    # probe, whose record case_pair reads.  Running it again cost 783
+    # step_core calls on this verdict.
+    calls = 0
+    step_core = ma.step_core
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return step_core(*args)
+
+    for mod in (ma, gen, variants, refine):
+        for key, value in list(vars(mod).items()):
+            if value is step_core:
+                monkeypatch.setattr(mod, key, counting)
+    argv = ["check", "--suite", "entangled", "--trials", "20", "--seed", "3"]
+    assert cli.main(argv) == 0
+    assert 0 < calls <= 600

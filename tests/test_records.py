@@ -3,12 +3,14 @@
 Setting a field of any record raises.  The records hold dicts (`cache`,
 `reg_st`, `dmem`, a history's `comm_cache` and `ch_eff`) that the type
 cannot freeze, so the steps are also checked to leave every part of
-their input state, as its text snapshot shows it, as they found it.
+their input state, as its text snapshot shows it, as they found it, and
+the checks of an entangled case to leave the run it shares with its
+generator (`gen._run`) as they found it.
 """
 
 import pytest
 
-from teasim import asm
+from teasim import asm, gen
 from teasim.isa import Instr, IsaState, TsxState, isa_det_step
 from teasim.ma import (
     Choice,
@@ -23,6 +25,8 @@ from teasim.ma import (
 )
 from teasim.snapshot import history_to_text, isa_to_text, ma_to_text
 from teasim.variants import History, StatusLine, init_h, mah_step
+
+from conftest import trial_rng
 
 PROGRAMS = ("meltdown", "spectre", "primality")
 MAX_STEPS = 3000  # cuts the 5,923-cycle pipeline run of primality
@@ -93,3 +97,16 @@ def test_isa_step_leaves_its_input_unchanged(name):
         assert isa_to_text(u) == before
         u = nxt
     assert u.halt
+
+
+def test_entangled_checks_leave_the_shared_run_unchanged(fresh_run):
+    cfg = gen.GenConfig(seed=45)
+    for i in range(20):
+        case = gen.gen_entangled_case(cfg, trial_rng("shared-run", i))
+        s, steps = gen._run(case.program, case.seed_cache)
+        before = [ma_to_text(x) for x in [s, *(u for u, _ in steps)]]
+        runs = [(gen.check_entangled_case(case), gen.check_replay_case(case))
+                for _ in range(2)]
+        assert runs[0] == runs[1]
+        assert gen._run(case.program, case.seed_cache)[1] is steps
+        assert [ma_to_text(x) for x in [s, *(u for u, _ in steps)]] == before

@@ -235,7 +235,7 @@ class TestEntangledObligations:
             GenConfig(seed=13), trial_rng("oblig", i))) for i in range(40)]
         assert [f for s, h in samples for f in check_entangled_sample(s, h)] == []
 
-    def test_mutated_replay_detected(self):
+    def test_mutated_replay_detected(self, fresh_run):
         # Replay that ignores the recorded station assignments must
         # diverge for some state whose original issue skipped a station.
         import teasim.variants as variants
