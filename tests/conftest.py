@@ -23,8 +23,7 @@ def cfg():
 @pytest.fixture
 def fresh_run():
     """Clear gen's recorded run before and after the test."""
-    # A run recorded under other step functions must never be read
-    # under a patch of `ma` or `variants`, nor one recorded under it after.
+    # A run recorded under other step functions must never be read under a patch.
     gen._run.cache_clear()
     yield
     gen._run.cache_clear()
