@@ -25,12 +25,12 @@ from .ma import MaParams, ma_step, run_ma, step_core
 from .variants import init_h, mah_step
 
 SUITES: dict[str, list[str]] = {
-    "entangled": ["entangled", "replay-identity"],
+    "entangled": ["entangled"],
     "meltdown-buggy": ["wsk"],
     "meltdown-safe": ["wsk-safe"],
     "spectre-buggy": ["spectre"],
-    "all": ["entangled", "replay-identity", "wsk", "wsk-safe", "spectre",
-            "action-writeback", "arch-equivalence", "incache-constraint"],
+    "all": ["entangled", "wsk", "wsk-safe", "spectre", "action-writeback",
+            "arch-equivalence", "incache-constraint"],
 }
 
 # Bundled seed programs per property, checked before the random trials.

@@ -5,8 +5,8 @@ just before the block, ending in halt; load addresses are biased to
 straddle the user/kernel boundary so faults are exercised.  Entangled
 (state, history) pairs come from emitting a program, seeding a valid
 cache, and running the history-carrying machine forward a bounded
-number of steps from the empty history; the entangled and replay
-properties check that one sample.  Each entangled case's deterministic
+number of steps from the empty history; the entangled property checks
+that one sample.  Each entangled case's deterministic
 run is computed once: the generator's halt probe records it (`_run`
 keeps the last case's run, keyed by program and cache), and the
 sample's history is then folded over that record (`case_pair`) instead
@@ -50,11 +50,10 @@ from .refine import (
     check_cache_action,
     check_entangled_sample,
     check_wsk_transition,
-    is_initial,
     label,
     r_ic,
 )
-from .variants import History, init_h, is_entangled, mah_step, next_h
+from .variants import History, init_h, mah_step, next_h
 from . import asm
 
 FULL_ACCESS = ((0, MASK32),)
@@ -222,10 +221,10 @@ def _run(program: Program, seed_cache: tuple[tuple[int, int], ...]
     """The deterministic run from a case's initial state, as far as it is
     recorded: that state, and the transitions (u, info) of `step_core`
     in order, which only the generator's halt probe appends to.  One
-    entry, keyed by value: the probe records a case's run and the
-    case's check reads it back.  The run is a function of the step
-    functions as well, so a test that patches `ma` or `variants` clears
-    this memo around the patch."""
+    entry, keyed by value: the probe records a case's run, and
+    `case_pair` reads it back when the case is checked.  The run is a
+    function of the step functions as well, so a test that patches `ma`
+    or `variants` clears this memo around the patch."""
     return initial_state(Case(program, 0, seed_cache)), []
 
 
@@ -283,21 +282,8 @@ def gen_entangled_case(cfg: GenConfig, rng: random.Random) -> Case:
 # --- property checkers over cases ---
 
 def check_entangled_case(case: Case) -> list[Finding]:
-    """The entangled-state obligations on the case's sample, which
-    starts from an emitted state that must be pipeline-empty."""
-    findings: list[Finding] = []
-    if not is_initial(_run(case.program, case.seed_cache)[0]):
-        findings.append(Finding("init-entangled", "functional",
-                                "emitted state is not pipeline-empty"))
-    return findings + check_entangled_sample(*case_pair(case))
-
-
-def check_replay_case(case: Case) -> list[Finding]:
-    s, h = case_pair(case)
-    if not is_entangled(s, h):
-        return [Finding("replay-identity", "functional",
-                        f"replay failed to reproduce the state at cycle {s.cyc}")]
-    return []
+    """The entangled-state obligations on the case's sample."""
+    return check_entangled_sample(*case_pair(case))
 
 
 # What a bounded walk looks for: an obligation, and the number of steps
@@ -447,7 +433,6 @@ PROPERTIES: dict[str, Property] = {
     p.name: p
     for p in [
         Property("entangled", gen_entangled_case, check_entangled_case),
-        Property("replay-identity", gen_entangled_case, check_replay_case),
         Property("wsk", gen_walk_case, check_wsk_case, walks=True),
         Property("wsk-safe", gen_walk_case, check_wsk_case, _no_ic,
                  walks=True),
@@ -473,6 +458,8 @@ class Failure:
 class Report:
     prop: str
     seed: int
+    # Random trials run: fewer than configured when the run stopped at
+    # max_failures.
     trials: int
     failures: tuple[Failure, ...]
 
@@ -579,6 +566,7 @@ def run_property(
         findings = prop.check(case)
         if findings:
             record(-1 - t, case, findings)
+    ran = pcfg.trials
     for i in range(pcfg.trials):
         rng = _trial_rng(pcfg.seed, name, i)
         case = prop.gen(pcfg, rng)
@@ -586,13 +574,14 @@ def run_property(
         if findings:
             record(i, case, findings)
             if len(failures) >= pcfg.max_failures:
+                ran = i + 1
                 break
-    return Report(name, pcfg.seed, pcfg.trials, tuple(failures))
+    return Report(name, pcfg.seed, ran, tuple(failures))
 
 
 def report_json(reports: list[Report], suite: str) -> str:
     doc = {
-        "schema": "teasim-report/1",
+        "schema": "teasim-report/2",
         "suite": suite,
         "reports": [r.to_dict() for r in reports],
         "tea_count": sum(r.tea_count for r in reports),

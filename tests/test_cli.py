@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from teasim import asm
-from teasim.cli import main
-from teasim.gen import MAX_FORWARD_STEPS, PROPERTIES
+from teasim.cli import SUITES, main
+from teasim.gen import MAX_FORWARD_STEPS, PROPERTIES, GenConfig
 
 
 def write_prog(tmp_path, text, name="prog.asm"):
@@ -98,21 +98,43 @@ class TestRun:
 
 class TestCheck:
     def test_clean_suite_exit_zero(self, capsys):
-        assert main(["check", "--suite", "entangled", "--trials", "15",
-                     "--seed", "5"]) == 0
-        assert "0 failing" in capsys.readouterr().out
+        argv = ["check", "--suite", "entangled", "--trials", "15", "--seed", "5"]
+        assert main(argv) == 0
+        assert "  entangled: 15 trials, 0 failing" in capsys.readouterr().out
+        assert main(argv + ["--json"]) == 0
+        (report,) = json.loads(capsys.readouterr().out)["reports"]
+        assert report["trials"] == 15
 
     def test_buggy_suite_exit_one_and_json(self, capsys):
         rc = main(["check", "--suite", "spectre-buggy", "--trials", "10",
                    "--seed", "5", "--json"])
         assert rc == 1
         doc = json.loads(capsys.readouterr().out)
-        assert doc["schema"] == "teasim-report/1"
+        assert doc["schema"] == "teasim-report/2"
         assert doc["tea_count"] >= 1
+
+    def test_trials_counts_the_trials_run(self, capsys):
+        # The tenth failing case is trial 28: no trial after it runs.
+        argv = ["check", "--suite", "spectre-buggy", "--trials", "300",
+                "--seed", "1"]
+        assert main(argv + ["--json"]) == 1
+        (report,) = json.loads(capsys.readouterr().out)["reports"]
+        assert len(report["failures"]) == GenConfig().max_failures
+        assert report["failures"][-1]["trial"] == 28
+        assert report["trials"] == 29
+        assert main(argv) == 1
+        assert "  spectre: 29 trials, 10 failing" in capsys.readouterr().out
 
     def test_unknown_suite(self, capsys):
         assert main(["check", "--suite", "nope"]) == 2
         capsys.readouterr()
+
+    def test_suites_name_registered_properties(self):
+        # No suite names a deleted property, and `all` reaches each
+        # registered property once.
+        for suite, props in SUITES.items():
+            assert set(props) <= set(PROPERTIES), suite
+        assert sorted(SUITES["all"]) == sorted(PROPERTIES)
 
     def test_bundle_write_and_replay(self, tmp_path, capsys):
         rc = main(["check", "--suite", "meltdown-buggy", "--trials", "2",
@@ -166,8 +188,12 @@ USAGE_ERRORS = {
     # a replay that would rebuild its sample for too many steps
     "replay-forward-steps-oversized": (
         ["check", "--replay", "{tmp}/b.bundle"],
-        {"b.bundle": bundle(property="replay-identity",
+        {"b.bundle": bundle(property="entangled",
                             forward_steps=MAX_FORWARD_STEPS + 1)}),
+    # a property that no longer exists: its replay test is entangled's
+    # entangled-sample obligation
+    "replay-removed-property": (["check", "--replay", "{tmp}/b.bundle"],
+                                {"b.bundle": bundle(property="replay-identity")}),
     # a record missing a field
     "replay-truncated-line": (["check", "--replay", "{tmp}/b.bundle"],
                               {"b.bundle": bundle(drop=("forward_steps",))}),
