@@ -6,11 +6,11 @@ straddle the user/kernel boundary so faults are exercised.  Entangled
 (state, history) pairs come from emitting a program, seeding a valid
 cache, and running the history-carrying machine forward a bounded
 number of steps from the empty history; the entangled property checks
-that one sample.  Each entangled case's deterministic
-run is computed once: the generator's halt probe records it (`_run`
-keeps the last case's run, keyed by program and cache), and the
-sample's history is then folded over that record (`case_pair`) instead
-of running the machine again.  The per-transition properties walk
+that one sample.  Each entangled case's deterministic run is computed
+once: the generator's halt probe records it (`_run` keeps the last
+case's run, keyed by program and cache), and the sample's history is
+then folded over that record (`case_pair`) instead of running the
+machine again.  The per-transition properties walk
 instead: from the emitted, cache-seeded initial state they follow the
 deterministic step once per cycle, so every checked state is reachable,
 and hand each transition s -> u to the obligation, with the stutter
