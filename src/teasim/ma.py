@@ -349,29 +349,6 @@ def rob_ids(
     return tuple((start + k) % space for k in range(count))
 
 
-def detect_raw(
-    uops: list[MicroInstr], tags: tuple[int, ...]
-) -> list[tuple[int | None, int | None]]:
-    """Within-batch read-after-write dependencies, per source slot.
-
-    For each register source, the tag of the latest earlier producer of
-    that register in the batch, else None.
-    """
-    deps: list[tuple[int | None, int | None]] = []
-    for i, u in enumerate(uops):
-        out: list[int | None] = []
-        for slot in (u.j, u.k):
-            dep = None
-            if slot is not None and slot[0] == "r":
-                for j in range(i - 1, -1, -1):
-                    if uops[j].rd == slot[1]:
-                        dep = tags[j]
-                        break
-            out.append(dep)
-        deps.append((out[0], out[1]))
-    return deps
-
-
 def rob_get(tag: int, rob: tuple[RobLine, ...]) -> RobLine | None:
     for line in rob:
         if line.rob_id == tag:
@@ -455,20 +432,20 @@ _ALL = _All()
 
 def _setup_slot(
     slot: Slot,
-    dep: int | None,
     old_v: int,
+    reg_st: dict[int, int],
     s: MaState,
 ) -> tuple[int | None, int]:
     """Resolve one source operand at issue: constant, forwarded tag, a
-    ready ROB value, or the committed register file."""
+    ready ROB value, or the committed register file.  reg_st includes
+    the writers issued earlier in this cycle, whose tags are fresh, so
+    never in the pre-state buffer."""
     if slot is None:
         return None, 0
     kind, v = slot
     if kind == "c":
         return None, w32(v)
-    if dep is not None:
-        return dep, old_v
-    tag = s.reg_st.get(v)
+    tag = reg_st.get(v)
     if tag is not None:
         line = rob_get(tag, s.rob)
         if line is not None and line.rdy:
@@ -512,7 +489,6 @@ def step_core(s: MaState, choice: Choice | None = None) -> tuple[MaState, StepIn
         tags = tag_override
     else:
         tags = rob_ids(len(uops), s.rob, params)
-    deps = detect_raw(uops, tags)
 
     # Commit batch from the pre-state buffer: writebacks from this cycle
     # become commit-visible next cycle.
@@ -542,9 +518,11 @@ def step_core(s: MaState, choice: Choice | None = None) -> tuple[MaState, StepIn
         )
         started.append(rs.rs_id)
 
-    # Issue into idle stations not removed by the choice.
+    # Issue into idle stations not removed by the choice; each issued
+    # writer becomes its register's pending writer.
+    reg_st = dict(s.reg_st)
     issued: list[IssueRec] = []
-    for u, tag, (dj, dk), ipc in zip(uops, tags, deps, ipcs):
+    for u, tag, ipc in zip(uops, tags, ipcs):
         if u.mop in NO_STATION:
             issued.append(IssueRec(u, tag, None, ipc))
             continue
@@ -556,12 +534,14 @@ def step_core(s: MaState, choice: Choice | None = None) -> tuple[MaState, StepIn
         if pick is None:
             raise ChoiceError("no reservation station available for issue")
         rs = stations[pick]
-        qj, vj = _setup_slot(u.j, dj, rs.vj, s)
-        qk, vk = _setup_slot(u.k, dk, rs.vk, s)
+        qj, vj = _setup_slot(u.j, rs.vj, reg_st, s)
+        qk, vk = _setup_slot(u.k, rs.vk, reg_st, s)
         stations[pick] = ResStation(
             rs.rs_id, u.mop, qj, qk, vj, vk, rs.cpc, True, False, tag, ipc,
         )
         issued.append(IssueRec(u, tag, rs.rs_id, ipc))
+        if u.rd is not None:
+            reg_st[u.rd] = tag
 
     # Writeback: finishing stations free up, forward their result, and
     # loads deposit their line and the prefetch set into the cache.
@@ -643,15 +623,10 @@ def step_core(s: MaState, choice: Choice | None = None) -> tuple[MaState, StepIn
                 rf = rf[:line.rdst] + (line.val,) + rf[line.rdst + 1:]
             pc = w32(pc + 1)
 
-    # Register status: issue entries first, then release committed writers.
+    # Register status: release committed writers.
     if invalidated:
-        reg_st: dict[int, int] = {}
+        reg_st = {}
     else:
-        reg_st = dict(s.reg_st)
-        for rec in issued:
-            r = rec.uop.rd
-            if r is not None:
-                reg_st[r] = rec.tag
         for line in batch:
             if line.rdst is not None and reg_st.get(line.rdst) == line.rob_id:
                 del reg_st[line.rdst]

@@ -23,7 +23,6 @@ from teasim.ma import (
     comp_exc,
     comp_val,
     decode_one,
-    detect_raw,
     initial_ma_state,
     ma_step,
     max_fetch_n,
@@ -158,26 +157,39 @@ class TestMaxFetch:
         assert max_fetch_n(s) == 0
 
 
-class TestDetectRaw:
+class TestIssueDependencies:
+    """Operands of a fetch group issued in one cycle wait on the latest
+    earlier writer of their register in the group."""
+
+    def stations(self, *instrs):
+        """The first cycle's successor, and the operand tags (qj, qk) of
+        each station it issued, by ROB tag; fetch past the program
+        issues noops, which are left out."""
+        u, _ = step_core(prog_state(*instrs))
+        return u, {rs.dst: (rs.qj, rs.qk) for rs in u.rs_f
+                   if rs.busy and rs.mop != "mnoop"}
+
     def test_chain(self):
-        uops = [decode_one(Instr("add", 1, 0, 0))[0],
-                decode_one(Instr("add", 2, 1, 1))[0]]
-        assert detect_raw(uops, (7, 8)) == [(None, None), (7, 7)]
+        u, deps = self.stations(Instr("add", 1, 0, 0), Instr("add", 2, 1, 1))
+        assert deps == {0: (None, None), 1: (0, 0)}
+        assert u.reg_st == {1: 0, 2: 1}
 
     def test_single(self):
-        uops = [decode_one(Instr("add", 1, 0, 0))[0]]
-        assert detect_raw(uops, (3,)) == [(None, None)]
+        u, deps = self.stations(Instr("add", 1, 0, 0))
+        assert deps == {0: (None, None)}
 
     def test_latest_writer_wins(self):
-        uops = [decode_one(Instr("loadi", 1, imm=1))[0],
-                decode_one(Instr("loadi", 1, imm=2))[0],
-                decode_one(Instr("add", 2, 1, 1))[0]]
-        assert detect_raw(uops, (5, 6, 7))[2] == (6, 6)
+        u, deps = self.stations(Instr("loadi", 1, imm=1),
+                                Instr("loadi", 1, imm=2),
+                                Instr("add", 2, 1, 1))
+        assert deps[2] == (1, 1)
+        assert u.reg_st == {1: 1, 2: 2}
 
     def test_checks_do_not_produce(self):
-        uops = list(decode_one(Instr("ldri", 1, 1, imm=0)))
-        deps = detect_raw(uops, (1, 2))
-        assert deps == [(None, None), (None, None)]
+        # The access check (tag 0) and the load (tag 1) both read the
+        # committed r1; the add waits on the load, not on the check.
+        u, deps = self.stations(Instr("ldri", 1, 1, imm=0), Instr("add", 2, 1, 1))
+        assert deps == {0: (None, None), 1: (None, None), 2: (1, 1)}
 
 
 class TestCompVal:
