@@ -29,8 +29,8 @@ SUITES: dict[str, list[str]] = {
     "meltdown-buggy": ["wsk"],
     "meltdown-safe": ["wsk-safe"],
     "spectre-buggy": ["spectre"],
-    "all": ["entangled", "wsk", "wsk-safe", "spectre", "action-writeback",
-            "arch-equivalence", "incache-constraint"],
+    "all": ["entangled", "wsk", "wsk-safe", "spectre", "arch-equivalence",
+            "incache-constraint"],
 }
 
 # Bundled seed programs per property, checked before the random trials.

@@ -125,6 +125,18 @@ class TestCheck:
         assert main(argv) == 1
         assert "  spectre: 29 trials, 10 failing" in capsys.readouterr().out
 
+    def test_each_fill_is_reported_once(self, capsys):
+        # The action audit is the one check of a cache fill: no failing
+        # spectre case also reports it as an unmatched architectural run.
+        assert main(["check", "--suite", "spectre-buggy", "--trials", "40",
+                     "--seed", "3", "--json"]) == 1
+        (report,) = json.loads(capsys.readouterr().out)["reports"]
+        assert report["failures"]
+        for f in report["failures"]:
+            found = {(x["obligation"], x["kind"]) for x in f["findings"]}
+            assert ("wsk-a-run", "tea-spectre") not in found
+            assert "action-soundness" in {o for o, _ in found}
+
     def test_unknown_suite(self, capsys):
         assert main(["check", "--suite", "nope"]) == 2
         capsys.readouterr()
@@ -194,6 +206,10 @@ USAGE_ERRORS = {
     # entangled-sample obligation
     "replay-removed-property": (["check", "--replay", "{tmp}/b.bundle"],
                                 {"b.bundle": bundle(property="replay-identity")}),
+    # a property that no longer exists: its audit passed by construction
+    "replay-removed-writeback-property": (
+        ["check", "--replay", "{tmp}/b.bundle"],
+        {"b.bundle": bundle(property="action-writeback")}),
     # a record missing a field
     "replay-truncated-line": (["check", "--replay", "{tmp}/b.bundle"],
                               {"b.bundle": bundle(drop=("forward_steps",))}),

@@ -21,7 +21,15 @@ from teasim.refine import (
     run_ic,
     stutter_wit,
 )
-from teasim.gen import GenConfig, case_pair, gen_entangled_case, initial_state
+from teasim.gen import (
+    Case,
+    GenConfig,
+    _walk,
+    case_pair,
+    gen_entangled_case,
+    gen_walk_case,
+    initial_state,
+)
 
 from conftest import trial_rng
 
@@ -227,6 +235,43 @@ class TestActions:
                 kinds.add((f.obligation, f.kind))
         assert ("action-soundness", "tea-spectre") in kinds
         assert not any(k == "functional" for _, k in kinds)
+
+    def test_audit_flags_every_kernel_fill(self):
+        # A fill no architectural run can make is a kernel line (the
+        # pipeline's lines all hold their memory values); the audit
+        # reports each one on its own transition, so the cache-observable
+        # refinement needs no check of its own.
+        spec = AUTH_SPECS["commit"]
+        kernel_fills = 0
+
+        def per_step(s, u, info, wit):
+            nonlocal kernel_fills
+            found = check_wsk_transition(s, u, info, wit, spec)
+            assert all(u.dmem.get(a, 0) == d for a, d in u.cache.items())
+            if any(not s.ga.allows(a) for a in u.cache.keys() - s.cache.keys()):
+                kernel_fills += 1
+                assert any(f.obligation == "action-soundness" for f in found)
+            return found
+
+        cfg = GenConfig(seed=16, include_in_cache=False)
+        cases = [Case(asm.load_bundled("spectre"))] + [
+            gen_walk_case(cfg, trial_rng("kernel-fill", i)) for i in range(300)]
+        for case in cases:
+            _walk(case, per_step, 400)
+        assert kernel_fills >= 50
+
+    def test_missing_line_on_a_retiring_step(self):
+        # The architectural run keeps the lines it started with; a
+        # pipeline that lost one disagrees with it.
+        s = prog_state(Instr("ldri", 1, 0, imm=4), Instr("halt"), dmem={4: 9})
+        s, u, info = next((s, u, info) for s, u, info in walk(s)
+                          if any(l.mop == "mldri" for l in info.batch))
+        assert 4 in s.cache
+        found = check_wsk_transition(s, u._replace(cache={}), info,
+                                     stutter_wit(s), AUTH_SPECS["writeback"])
+        assert ("wsk-a-match", "functional") in {(f.obligation, f.kind)
+                                                 for f in found}
+        assert any("cache contents differ" in f.detail for f in found)
 
 
 class TestEntangledObligations:
