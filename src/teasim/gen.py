@@ -15,7 +15,12 @@ instead: from the emitted, cache-seeded initial state they follow the
 deterministic step once per cycle, so every checked state is reachable,
 and hand each transition s -> u to the obligation, with the stutter
 witness of s read off the walk's own run (which steps past the walk's
-last step when the next retirement lies beyond it).  Their cases (and
+last step when the next retirement lies beyond it).  A walk stops at
+halt, at 8 findings, at its step limit, or once its future is already
+checked: when it comes back, with no finding since, to a state it has
+seen, either an empty pipeline with the same committed state or, past
+the program's last instruction, the same state up to a shift of
+addresses, ROB tags and time (see `_walk`).  Their cases (and
 arch-equivalence's) carry no forward steps: the same program and cache
 draws, without the sample's.
 
@@ -49,6 +54,7 @@ from .refine import (
     Finding,
     check_entangled_sample,
     check_wsk_transition,
+    is_initial,
     label,
     r_ic,
 )
@@ -290,6 +296,39 @@ def check_entangled_case(case: Case) -> list[Finding]:
 Until = tuple[str, int | None]
 
 
+def _squash_key(s: MaState) -> tuple:
+    """A pipeline-empty state's key: its future depends on nothing else
+    but cyc, which only shifts times, and stale fields of idle stations,
+    which the machine overwrites before reading them.  The cache is
+    insert-only and every line holds its memory value (generated seeds
+    do, Case.from_dict enforces it on replayed ones, and the machine
+    fills lines from memory), so along one walk its size stands for its
+    contents."""
+    return (s.pc, s.rf, s.tsx, len(s.cache))
+
+
+def _tail_key(s: MaState) -> tuple:
+    """s up to a shift: fetch_pc and rb_pc relative to pc, an executing
+    station's cpc relative to cyc, ROB, station and reg_st tags relative
+    to the ROB head's.  Idle stations are reduced to their id, and a
+    station's cpc is kept only while it executes: the machine overwrites
+    the other fields before reading them."""
+    base = s.rob[0].rob_id if s.rob else 0
+    space = s.params.rob_tag_space
+
+    def tag(t):
+        return None if t is None else (t - base) % space
+
+    rob = tuple((tag(l.rob_id),) + l[1:] for l in s.rob)
+    rs_f = tuple(
+        (rs.rs_id, rs.mop, tag(rs.qj), tag(rs.qk), rs.vj, rs.vk,
+         (rs.cpc - s.cyc) & MASK32 if rs.exec else None, tag(rs.dst),
+         (rs.rb_pc - s.pc) & MASK32) if rs.busy else rs.rs_id
+        for rs in s.rs_f)
+    reg_st = tuple(sorted((r, tag(t)) for r, t in s.reg_st.items()))
+    return (s.rf, s.tsx, len(s.cache), s.fetch_pc - s.pc, rob, rs_f, reg_st)
+
+
 def _walk(case: Case, per_step, max_steps: int,
           until: Until | None = None) -> list[Finding]:
     """Check each transition s -> u of the run from the case's initial
@@ -300,6 +339,24 @@ def _walk(case: Case, per_step, max_steps: int,
     ahead to the next retirement, past the walk's last step if need be,
     and is None when none falls within stutter_cap + 1 transitions.
 
+    The walk also stops, returning what the full walk would, once its
+    future is already checked: when a state's key was first seen at a
+    step from which on nothing was found.  The deterministic run from
+    the later state then repeats the one from the earlier, shifted, and
+    so finds nothing either.  Two kinds of state have keys:
+      - a pipeline-empty state, the initial one or one right after an
+        invalidating step, keyed by `_squash_key`: (pc, rf, tsx, the
+        cache's size);
+      - a state past the program's end (pc above every instruction, and
+        fetch_pc unable to wrap before the walk's look-ahead ends),
+        keyed by `_tail_key`: every instruction in flight or yet to be
+        fetched is an unmapped noop, so its future depends on nothing
+        else but the shifts that key takes out.
+    So per_step's contract: whether it finds anything may depend on the
+    transition only up to these shifts, and not on the fields the keys
+    leave out; in particular it never reads cyc.  check_wsk_transition
+    meets it.
+
     until = (obligation, within) also stops the walk after `within`
     steps and after the first step that fails the obligation.  Its
     findings are then a prefix of the full walk's, so an obligation it
@@ -307,7 +364,17 @@ def _walk(case: Case, per_step, max_steps: int,
     target, within = until or (None, None)
     limit = max_steps if within is None else min(max_steps, within)
     s = initial_state(case)
-    cap = s.params.stutter_cap()
+    params = s.params
+    cap = params.stutter_cap()
+    # Past top every fetch is an unmapped noop; below tail_end no fetch
+    # of the walk or its look-ahead wraps around to the program.
+    top = max(s.imem, default=-1)
+    tail_end = MASK32 - params.fetch_num * (limit + cap + 2)
+    # The step at which each key was first seen, and the last step that
+    # found something.
+    seen: dict[tuple, int] = {}
+    last_found = -1
+    squashed = True  # the initial state is keyed like a squashed one
     # The transitions (u, info) from this step up to the next retiring
     # one, at most cap + 1 of them.
     ahead = deque()
@@ -315,15 +382,27 @@ def _walk(case: Case, per_step, max_steps: int,
     for step in range(limit):
         if s.halt:
             break
+        if squashed and is_initial(s):
+            key = _squash_key(s)
+        elif top < s.pc <= s.fetch_pc <= tail_end:
+            key = _tail_key(s)
+        else:
+            key = None
+        if key is not None:
+            first = seen.setdefault(key, step)
+            if last_found < first < step:
+                break
         while not (ahead and ahead[-1][1].retired) and len(ahead) <= cap:
             ahead.append(step_core(ahead[-1][0] if ahead else s))
         wit = len(ahead) - 1 if ahead[-1][1].retired else None
         u, info = ahead.popleft()
         found = per_step(s, u, info, wit)
         if found:
+            last_found = step
             findings.extend(replace(f, step=step) for f in found)
             if len(findings) >= 8 or any(f.obligation == target for f in found):
                 break
+        squashed = info.invalidated
         s = u
     return findings
 
@@ -530,7 +609,7 @@ def shrink(prop: Property, case: Case, obligation: str) -> Case:
             if budget == 0:
                 return best
             budget -= 1
-            found = first_failure(cand, 2 * hit.step + 8 if hit else None)
+            found = first_failure(cand, 2 * hit.step + 8 if prop.walks else None)
             if found:
                 best, hit = cand, found
                 break

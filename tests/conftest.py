@@ -1,9 +1,11 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from teasim import gen, ma
 from teasim.gen import GenConfig, _trial_rng
+from teasim.refine import check_wsk_transition, stutter_wit
 
 
 @pytest.fixture
@@ -18,6 +20,26 @@ def trial_rng(tag: str, i: int) -> random.Random:
 @pytest.fixture
 def cfg():
     return GenConfig(seed=0xBEEF)
+
+
+def reference_walk(case: gen.Case, max_steps: int, spec) -> list:
+    """The walk of `gen._walk` with the witness-skipping obligations,
+    run to halt, max_steps or 8 findings and never stopped early, taking
+    each non-retiring transition's stutter witness by a forward run of
+    its own, `stutter_wit(s)`."""
+    s = gen.initial_state(case)
+    findings = []
+    for step in range(max_steps):
+        if s.halt:
+            break
+        u, info = ma.step_core(s)
+        wit = 0 if info.retired else stutter_wit(s)
+        found = check_wsk_transition(s, u, info, wit, spec)
+        findings += [replace(f, step=step) for f in found]
+        if len(findings) >= 8:
+            break
+        s = u
+    return findings
 
 
 @pytest.fixture
@@ -43,3 +65,20 @@ def stall(monkeypatch, fresh_run):
         return batch
 
     monkeypatch.setattr(ma, "to_commit", stalled)
+
+
+@pytest.fixture
+def stale_forwarding(monkeypatch, fresh_run):
+    """Issue ignores a ready ROB value: an operand whose writer has
+    written back but not yet committed reads the committed register
+    file instead."""
+    setup_slot = ma._setup_slot
+
+    def stale(slot, old_v, reg_st, s):
+        if slot is not None and slot[0] == "r":
+            line = ma.rob_get(reg_st.get(slot[1]), s.rob)
+            if line is not None and line.rdy:
+                return None, s.rf[slot[1]]
+        return setup_slot(slot, old_v, reg_st, s)
+
+    monkeypatch.setattr(ma, "_setup_slot", stale)

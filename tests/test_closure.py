@@ -1,0 +1,203 @@
+"""A walk stops once its future is already checked (`gen._walk`).
+
+The walk that stops must return what the walk that never stops returns,
+findings and their steps included, and each of its two keys must stand
+for the future it claims: a pipeline-empty state's key fixes the next
+steps up to time, and a key past the program's end fixes them up to a
+shift of addresses, ROB tags and time.
+"""
+
+import pytest
+
+from teasim import asm, gen, ma, refine
+from teasim.gen import Case, PROPERTIES
+from teasim.isa import MASK32
+from teasim.refine import AUTH_SPECS, r_a
+
+from conftest import reference_walk
+
+SEED, CASES = 3, 200
+BUNDLED = [Case(asm.load_bundled(name)) for name in ("meltdown", "spectre")]
+
+
+def cases(name: str, n: int = CASES) -> list[Case]:
+    """The property's first n generated cases, then the bundled ones."""
+    prop = PROPERTIES[name]
+    cfg = prop.adjust(gen.GenConfig(seed=SEED))
+    return [prop.gen(cfg, gen._trial_rng(SEED, name, i))
+            for i in range(n)] + BUNDLED
+
+
+@pytest.mark.parametrize("name, max_steps, spec, per_step", [
+    ("wsk", 2500, None, gen._wsk_step),
+    ("wsk-safe", 2500, None, gen._wsk_step),
+    ("spectre", 400, AUTH_SPECS["commit"], gen._spectre_step),
+])
+def test_walk_returns_what_the_full_walk_returns(name, max_steps, spec,
+                                                 per_step):
+    closed = 0
+    for case in cases(name):
+        checked = 0
+
+        def counted(s, u, info, wit):
+            nonlocal checked
+            checked += 1
+            return per_step(s, u, info, wit)
+
+        found = gen._walk(case, counted, max_steps)
+        assert found == reference_walk(case, max_steps, spec)
+        _, full = ma.run_ma(gen.initial_state(case), max_steps)
+        closed += checked < full and len(found) < 8
+    assert closed >= 5
+
+
+def runs(name: str, max_steps: int):
+    """Each case's run from its initial state: (top, states, infos),
+    top being its highest instruction address."""
+    for case in cases(name):
+        s = gen.initial_state(case)
+        states, infos = [s], []
+        for _ in range(max_steps):
+            if s.halt:
+                break
+            s, info = ma.step_core(s)
+            states.append(s)
+            infos.append(info)
+        yield max(s.imem, default=-1), states, infos
+
+
+def equal_key_pairs(name: str, max_steps: int, keyed) -> list:
+    """(states, i, j) for i < j, states[i] and states[j] of one run
+    having equal keys: keyed(top, states, infos, k) is state k's key or
+    None.  Each key's first state is paired with its later ones."""
+    pairs = []
+    for top, states, infos in runs(name, max_steps):
+        first: dict = {}
+        for k in range(len(infos)):
+            key = keyed(top, states, infos, k)
+            if key is not None:
+                i = first.setdefault(key, k)
+                if i < k:
+                    pairs.append((states, i, k))
+    return pairs
+
+
+def squash_key(top, states, infos, k):
+    s = states[k]
+    if (k == 0 or infos[k - 1].invalidated) and refine.is_initial(s):
+        return gen._squash_key(s)
+    return None
+
+
+def test_equal_squash_keys_fix_the_next_steps():
+    pairs = equal_key_pairs("wsk", 400, squash_key)
+    assert len(pairs) >= 50
+    for states, i, j in pairs:
+        x, y = states[i], states[j]
+        for _ in range(40):
+            x, xi = ma.step_core(x)
+            y, yi = ma.step_core(y)
+            assert xi == yi and r_a(x) == r_a(y)
+
+
+def tail_key(top, states, infos, k):
+    s = states[k]
+    if top < s.pc <= s.fetch_pc:
+        return gen._tail_key(s)
+    return None
+
+
+def shifted(x: ma.MaState, info: ma.StepInfo, pc0: int, tag0: int,
+            cyc0: int) -> tuple:
+    """A step of a run, with addresses relative to pc0, ROB tags to
+    tag0 and times to cyc0."""
+    space = x.params.rob_tag_space
+
+    def pc(a):
+        return (a - pc0) & MASK32
+
+    def tag(t):
+        return (t - tag0) % space
+
+    return (
+        r_a(x)._replace(pc=pc(x.pc)), pc(x.fetch_pc), (x.cyc - cyc0) & MASK32,
+        info._replace(
+            issued=tuple(r._replace(tag=tag(r.tag), ipc=pc(r.ipc))
+                         for r in info.issued),
+            writebacks=tuple(w._replace(dst=tag(w.dst))
+                             for w in info.writebacks),
+            batch=tuple(l._replace(rob_id=tag(l.rob_id)) for l in info.batch),
+        ),
+    )
+
+
+def origin(s: ma.MaState) -> tuple[int, int, int]:
+    """What a shift is measured from: pc, the ROB head's tag and cyc."""
+    return s.pc, s.rob[0].rob_id if s.rob else 0, s.cyc
+
+
+def assert_same_up_to_shift(x: ma.MaState, y: ma.MaState, steps: int):
+    ox, oy = origin(x), origin(y)
+    for _ in range(steps):
+        x, xi = ma.step_core(x)
+        y, yi = ma.step_core(y)
+        assert shifted(x, xi, *ox) == shifted(y, yi, *oy)
+
+
+def test_equal_tail_keys_fix_the_next_steps_up_to_the_shift():
+    pairs = equal_key_pairs("wsk-safe", 400, tail_key)
+    assert len(pairs) >= 50
+    for states, i, j in pairs:
+        assert_same_up_to_shift(states[i], states[j], 40)
+
+
+def moved(s: ma.MaState, dpc: int, dtag: int, dcyc: int) -> ma.MaState:
+    """s with its addresses, ROB tags and times shifted."""
+    space = s.params.rob_tag_space
+
+    def tag(t):
+        return None if t is None else (t + dtag) % space
+
+    return s._replace(
+        pc=s.pc + dpc, fetch_pc=s.fetch_pc + dpc, cyc=(s.cyc + dcyc) & MASK32,
+        rob=tuple(l._replace(rob_id=tag(l.rob_id)) for l in s.rob),
+        rs_f=tuple(rs._replace(qj=tag(rs.qj), qk=tag(rs.qk), dst=tag(rs.dst),
+                               rb_pc=rs.rb_pc + dpc,
+                               cpc=(rs.cpc + dcyc) & MASK32)
+                   for rs in s.rs_f),
+        reg_st={r: tag(t) for r, t in s.reg_st.items()},
+    )
+
+
+def test_tail_key_takes_out_the_shift():
+    # A tail state moved by a shift has its key and, up to the shift,
+    # its run: so the key repeats once the run does.
+    checked = 0
+    for top, states, _ in runs("wsk-safe", 60):
+        for s in [x for x in states if top < x.pc <= x.fetch_pc][:3]:
+            for dpc, dtag, dcyc in [(5, 7, 11), (1, 19, MASK32)]:
+                y = moved(s, dpc, dtag, dcyc)
+                assert gen._tail_key(y) == gen._tail_key(s)
+                assert_same_up_to_shift(s, y, 20)
+                checked += 1
+    assert checked >= 50
+
+
+def test_shrunk_spectre_check_stops_in_the_noop_tail(monkeypatch):
+    # The shrunk case has no halt, so its run leaves the program after
+    # two instructions; the walk that never stops steps 400 times.
+    case = Case(asm.parse(
+        ".access 0 511\n.data 16 1\n.data 17 2\n.data 18 3\n.data 19 4\n"
+        ".data 22 77\n.entry 0\njge r5 0\nldr r7 r2 r6\n"))
+    calls = 0
+    step_core = ma.step_core
+
+    def counting(s):
+        nonlocal calls
+        calls += 1
+        return step_core(s)
+
+    monkeypatch.setattr(gen, "step_core", counting)
+    monkeypatch.setattr(refine, "step_core", counting)
+    found = PROPERTIES["spectre"].check(case)
+    assert found and calls <= 30

@@ -141,22 +141,43 @@ def test_shrink_walks_few_steps(monkeypatch, name, bundled, max_steps, shrunk):
 def test_shrink_bounds_walk_candidates(fail_at, accepted):
     # The original fails at step 3, so a candidate must fail within
     # 2 * 3 + 8 = 14 steps (steps 0-13).  Either candidate fails under
-    # the full check.
-    prog = Program(0, (Instr("noop"), Instr("noop")), (), ((0, 0x7F),), 0)
+    # the full check.  The program is a chain of dependent addi's, and
+    # every deletion leaves a shorter one: from step 2 on, the chain
+    # retires its instruction at pc on step 2 * pc + 3 and none on the
+    # step after, so the step can be read off the committed pc without
+    # reading cyc.  Below the chain's end no state is pipeline-empty
+    # after step 0, so no walk stops before it fails.
+    prog = Program(0, (Instr("addi", rd=1, r1=1, imm=1),) * 30, (),
+                   ((0, 0x7F),), 0)
     case = Case(prog)
 
     def check(c, until=None):
         at = 3 if c == case else fail_at
 
         def per_step(s, u, info, wit):
-            return [Finding("late", "functional", "")] if s.cyc == at else []
+            step = 2 * s.pc + 2 + (info.retired > 0)
+            return [Finding("late", "functional", "")] if step == at else []
 
         return gen._walk(c, per_step, 2500, until)
 
-    assert check(replace(case, program=replace(prog, instrs=prog.instrs[1:])))
+    assert [f.step for f in check(case)] == [3]
+    cand = replace(case, program=replace(prog, instrs=prog.instrs[1:]))
+    assert [f.step for f in check(cand)] == [fail_at]
     prop = Property("fake", gen_walk_case, check, walks=True)
     small = shrink(prop, case, "late")
     assert (small != case) == accepted
+
+
+def test_shrink_accepts_candidates_of_non_walk_properties():
+    # Their findings record no step, so no step bound is taken from them.
+    prog = Program(0, (Instr("noop"),) * 3 + (Instr("halt"),), (),
+                   ((0, 0x7F),), 0)
+
+    def check(c):
+        return [Finding("always", "functional", "")]
+
+    prop = Property("fake", gen_walk_case, check)
+    assert shrink(prop, Case(prog), "always").program.instrs == ()
 
 
 @pytest.mark.parametrize("kind", ["halts", "max-steps", "until", "stall"])

@@ -7,12 +7,13 @@ on the same trials.
 """
 
 import json
-from dataclasses import replace
 
 import pytest
 
-from teasim import cli, gen, ma
-from teasim.refine import AUTH_SPECS, check_wsk_transition, stutter_wit
+from teasim import cli, gen
+from teasim.refine import AUTH_SPECS
+
+from conftest import reference_walk
 
 SEED, TRIALS = 1, 40
 
@@ -38,36 +39,50 @@ def test_stall_mutant_fails_liveness(stall, capsys):
     assert code == 1 and kinds(doc) == {"liveness"}
 
 
-def reference_walk(case: gen.Case, max_steps: int, spec) -> list:
-    """The walk of `gen._walk` with the witness-skipping obligations,
-    taking each non-retiring transition's stutter witness by a forward
-    run of its own, `stutter_wit(s)`."""
-    s = gen.initial_state(case)
-    findings = []
-    for step in range(max_steps):
-        if s.halt:
-            break
-        u, info = ma.step_core(s)
-        wit = 0 if info.retired else stutter_wit(s)
-        found = check_wsk_transition(s, u, info, wit, spec)
-        findings += [replace(f, step=step) for f in found]
-        if len(findings) >= 8:
-            break
-        s = u
-    return findings
+def first_failure(doc: dict, prop: str) -> tuple[int, set[str]]:
+    """The trial of a property's first failure and its obligations."""
+    report = next(r for r in doc["reports"] if r["property"] == prop)
+    fail = report["failures"][0]
+    return fail["trial"], {f["obligation"] for f in fail["findings"]}
 
 
-@pytest.mark.parametrize("name, max_steps, spec", [
-    ("wsk-safe", 2500, None),
-    ("spectre", 400, AUTH_SPECS["commit"]),
-])
-def test_stall_mutant_walks_match_reference(stall, name, max_steps, spec):
+def test_stale_forwarding_mutant_fails_wsk_match(stale_forwarding, capsys):
+    code, doc = check_json(capsys, "meltdown-safe")
+    assert code == 1 and first_failure(doc, "wsk-safe") == (4, {"wsk-match"})
+
+
+def test_stale_forwarding_mutant_fails_arch_equivalence(stale_forwarding,
+                                                        capsys):
+    # Shrinking the arch-equivalence failures accepts candidates whose
+    # findings record no walk step.
+    code, doc = check_json(capsys, "all")
+    assert code == 1
+    assert first_failure(doc, "arch-equivalence") == (0, {"arch-equivalence"})
+
+
+def walk_kinds(name: str, max_steps: int, spec) -> list[str]:
+    """The kinds of the findings of the property's walks on its trials,
+    which must be the reference walk's."""
     prop = gen.PROPERTIES[name]
     cfg = prop.adjust(gen.GenConfig(seed=SEED, trials=TRIALS))
-    liveness = 0
+    out = []
     for i in range(TRIALS):
         case = prop.gen(cfg, gen._trial_rng(SEED, name, i))
         found = prop.check(case)
         assert found == reference_walk(case, max_steps, spec)
-        liveness += sum(f.kind == "liveness" for f in found)
-    assert liveness > 0
+        out += [f.kind for f in found]
+    return out
+
+
+WALKS = [("wsk-safe", 2500, None), ("spectre", 400, AUTH_SPECS["commit"])]
+
+
+@pytest.mark.parametrize("name, max_steps, spec", WALKS)
+def test_stall_mutant_walks_match_reference(stall, name, max_steps, spec):
+    assert "liveness" in walk_kinds(name, max_steps, spec)
+
+
+@pytest.mark.parametrize("name, max_steps, spec", WALKS)
+def test_stale_forwarding_mutant_walks_match_reference(
+        stale_forwarding, name, max_steps, spec):
+    assert "functional" in walk_kinds(name, max_steps, spec)
