@@ -19,7 +19,8 @@ import time
 from dataclasses import replace
 
 from . import asm, snapshot
-from .gen import Case, GenConfig, PROPERTIES, Report, report_json, run_property
+from .gen import (Case, GenConfig, Lookahead, PROPERTIES, Report, report_json,
+                  run_property)
 from .isa import isa_det_step, run_isa
 from .ma import MaParams, ma_step, run_ma, step_core
 from .variants import init_h, mah_step
@@ -218,12 +219,13 @@ def cmd_demo(args) -> int:
         prog = asm.load_bundled("spectre")
         s = asm.emit_ma(prog)
         spec = AUTH_SPECS["commit"]
+        run = Lookahead(s)
         shown = 0
         for _ in range(args.max_steps):
             if s.halt:
                 break
-            u, info = step_core(s)
-            cex = check_cache_action(s, info, u, spec)
+            u, info = run.advance()
+            cex = check_cache_action(s, info, u, spec, run)
             if cex is not None and shown < 3:
                 print(f"cycle {s.cyc}: {cex.detail}")
                 shown += 1

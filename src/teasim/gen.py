@@ -15,12 +15,13 @@ instead: from the emitted, cache-seeded initial state they follow the
 deterministic step once per cycle, so every checked state is reachable,
 and hand each transition s -> u to the obligation, with the stutter
 witness of s read off the walk's own run (which steps past the walk's
-last step when the next retirement lies beyond it).  A walk stops at
-halt, at 8 findings, at its step limit, or once its future is already
-checked: when it comes back, with no finding since, to a state it has
-seen, either an empty pipeline with the same committed state or, past
-the program's last instruction, the same state up to a shift of
-addresses, ROB tags and time (see `_walk`).  Their cases (and
+last step when the next retirement lies beyond it), and with that run
+after u, in which an authorization policy reads ahead (see
+`Lookahead`).  A walk stops at halt, at 8 findings, at its step limit,
+or once its future is already checked: when it comes back, with no
+finding since, to a state it has seen, either an empty pipeline with
+the same committed state or, past the program's last instruction, the
+same state up to a shift of addresses, ROB tags and time (see `_walk`).  Their cases (and
 arch-equivalence's) carry no forward steps: the same program and cache
 draws, without the sample's.
 
@@ -32,8 +33,9 @@ fixed order, and `shrink` keeps the first that still fails the same
 obligation and starts over, within SHRINK_BUDGET candidates.  A walk
 property's candidate fails only if it fails the obligation within
 2c + 8 steps, c being the step at which the current best case first
-failed it.  The report holds the shrunk case and its findings,
-re-checked by the full, unbounded check.
+failed it; for the trial's own case, c is read off the trial's first
+finding, so shrinking walks no case twice.  The report holds the shrunk
+case and its findings, re-checked by the full, unbounded check.
 """
 
 from __future__ import annotations
@@ -329,15 +331,44 @@ def _tail_key(s: MaState) -> tuple:
     return (s.rf, s.tsx, len(s.cache), s.fetch_pc - s.pc, rob, rs_f, reg_st)
 
 
+class Lookahead:
+    """The deterministic run after a state, stepped on demand: item i is
+    its i-th transition (u, info), stepped by `step_core` the first time
+    something reads it and kept, so all its readers share one run.
+    Iterating it goes on without end (a halted state steps to itself);
+    `advance` moves its start one transition on."""
+
+    __slots__ = ("state", "steps")
+
+    def __init__(self, s: MaState) -> None:
+        self.state = s
+        self.steps: deque[tuple[MaState, StepInfo]] = deque()
+
+    def __getitem__(self, i: int) -> tuple[MaState, StepInfo]:
+        steps = self.steps
+        while len(steps) <= i:
+            steps.append(step_core(steps[-1][0] if steps else self.state))
+        return steps[i]
+
+    def advance(self) -> tuple[MaState, StepInfo]:
+        """The first transition (u, info); the run then starts at u."""
+        first = self[0]
+        self.steps.popleft()
+        self.state = first[0]
+        return first
+
+
 def _walk(case: Case, per_step, max_steps: int,
           until: Until | None = None) -> list[Finding]:
     """Check each transition s -> u of the run from the case's initial
     state, stepping the machine once per cycle, until it halts, has
     taken max_steps steps or has made 8 findings; per_step(s, u, info,
-    wit) only reads the step.  Each finding records its step.  wit, the
-    stutter witness of s, is read off the walk's own run, which steps
-    ahead to the next retirement, past the walk's last step if need be,
-    and is None when none falls within stutter_cap + 1 transitions.
+    wit, run) only reads the step.  Each finding records its step.  wit,
+    the stutter witness of s, is read off the walk's own run, which
+    steps ahead to the next retirement, past the walk's last step if
+    need be, and is None when none falls within stutter_cap + 1
+    transitions.  run is that run after u (a `Lookahead`): per_step may
+    read further ahead in it, and the walk then reuses what it stepped.
 
     The walk also stops, returning what the full walk would, once its
     future is already checked: when a state's key was first seen at a
@@ -355,7 +386,9 @@ def _walk(case: Case, per_step, max_steps: int,
     So per_step's contract: whether it finds anything may depend on the
     transition only up to these shifts, and not on the fields the keys
     leave out; in particular it never reads cyc.  check_wsk_transition
-    meets it.
+    meets it.  Its commit policy reads the run after u only on a fill,
+    and past the program's end nothing in flight is a load, so no
+    look-ahead from a tail state reaches past the walk's own.
 
     until = (obligation, within) also stops the walk after `within`
     steps and after the first step that fails the obligation.  Its
@@ -375,9 +408,9 @@ def _walk(case: Case, per_step, max_steps: int,
     seen: dict[tuple, int] = {}
     last_found = -1
     squashed = True  # the initial state is keyed like a squashed one
-    # The transitions (u, info) from this step up to the next retiring
-    # one, at most cap + 1 of them.
-    ahead = deque()
+    run = Lookahead(s)
+    # The first `clear` transitions of the run from s retire nothing.
+    clear = 0
     findings: list[Finding] = []
     for step in range(limit):
         if s.halt:
@@ -392,17 +425,18 @@ def _walk(case: Case, per_step, max_steps: int,
             first = seen.setdefault(key, step)
             if last_found < first < step:
                 break
-        while not (ahead and ahead[-1][1].retired) and len(ahead) <= cap:
-            ahead.append(step_core(ahead[-1][0] if ahead else s))
-        wit = len(ahead) - 1 if ahead[-1][1].retired else None
-        u, info = ahead.popleft()
-        found = per_step(s, u, info, wit)
+        while clear <= cap and not run[clear][1].retired:
+            clear += 1
+        wit = clear if clear <= cap else None
+        u, info = run.advance()
+        found = per_step(s, u, info, wit, run)
         if found:
             last_found = step
             findings.extend(replace(f, step=step) for f in found)
             if len(findings) >= 8 or any(f.obligation == target for f in found):
                 break
         squashed = info.invalidated
+        clear = max(clear - 1, 0)
         s = u
     return findings
 
@@ -420,12 +454,12 @@ def _walk_check(per_step, max_steps: int):
 # called, so that a wrapper installed on a module binding or in
 # AUTH_SPECS (perfbench's tracer) sees every step.
 
-def _wsk_step(s, u, info, wit):
+def _wsk_step(s, u, info, wit, run):
     return check_wsk_transition(s, u, info, wit)
 
 
-def _spectre_step(s, u, info, wit):
-    return check_wsk_transition(s, u, info, wit, AUTH_SPECS["commit"])
+def _spectre_step(s, u, info, wit, run):
+    return check_wsk_transition(s, u, info, wit, AUTH_SPECS["commit"], run)
 
 
 # Witness obligations (cache-erased map) along the whole run.
@@ -585,7 +619,8 @@ def _smaller(case: Case):
             yield replace(case, program=replace(prog, instrs=halved))
 
 
-def shrink(prop: Property, case: Case, obligation: str) -> Case:
+def shrink(prop: Property, case: Case, obligation: str,
+           first: Finding | None = None) -> Case:
     """Greedy reduction preserving failure of the same obligation: take
     the first candidate that still fails and start over from it, until
     no candidate fails or SHRINK_BUDGET candidates are checked.
@@ -593,7 +628,10 @@ def shrink(prop: Property, case: Case, obligation: str) -> Case:
     A walk property's candidate counts as failing only if it fails the
     obligation within 2c + 8 steps, where c is the step at which the
     current best case first failed it; its walk stops there.  Deleting
-    a loop exit thus costs a few steps, not a walk to max_steps."""
+    a loop exit thus costs a few steps, not a walk to max_steps.  first
+    is the case's first finding of the obligation, as its full check
+    made it (findings come in step order); without it, a walk
+    property's case is walked once more to find it."""
 
     def first_failure(cand: Case, within: int | None) -> Finding | None:
         found = (prop.check(cand, (obligation, within)) if prop.walks
@@ -603,7 +641,9 @@ def shrink(prop: Property, case: Case, obligation: str) -> Case:
     budget = SHRINK_BUDGET
     best = case
     # A walk property's first failure on the current best case.
-    hit = first_failure(case, None) if prop.walks else None
+    hit = first
+    if prop.walks and hit is None:
+        hit = first_failure(case, None)
     while True:
         for cand in _smaller(best):
             if budget == 0:
@@ -630,7 +670,7 @@ def run_property(
     def record(trial: int, case: Case, findings: list[Finding]) -> None:
         # The shrunk case fails the same obligation (checks are
         # deterministic), so its findings are the ones reported.
-        small = shrink(prop, case, findings[0].obligation)
+        small = shrink(prop, case, findings[0].obligation, findings[0])
         failures.append(Failure(trial, tuple(prop.check(small)), small))
 
     for t, case in enumerate(extra_cases):

@@ -19,7 +19,8 @@ message), never exceptions.
 
 The cache-action audit compares each transition's actual cache delta
 against the actions a designer-supplied authorization policy admits for
-it (a policy sees the step's record and its successor state):
+it (a policy sees the step's record, its successor state and the run
+after it):
 `writeback` authorizes exactly what this machine does (including
 speculative fills), `commit` authorizes only the effects of retired
 loads — the intent policy that the speculative machine violates.  The
@@ -31,7 +32,8 @@ hold every line the architectural run does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from itertools import islice
+from typing import Callable, Iterable
 
 from .isa import (
     AuthAction,
@@ -144,7 +146,9 @@ def run_ic(
     return v, None
 
 
-def _arch_mismatch(u: IsaState, v: IsaState) -> str | None:
+def _arch_mismatch(u: MaState | IsaState, v: IsaState) -> str | None:
+    """How the architectural fields of u and v differ, if they do: it
+    reads pc, rf, halt and tsx, which a pipeline state has too."""
     if u.pc != v.pc:
         return f"pc {u.pc:#x} vs {v.pc:#x}"
     if u.rf != v.rf:
@@ -160,9 +164,16 @@ def _arch_mismatch(u: IsaState, v: IsaState) -> str | None:
 
 # --- cache action audit (Spectre decomposition) ---
 
+# The run after a transition's successor u: its transitions (x, info) out
+# of u, in order.  A walk hands over its own look-ahead, which steps on
+# as far as it is read (`gen.Lookahead`), so a policy that reads ahead
+# steps nothing the walk does not reuse; a caller outside a walk passes
+# the run stepped from u.
+Run = Iterable[tuple[MaState, StepInfo]]
+
 # An authorization policy maps one transition s -> u, given by what the
-# cycle did and where it went, to its admitted actions.
-AuthSpec = Callable[[StepInfo, MaState], AuthAction]
+# cycle did, where it went and the run after u, to its admitted actions.
+AuthSpec = Callable[[StepInfo, MaState, Run], AuthAction]
 
 
 def _fill_actions(wb: WbRec) -> AuthAction:
@@ -174,29 +185,26 @@ def _fill_actions(wb: WbRec) -> AuthAction:
         ("prefetch", a) for a, _ in wb.inserted[1:])
 
 
-def auth_writeback(info: StepInfo, u: MaState) -> AuthAction:
+def auth_writeback(info: StepInfo, u: MaState, run: Run) -> AuthAction:
     """Authorize exactly the fills this machine performs: every load
     writeback deposits its line and its prefetch set."""
     return tuple(act for wb in info.writebacks for act in _fill_actions(wb))
 
 
-def _line_commits(u: MaState, tag: int) -> bool:
+def _line_commits(u: MaState, tag: int, run: Run) -> bool:
     """Whether the ROB line with this tag eventually retires (as opposed
-    to being squashed by an invalidation), by bounded look-ahead."""
-    x = u
+    to being squashed by an invalidation), read off the run after u
+    within a bounded look-ahead (a halted u steps to itself)."""
     cap = u.params.stutter_cap() * (u.params.max_rob + 2)
-    for _ in range(cap):
-        if x.halt:
-            return False
-        x, info = step_core(x)
+    for x, info in islice(run, cap):
         if any(l.rob_id == tag for l in info.batch):
             return True
-        if info.invalidated:
+        if info.invalidated or x.halt:
             return False
     return False
 
 
-def auth_commit(info: StepInfo, u: MaState) -> AuthAction:
+def auth_commit(info: StepInfo, u: MaState, run: Run) -> AuthAction:
     """Designer-intent policy: loads fill the cache at writeback only if
     they retire; squashed (transient) loads emit no actions at all.  A
     line written back in a cycle is commit-visible only in the next, so
@@ -208,7 +216,7 @@ def auth_commit(info: StepInfo, u: MaState) -> AuthAction:
     acts: list[tuple[str, int]] = []
     for wb in info.writebacks:
         fill = _fill_actions(wb)
-        if fill and _line_commits(u, wb.dst):
+        if fill and _line_commits(u, wb.dst, run):
             acts.extend(fill)
     return tuple(acts)
 
@@ -220,12 +228,15 @@ AUTH_SPECS: dict[str, AuthSpec] = {
 
 
 def check_cache_action(
-    s: MaState, info: StepInfo, u: MaState, spec: AuthSpec
+    s: MaState, info: StepInfo, u: MaState, spec: AuthSpec, run: Run
 ) -> Finding | None:
     """cache_u must equal the cache after applying the authorized
     actions of the transition s -> u; kernel addresses cannot be
-    authorized and are ignored."""
-    want = apply_prefetches(spec(info, u), s.dmem, s.cache, s.ga)
+    authorized and are ignored.  run is the run after u (see Run)."""
+    acts = spec(info, u, run)
+    if not acts and u.cache is s.cache:
+        return None  # step_core builds a new cache only when it fills one
+    want = apply_prefetches(acts, s.dmem, s.cache, s.ga)
     if want == u.cache:
         return None
     extra = sorted(a for a, d in u.cache.items() if want.get(a) != d)
@@ -266,33 +277,39 @@ def run_ic_c(
 
 def check_wsk_transition(
     s: MaState, u: MaState, info: StepInfo, wit: int | None,
-    spec: AuthSpec | None = None,
+    spec: AuthSpec | None = None, run: Run | None = None,
 ) -> list[Finding]:
     """All witness-skipping obligations for one transition s -> u (with
     `u, info = step_core(s)` and `wit = stutter_wit(s)`), with w = r(s).
 
     With no policy this is the cache-erased (Meltdown) refinement,
     r = r_ic; with one it is the cache-observable refinement, r = r_a,
-    and the policy's action audit comes first.  The audit judges the
-    lines the pipeline added, so a retiring transition's matched run
-    only needs every line it holds to be in the pipeline's cache too.
+    and the policy's action audit, which reads run, the run after u (see
+    Run), comes first.  The audit judges the lines the pipeline added,
+    so a retiring transition's matched run only needs every line it
+    holds to be in the pipeline's cache too.
+
+    A non-retiring step compares pc, rf, tsx and halt of s and u
+    directly: label(r(s)) and label(r(u)) hold nothing else a step can
+    change, since both share s's memories and access map.  r(s) is
+    built only on a retiring step, for its matched run.
     """
     findings: list[Finding] = []
     if spec is None:
-        r, match = r_ic, "wsk-match"
+        match = "wsk-match"
     else:
-        r, match = r_a, "wsk-a-match"
-        cex = check_cache_action(s, info, u, spec)
+        match = "wsk-a-match"
+        cex = check_cache_action(s, info, u, spec, run)
         if cex is not None:
             findings.append(cex)
-    w = r(s)
 
     if info.retired == 0:
-        # Labels erase the cache, so this constrains only the
-        # architectural fields; unauthorized fills are the audit's job.
-        # step_core is deterministic, so a witness within the bound
-        # decreases by exactly one: only the bound itself can fail.
-        if label(r(u)) != label(w):
+        # This constrains only the architectural fields; unauthorized
+        # fills are the audit's job.  step_core is deterministic, so a
+        # witness within the bound decreases by exactly one: only the
+        # bound itself can fail.
+        if (u.pc != s.pc or u.rf != s.rf or u.tsx != s.tsx
+                or u.halt != s.halt):
             findings.append(Finding(match, "functional",
                                     "architectural fields changed on a "
                                     "non-retiring step"))
@@ -302,13 +319,13 @@ def check_wsk_transition(
         return findings
 
     if spec is None:
-        v, fail = run_ic(w, info.batch)
+        v, fail = run_ic(r_ic(s), info.batch)
     else:
-        v, fail = run_ic_c(w, info.batch)
+        v, fail = run_ic_c(r_a(s), info.batch)
     if fail is not None:
         findings.append(fail)
         return findings
-    diff = _arch_mismatch(label(r(u)), label(v))
+    diff = _arch_mismatch(u, v)
     if (diff is None and spec is not None
             and not v.cache.keys() <= u.cache.keys()):
         diff = "cache contents differ"

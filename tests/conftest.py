@@ -26,7 +26,7 @@ def reference_walk(case: gen.Case, max_steps: int, spec) -> list:
     """The walk of `gen._walk` with the witness-skipping obligations,
     run to halt, max_steps or 8 findings and never stopped early, taking
     each non-retiring transition's stutter witness by a forward run of
-    its own, `stutter_wit(s)`."""
+    its own, `stutter_wit(s)`, and handing a policy a fresh run from u."""
     s = gen.initial_state(case)
     findings = []
     for step in range(max_steps):
@@ -34,7 +34,8 @@ def reference_walk(case: gen.Case, max_steps: int, spec) -> list:
             break
         u, info = ma.step_core(s)
         wit = 0 if info.retired else stutter_wit(s)
-        found = check_wsk_transition(s, u, info, wit, spec)
+        found = check_wsk_transition(s, u, info, wit, spec,
+                                     gen.Lookahead(u))
         findings += [replace(f, step=step) for f in found]
         if len(findings) >= 8:
             break

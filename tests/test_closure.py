@@ -39,10 +39,10 @@ def test_walk_returns_what_the_full_walk_returns(name, max_steps, spec,
     for case in cases(name):
         checked = 0
 
-        def counted(s, u, info, wit):
+        def counted(s, u, info, wit, run):
             nonlocal checked
             checked += 1
-            return per_step(s, u, info, wit)
+            return per_step(s, u, info, wit, run)
 
         found = gen._walk(case, counted, max_steps)
         assert found == reference_walk(case, max_steps, spec)

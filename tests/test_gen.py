@@ -107,11 +107,14 @@ def test_shrink_meltdown_case_stays_small():
 
 # Without the step bound on candidates, these shrinks walked 6,723
 # (spectre) and 89,489 (meltdown) steps and reached the same programs.
+# Checking, shrinking and re-checking the bundled case now steps 333 and
+# 3,688 times; walking the original case once more in the shrink would
+# add 23 and 1,172.
 BUNDLED_SHRINKS = [
-    ("spectre", "spectre", 1_000,
+    ("spectre", "spectre", 340,
      ".access 0 511\n.data 16 1\n.data 17 2\n.data 18 3\n.data 19 4\n"
      ".data 22 77\n.entry 0\njge r5 0\nldr r7 r2 r6\n"),
-    ("wsk", "meltdown", 8_000,
+    ("wsk", "meltdown", 3_750,
      ".access 0 511\n.data 4096 57\n.entry 0\nloadi r1 4096\ntsx-start 5\n"
      "ldri r3 r1 0\nnoop\nnoop\nin-cache r7 r1 r0\n"),
 ]
@@ -120,21 +123,32 @@ BUNDLED_SHRINKS = [
 @pytest.mark.parametrize("name, bundled, max_steps, shrunk", BUNDLED_SHRINKS,
                          ids=[b for _, b, _, _ in BUNDLED_SHRINKS])
 def test_shrink_walks_few_steps(monkeypatch, name, bundled, max_steps, shrunk):
+    steps = 0
+
+    # The walk steps through gen's binding; a policy that stepped a run
+    # of its own would step through refine's.
+    for module in (gen, refine):
+        def counting(s, step_core=module.step_core):
+            nonlocal steps
+            steps += 1
+            return step_core(s)
+
+        monkeypatch.setattr(module, "step_core", counting)
+    case = Case(asm.load_bundled(bundled))
+    report = run_property(name, GenConfig(trials=0), extra_cases=(case,))
+    assert steps <= max_steps
+    assert asm.render(report.failures[0].case.program) == shrunk
+
+
+@pytest.mark.parametrize("name, bundled", [b[:2] for b in BUNDLED_SHRINKS],
+                         ids=[b for _, b, _, _ in BUNDLED_SHRINKS])
+def test_shrink_from_the_first_finding_as_from_a_rewalk(name, bundled):
+    # The trial's first finding stands in for walking the case again.
     prop = PROPERTIES[name]
     case = Case(asm.load_bundled(bundled))
-    obligation = prop.check(case)[0].obligation
-    steps = 0
-    step_core = gen.step_core
-
-    def counting(s):
-        nonlocal steps
-        steps += 1
-        return step_core(s)
-
-    monkeypatch.setattr(gen, "step_core", counting)
-    small = shrink(prop, case, obligation)
-    assert steps <= max_steps
-    assert asm.render(small.program) == shrunk
+    first = prop.check(case)[0]
+    assert (shrink(prop, case, first.obligation, first)
+            == shrink(prop, case, first.obligation))
 
 
 @pytest.mark.parametrize("fail_at, accepted", [(13, True), (14, False)])
@@ -154,7 +168,7 @@ def test_shrink_bounds_walk_candidates(fail_at, accepted):
     def check(c, until=None):
         at = 3 if c == case else fail_at
 
-        def per_step(s, u, info, wit):
+        def per_step(s, u, info, wit, run):
             step = 2 * s.pc + 2 + (info.retired > 0)
             return [Finding("late", "functional", "")] if step == at else []
 
@@ -180,19 +194,22 @@ def test_shrink_accepts_candidates_of_non_walk_properties():
     assert shrink(prop, Case(prog), "always").program.instrs == ()
 
 
-@pytest.mark.parametrize("kind", ["halts", "max-steps", "until", "stall"])
+@pytest.mark.parametrize("kind", ["halts", "max-steps", "until", "stall",
+                                  "audit"])
 def test_walk_witness_is_stutter_wit(request, kind):
     # The witness the walk hands to per_step is stutter_wit(s), also on
     # the tail of a walk cut off by max_steps or by until's bound, whose
-    # look-ahead runs past the walk's last step.
+    # look-ahead runs past the walk's last step, and when the commit
+    # policy's audit has read the run further ahead than the witness.
     if kind == "stall":
         request.getfixturevalue("stall")
+    check = gen._spectre_step if kind == "audit" else gen._wsk_step
     wits = []
 
-    def per_step(s, u, info, wit):
+    def per_step(s, u, info, wit, run):
         assert wit == stutter_wit(s)
         wits.append(wit)
-        return gen._wsk_step(s, u, info, wit)
+        return check(s, u, info, wit, run)
 
     cfg = GenConfig(seed=38, include_in_cache=False)
     cases = [gen_walk_case(cfg, trial_rng("witness", i)) for i in range(30)]
@@ -206,6 +223,9 @@ def test_walk_witness_is_stutter_wit(request, kind):
         walks = [(c, 2500, ("wsk-run", 10)) for c in cases]
         meltdown = Case(asm.load_bundled("meltdown"))
         walks.append((meltdown, 2500, ("wsk-run", None)))
+    elif kind == "audit":
+        walks = [(c, 400, None) for c in cases]
+        walks.append((Case(asm.load_bundled("spectre")), 400, None))
     for case, max_steps, until in walks:
         found = gen._walk(case, per_step, max_steps, until)
     assert len(walks) >= 10 and len(wits) >= 200

@@ -1,6 +1,8 @@
 """The per-cycle records are immutable, and no step mutates its input.
 
-Setting a field of any record raises.  The records hold dicts (`cache`,
+Setting a field of any record raises.  The steps build their records
+with `tuple.__new__`, which checks no arity, so every record they build
+is checked to hold all its fields.  The records hold dicts (`cache`,
 `reg_st`, `dmem`, a history's `comm_cache` and `ch_eff`) that the type
 cannot freeze, so the steps are also checked to leave every part of
 their input state, as its text snapshot shows it, as they found it, and
@@ -109,3 +111,28 @@ def test_entangled_checks_leave_the_shared_run_unchanged(fresh_run):
         assert runs[0] == runs[1]
         assert gen._run(case.program, case.seed_cache)[1] is steps
         assert [ma_to_text(x) for x in [s, *(u for u, _ in steps)]] == before
+
+
+def test_step_records_hold_all_their_fields():
+    cfg = gen.GenConfig(seed=46)
+    cases = [gen.Case(asm.load_bundled(name)) for name in PROGRAMS] + [
+        gen.gen_walk_case(cfg, trial_rng("arity", i)) for i in range(40)]
+    seen = set()
+    for case in cases:
+        s = gen.initial_state(case)
+        for _ in range(MAX_STEPS):
+            if s.halt:
+                break
+            s, info = step_core(s)
+            for r in (s, s.tsx, info, *s.rob, *s.rs_f, *info.issued,
+                      *info.writebacks, *info.batch):
+                assert len(r) == len(type(r)._fields), r
+                seen.add(type(r))
+        u = asm.emit_isa(case.program)
+        for _ in range(MAX_STEPS):
+            if u.halt:
+                break
+            u = isa_det_step(u)
+            assert len(u) == len(IsaState._fields), u
+    assert seen == {MaState, TsxState, StepInfo, RobLine, ResStation,
+                    IssueRec, WbRec}

@@ -22,8 +22,11 @@ from teasim.refine import (
     stutter_wit,
 )
 from teasim.gen import (
+    PROPERTIES,
     Case,
     GenConfig,
+    Lookahead,
+    _spectre_step,
     _walk,
     case_pair,
     gen_entangled_case,
@@ -47,6 +50,11 @@ def walk(s):
         u, info = step_core(s)
         yield s, u, info
         s = u
+
+
+def audit(s, info, u, spec):
+    """The action audit of s -> u, its policy reading a run of its own."""
+    return check_cache_action(s, info, u, spec, Lookahead(u))
 
 
 class TestMaps:
@@ -176,14 +184,14 @@ class TestActions:
     def test_no_cache_change_empty_action(self):
         s = prog_state(Instr("add", 1, 0, 0), Instr("halt"))
         u, info = step_core(s)
-        assert AUTH_SPECS["writeback"](info, u) == ()
+        assert AUTH_SPECS["writeback"](info, u, ()) == ()
 
     def test_load_with_prefetch_shape(self):
         s = prog_state(Instr("ldri", 1, 0, imm=4), Instr("halt"), dmem={4: 9})
         seen = None
         while not s.halt:
             u, info = step_core(s)
-            acts = AUTH_SPECS["writeback"](info, u)
+            acts = AUTH_SPECS["writeback"](info, u, ())
             if acts:
                 seen = acts
             s = u
@@ -195,14 +203,14 @@ class TestActions:
         for i in range(20):
             s = initial_state(gen_entangled_case(cfg, trial_rng("wbpol", i)))
             for s, u, info in walk(s):
-                assert check_cache_action(s, info, u, spec) is None
+                assert audit(s, info, u, spec) is None
 
     def test_commit_policy_flags_transient_fills(self):
         s = asm.emit_ma(asm.load_bundled("spectre"))
         spec = AUTH_SPECS["commit"]
         flagged = []
         for s, u, info in walk(s):
-            cex = check_cache_action(s, info, u, spec)
+            cex = audit(s, info, u, spec)
             if cex:
                 flagged.append(cex.detail)
         assert len(flagged) == 2
@@ -213,7 +221,7 @@ class TestActions:
         s = prog_state(Instr("ldri", 1, 0, imm=4), Instr("halt"), dmem={4: 9})
         spec = AUTH_SPECS["commit"]
         for s, u, info in walk(s):
-            assert check_cache_action(s, info, u, spec) is None
+            assert audit(s, info, u, spec) is None
 
     def test_commit_policy_rejects_fill_squashed_as_it_writes_back(self):
         # At cycle 3 the mispredicted jge commits and squashes while the
@@ -223,7 +231,7 @@ class TestActions:
                                   "jge r1 4294967294\nldr r3 r0 r2\nhalt\n"))
         spec = AUTH_SPECS["commit"]
         flagged = {s.cyc: cex.detail for s, u, info in walk(s)
-                   if (cex := check_cache_action(s, info, u, spec))}
+                   if (cex := audit(s, info, u, spec))}
         assert flagged == {3: "unauthorized lines 0x0, 0x1"}
 
     def test_spectre_wsk_a_transitions(self):
@@ -231,7 +239,8 @@ class TestActions:
         spec = AUTH_SPECS["commit"]
         kinds = set()
         for s, u, info in walk(s):
-            for f in check_wsk_transition(s, u, info, stutter_wit(s), spec):
+            for f in check_wsk_transition(s, u, info, stutter_wit(s), spec,
+                                          Lookahead(u)):
                 kinds.add((f.obligation, f.kind))
         assert ("action-soundness", "tea-spectre") in kinds
         assert not any(k == "functional" for _, k in kinds)
@@ -244,9 +253,9 @@ class TestActions:
         spec = AUTH_SPECS["commit"]
         kernel_fills = 0
 
-        def per_step(s, u, info, wit):
+        def per_step(s, u, info, wit, run):
             nonlocal kernel_fills
-            found = check_wsk_transition(s, u, info, wit, spec)
+            found = check_wsk_transition(s, u, info, wit, spec, run)
             assert all(u.dmem.get(a, 0) == d for a, d in u.cache.items())
             if any(not s.ga.allows(a) for a in u.cache.keys() - s.cache.keys()):
                 kernel_fills += 1
@@ -260,6 +269,28 @@ class TestActions:
             _walk(case, per_step, 400)
         assert kernel_fills >= 50
 
+    def test_commit_policy_admits_from_the_walks_run_as_from_a_fresh_one(self):
+        # The walk hands the policy its own look-ahead, which the policy
+        # steps further on demand; a run stepped from u alone must give
+        # the same actions.
+        spec = AUTH_SPECS["commit"]
+        fills = admitted = 0
+
+        def per_step(s, u, info, wit, run):
+            nonlocal fills, admitted
+            acts = spec(info, u, run)
+            assert acts == spec(info, u, Lookahead(u))
+            fills += any(wb.inserted for wb in info.writebacks)
+            admitted += bool(acts)
+            return _spectre_step(s, u, info, wit, run)
+
+        cfg = PROPERTIES["spectre"].adjust(GenConfig(seed=17))
+        cases = [Case(asm.load_bundled("spectre"))] + [
+            gen_walk_case(cfg, trial_rng("fold", i)) for i in range(60)]
+        for case in cases:
+            _walk(case, per_step, 400)
+        assert fills >= 90 and admitted >= 60
+
     def test_missing_line_on_a_retiring_step(self):
         # The architectural run keeps the lines it started with; a
         # pipeline that lost one disagrees with it.
@@ -268,7 +299,8 @@ class TestActions:
                           if any(l.mop == "mldri" for l in info.batch))
         assert 4 in s.cache
         found = check_wsk_transition(s, u._replace(cache={}), info,
-                                     stutter_wit(s), AUTH_SPECS["writeback"])
+                                     stutter_wit(s), AUTH_SPECS["writeback"],
+                                     ())
         assert ("wsk-a-match", "functional") in {(f.obligation, f.kind)
                                                  for f in found}
         assert any("cache contents differ" in f.detail for f in found)
