@@ -23,7 +23,7 @@ from .gen import (Case, GenConfig, Lookahead, PROPERTIES, Report, report_json,
                   run_property)
 from .isa import isa_det_step, run_isa
 from .ma import MaParams, ma_step, run_ma, step_core
-from .variants import init_h, mah_step
+from .variants import init_h, next_h
 
 SUITES: dict[str, list[str]] = {
     "entangled": ["entangled"],
@@ -84,21 +84,16 @@ def cmd_run(args) -> int:
 
     s = asm.emit_ma(prog, params)
     h = init_h(s) if args.machine == "ma-h" else None
-    for step in range(args.max_steps):
+    for _ in range(args.max_steps):
         if s.halt:
             break
+        nxt, info = step_core(s)
+        if h is not None:
+            h = next_h(s, h, info, nxt)
         if args.trace:
-            if h is not None:
-                nxt, h, info = mah_step(s, h)
-            else:
-                nxt, info = step_core(s)
             delta = {a: v for a, v in nxt.cache.items() if s.cache.get(a) != v}
             print(snapshot.trace_record(s.cyc, info, delta))
-            s = nxt
-        elif h is not None:
-            s, h, _ = mah_step(s, h)
-        else:
-            s = ma_step(s)
+        s = nxt
     print(snapshot.ma_to_text(s), end="")
     if h is not None:
         print(snapshot.history_to_text(h), end="")
@@ -181,10 +176,7 @@ def _replay_bundle(path: str, as_json: bool) -> int:
     doc = {
         "schema": "teasim-replay/1",
         "property": prop_name,
-        "findings": [
-            {"obligation": f.obligation, "kind": f.kind, "detail": f.detail}
-            for f in findings
-        ],
+        "findings": [f.to_dict() for f in findings],
     }
     if as_json:
         print(json.dumps(doc, indent=2, sort_keys=True))
@@ -244,18 +236,20 @@ def cmd_demo(args) -> int:
     return 2
 
 
-def _bench_one(step, state, halted, reset, budget_s: float) -> float:
+def _bench_one(step, s0, seconds: float) -> float:
+    """Steps per second of step, run from s0 for about seconds, starting
+    over from s0 whenever the run halts."""
     n = 0
     t0 = time.perf_counter()
-    s = state
+    s = s0
     while True:
         for _ in range(512):
-            if halted(s):
-                s = reset()
+            if s.halt:
+                s = s0
             s = step(s)
         n += 512
         dt = time.perf_counter() - t0
-        if dt >= budget_s:
+        if dt >= seconds:
             return n / dt
 
 
@@ -263,10 +257,8 @@ def cmd_bench(args) -> int:
     prog = asm.load_bundled("primality")
     isa0 = asm.emit_isa(prog)
     ma0 = asm.emit_ma(prog)
-    isa_rate = _bench_one(isa_det_step, isa0, lambda s: s.halt,
-                          lambda: isa0, args.seconds)
-    ma_rate = _bench_one(ma_step, ma0, lambda s: s.halt, lambda: ma0,
-                         args.seconds)
+    isa_rate = _bench_one(isa_det_step, isa0, args.seconds)
+    ma_rate = _bench_one(ma_step, ma0, args.seconds)
     ratio = isa_rate / ma_rate if ma_rate else float("inf")
     print(f"architectural: {isa_rate:,.0f} steps/s")
     print(f"pipeline:      {ma_rate:,.0f} steps/s")

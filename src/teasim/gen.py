@@ -60,7 +60,7 @@ from .refine import (
     label,
     r_ic,
 )
-from .variants import History, init_h, mah_step, next_h
+from .variants import History, init_h, next_h
 from . import asm
 
 FULL_ACCESS = ((0, MASK32),)
@@ -239,19 +239,17 @@ def case_pair(case: Case) -> tuple[MaState, History]:
     """Deterministically rebuild the (state, history) pair of a case.
 
     The history is folded (`next_h`) over the transitions of the case's
-    run that `_run` holds; past the recorded end the history-carrying
-    machine steps on and records nothing, so a case that was never
-    probed costs what a plain run with history costs."""
+    run: those `_run` holds, then, past the recorded end, ones stepped
+    here and not recorded, so a case that was never probed costs what a
+    plain run with history costs."""
     s, steps = _run(case.program, case.seed_cache)
     h = init_h(s)
-    k = case.forward_steps
-    for u, info in steps[:k]:
-        h = next_h(s, h, info, u)
-        s = u
-    for _ in range(k - len(steps)):
+    for i in range(case.forward_steps):
         if s.halt:
             break
-        s, h, _ = mah_step(s, h)
+        u, info = steps[i] if i < len(steps) else step_core(s)
+        h = next_h(s, h, info, u)
+        s = u
     return s, h
 
 
@@ -310,25 +308,17 @@ def _squash_key(s: MaState) -> tuple:
 
 
 def _tail_key(s: MaState) -> tuple:
-    """s up to a shift: fetch_pc and rb_pc relative to pc, an executing
-    station's cpc relative to cyc, ROB, station and reg_st tags relative
-    to the ROB head's.  Idle stations are reduced to their id, and a
-    station's cpc is kept only while it executes: the machine overwrites
-    the other fields before reading them."""
-    base = s.rob[0].rob_id if s.rob else 0
-    space = s.params.rob_tag_space
-
-    def tag(t):
-        return None if t is None else (t - base) % space
-
-    rob = tuple((tag(l.rob_id),) + l[1:] for l in s.rob)
-    rs_f = tuple(
-        (rs.rs_id, rs.mop, tag(rs.qj), tag(rs.qk), rs.vj, rs.vk,
-         (rs.cpc - s.cyc) & MASK32 if rs.exec else None, tag(rs.dst),
-         (rs.rb_pc - s.pc) & MASK32) if rs.busy else rs.rs_id
-        for rs in s.rs_f)
-    reg_st = tuple(sorted((r, tag(t)) for r, t in s.reg_st.items()))
-    return (s.rf, s.tsx, len(s.cache), s.fetch_pc - s.pc, rob, rs_f, reg_st)
+    """A state past the program's end, up to a shift of addresses, ROB
+    tags and time.  Everything in flight there is a one-cycle mnoop with
+    no operands and no destination register, so reg_st is empty, an
+    executing station's cpc is cyc, its operands are 0 and ready, the
+    ROB's tags run on from the head's and a station's ROB line is fixed
+    by its rb_pc.  What is left: fetch_pc and rb_pc relative to pc, each
+    ROB line's rdy, and each busy station's id and exec."""
+    rob = tuple(l.rdy for l in s.rob)
+    rs_f = tuple((rs.rs_id, rs.exec, (rs.rb_pc - s.pc) & MASK32)
+                 for rs in s.rs_f if rs.busy)
+    return (s.rf, s.tsx, len(s.cache), s.fetch_pc - s.pc, rob, rs_f)
 
 
 class Lookahead:
@@ -586,11 +576,7 @@ class Report:
             "failures": [
                 {
                     "trial": f.trial,
-                    "findings": [
-                        {"obligation": x.obligation, "kind": x.kind,
-                         "detail": x.detail}
-                        for x in f.findings
-                    ],
+                    "findings": [x.to_dict() for x in f.findings],
                     **f.case.to_dict(),
                 }
                 for f in self.failures

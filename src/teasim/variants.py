@@ -78,7 +78,7 @@ def next_h(s: MaState, h: History, info: StepInfo, out: MaState) -> History:
     comm_cache = h.comm_cache
     ch_eff = h.ch_eff
     committed_loads = [l for l in info.batch if l.mop in MEMORY_OPS]
-    if committed_loads or info.batch:
+    if info.batch:
         ch_eff = dict(ch_eff)
         if committed_loads:
             comm_cache = dict(comm_cache)

@@ -89,7 +89,7 @@ class TestRun:
         def broken_step(s):
             raise RuntimeError("step failed")
 
-        monkeypatch.setattr("teasim.cli.ma_step", broken_step)
+        monkeypatch.setattr("teasim.cli.step_core", broken_step)
         path = write_prog(tmp_path, "halt\n")
         assert main(["run", path]) == 2
         captured = capsys.readouterr()

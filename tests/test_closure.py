@@ -169,6 +169,31 @@ def moved(s: ma.MaState, dpc: int, dtag: int, dcyc: int) -> ma.MaState:
     )
 
 
+@pytest.mark.parametrize("name", ["wsk", "wsk-safe", "spectre"])
+def test_tail_states_hold_only_mnoops(name):
+    # What _tail_key leaves out is fixed past the program's end: every
+    # line in flight is a one-cycle mnoop with no operands and no
+    # destination register, and the ROB's tags run on from the head's.
+    checked = 0
+    for top, states, _ in runs(name, 400):
+        for s in states:
+            if not top < s.pc <= s.fetch_pc:
+                continue
+            space = s.params.rob_tag_space
+            assert s.reg_st == {}
+            for k, line in enumerate(s.rob):
+                tag = (s.rob[0].rob_id + k) % space
+                assert line == (tag, "mnoop", None, line.rdy, 0, False)
+            for rs in s.rs_f:
+                if rs.busy:
+                    assert (rs.mop, rs.qj, rs.qk, rs.vj, rs.vk) == (
+                        "mnoop", None, None, 0, 0)
+                    assert rs.dst == s.rob[rs.rb_pc - s.pc].rob_id
+                    assert not rs.exec or rs.cpc == s.cyc
+            checked += 1
+    assert checked >= 400
+
+
 def test_tail_key_takes_out_the_shift():
     # A tail state moved by a shift has its key and, up to the shift,
     # its run: so the key repeats once the run does.

@@ -4,7 +4,8 @@ Every public top-level function or class in `src/teasim` must be named
 somewhere in `src/` or `scripts/` outside its own definition, every
 defaulted parameter of a function there must be set by some call in
 `src/` or `scripts/`, and every annotated field of a class there must be
-read as an attribute in `src/` or `scripts/`.
+read as an attribute in `src/` or `scripts/`.  A definition kept
+although only tests use it must be named by some test.
 """
 
 import ast
@@ -20,6 +21,10 @@ KEPT_FOR_TESTS = {
     # The paper's stutter witness, and the tests' reference for the
     # witness a walk reads off its own run.
     "stutter_wit",
+    # The deterministic step's definition: the resource choice that
+    # reproduces it (acceptance criterion 2, test_variants and
+    # test_records).
+    "maximal_choice",
 }
 
 
@@ -47,6 +52,13 @@ def test_every_public_definition_is_used_outside_tests():
                     and total[node.name] == mentions(node)[node.name]):
                 unused.add(node.name)
     assert unused == KEPT_FOR_TESTS
+
+
+def test_every_kept_definition_is_used_by_tests():
+    total = sum((mentions(ast.parse(f.read_text()))
+                 for f in sorted((ROOT / "tests").rglob("*.py"))
+                 if f.name != pathlib.Path(__file__).name), Counter())
+    assert {name for name in KEPT_FOR_TESTS if not total[name]} == set()
 
 
 # Parameter defaults kept although no call in src/ or scripts/ sets them.

@@ -396,7 +396,9 @@ def test_entangled_verdict_step_budget(monkeypatch, fresh_run, capsys):
     # Each transition of a sample's run is computed once: by the halt
     # probe, whose record case_pair reads, and one property draws and
     # checks entangled cases.  Running the case again cost 783 step_core
-    # calls on this verdict, and a second such property 564.
+    # calls on this verdict, and a second such property 564.  The check
+    # steps a sample's successor once, and only for an entangled sample:
+    # 298 calls; stepping it once more per trial costs 20.
     calls = 0
     step_core = ma.step_core
 
@@ -411,4 +413,4 @@ def test_entangled_verdict_step_budget(monkeypatch, fresh_run, capsys):
                 monkeypatch.setattr(mod, key, counting)
     argv = ["check", "--suite", "entangled", "--trials", "20", "--seed", "3"]
     assert cli.main(argv) == 0
-    assert 0 < calls <= 400
+    assert 0 < calls <= 300

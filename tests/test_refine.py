@@ -1,6 +1,6 @@
 """Refinement maps, witnesses, matched runs, and the action audit."""
 
-from teasim import asm
+from teasim import asm, refine, variants
 from teasim.isa import AccessMap, Instr, IsaState
 from teasim.ma import (
     RobLine,
@@ -32,6 +32,7 @@ from teasim.gen import (
     gen_entangled_case,
     gen_walk_case,
     initial_state,
+    run_property,
 )
 
 from conftest import trial_rng
@@ -312,25 +313,32 @@ class TestEntangledObligations:
             GenConfig(seed=13), trial_rng("oblig", i))) for i in range(40)]
         assert [f for s, h in samples for f in check_entangled_sample(s, h)] == []
 
-    def test_mutated_replay_detected(self, fresh_run):
+    def test_mutated_replay_detected(self, monkeypatch, fresh_run):
         # Replay that ignores the recorded station assignments must
-        # diverge for some state whose original issue skipped a station.
-        import teasim.variants as variants
-        orig = variants.derive_choice
+        # diverge for some state whose original issue skipped a station,
+        # and the entangled property reports it as entangled-sample.
+        derive_choice = variants.derive_choice
 
         def no_busy(s, h):
-            c = orig(s, h)
-            return c._replace(busy_rs=frozenset())
+            return derive_choice(s, h)._replace(busy_rs=frozenset())
 
-        found = False
-        try:
-            variants.derive_choice = no_busy
-            for i in range(120):
-                s, h = case_pair(gen_entangled_case(
-                    GenConfig(seed=14), trial_rng("mut", i)))
-                if not variants.is_entangled(s, h):
-                    found = True
-                    break
-        finally:
-            variants.derive_choice = orig
-        assert found
+        monkeypatch.setattr(variants, "derive_choice", no_busy)
+        report = run_property("entangled", GenConfig(seed=14, trials=60))
+        assert "entangled-sample" in {x.obligation for f in report.failures
+                                      for x in f.findings}
+
+    def test_successor_mutant_fails_entangled_closure(self, monkeypatch,
+                                                      fresh_run):
+        # The successor keeps its predecessor's history: the sample is
+        # still entangled, and its successor is not.
+        mah_step = refine.mah_step
+
+        def stale_history(s, h):
+            u, _, info = mah_step(s, h)
+            return u, h, info
+
+        monkeypatch.setattr(refine, "mah_step", stale_history)
+        report = run_property("entangled", GenConfig(seed=14, trials=60))
+        assert report.failures
+        assert {x.obligation for f in report.failures
+                for x in f.findings} == {"entangled-closure"}
