@@ -7,6 +7,11 @@ bits).  Directives: `.org addr` places the following instructions,
 accessible range, `.entry pc` sets the start address.  `;` starts a
 comment.  Instructions occupy consecutive addresses from the base; the
 instruction and data memories are disjoint address spaces.
+
+`emit_ma` copies each memory once (`Program.imem`, `Program.dmem`) and
+hands the copies to `ma.initial_ma_state`, which keeps them as they are
+and builds the state with `tuple.__new__`, on the default `MaParams`
+and a shared tuple of idle stations.
 """
 
 from __future__ import annotations

@@ -1,9 +1,8 @@
 """Command-line front end.
 
 Subcommands: `run` simulates a program on either machine, `check` runs
-the obligation suites, `demo` walks the two bundled attacks, `bench`
-measures step throughput, and `check --replay` re-verifies a
-counterexample bundle.
+the obligation suites, `demo` walks the two bundled attacks, and
+`check --replay` re-verifies a counterexample bundle.
 
 Exit codes: 0 success / all checks passed, 1 counterexamples found,
 2 usage or internal error, 3 step budget exhausted.
@@ -15,14 +14,13 @@ import argparse
 import json
 import os
 import sys
-import time
 from dataclasses import replace
 
 from . import asm, snapshot
 from .gen import (Case, GenConfig, Lookahead, PROPERTIES, Report, report_json,
                   run_property)
-from .isa import isa_det_step, run_isa
-from .ma import MaParams, ma_step, run_ma, step_core
+from .isa import run_isa
+from .ma import MaParams, run_ma, step_core
 from .variants import init_h, next_h
 
 SUITES: dict[str, list[str]] = {
@@ -236,36 +234,6 @@ def cmd_demo(args) -> int:
     return 2
 
 
-def _bench_one(step, s0, seconds: float) -> float:
-    """Steps per second of step, run from s0 for about seconds, starting
-    over from s0 whenever the run halts."""
-    n = 0
-    t0 = time.perf_counter()
-    s = s0
-    while True:
-        for _ in range(512):
-            if s.halt:
-                s = s0
-            s = step(s)
-        n += 512
-        dt = time.perf_counter() - t0
-        if dt >= seconds:
-            return n / dt
-
-
-def cmd_bench(args) -> int:
-    prog = asm.load_bundled("primality")
-    isa0 = asm.emit_isa(prog)
-    ma0 = asm.emit_ma(prog)
-    isa_rate = _bench_one(isa_det_step, isa0, args.seconds)
-    ma_rate = _bench_one(ma_step, ma0, args.seconds)
-    ratio = isa_rate / ma_rate if ma_rate else float("inf")
-    print(f"architectural: {isa_rate:,.0f} steps/s")
-    print(f"pipeline:      {ma_rate:,.0f} steps/s")
-    print(f"ratio:         {ratio:.1f}x")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="teasim")
     sub = parser.add_subparsers(dest="cmd", required=True)
@@ -294,10 +262,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("attack", choices=["meltdown", "spectre"])
     p.add_argument("--max-steps", type=int, default=100_000)
     p.set_defaults(fn=cmd_demo)
-
-    p = sub.add_parser("bench", help="step throughput on the primality program")
-    p.add_argument("--seconds", type=float, default=1.0)
-    p.set_defaults(fn=cmd_bench)
 
     args = parser.parse_args(argv)
     try:

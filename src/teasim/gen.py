@@ -43,9 +43,11 @@ from __future__ import annotations
 import json
 import random
 import zlib
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable
 
 from .asm import Program, render
@@ -150,15 +152,18 @@ def _gen_const(cfg: GenConfig, rng: random.Random) -> int:
     return rng.randrange(0, 32)
 
 
+@lru_cache(maxsize=None)
+def _op_table(include_in_cache: bool) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """The operations a program may draw, and their cumulative weights."""
+    ops = tuple(op for op, _ in OP_WEIGHTS
+                if include_in_cache or op != "in-cache")
+    ends = tuple(accumulate(w for op, w in OP_WEIGHTS if op in ops))
+    return ops, ends
+
+
 def _gen_instr(cfg: GenConfig, rng: random.Random, length: int) -> Instr:
-    ops = [(op, w) for op, w in OP_WEIGHTS
-           if cfg.include_in_cache or op != "in-cache"]
-    total = sum(w for _, w in ops)
-    pick = rng.randrange(total)
-    for op, w in ops:
-        pick -= w
-        if pick < 0:
-            break
+    ops, ends = _op_table(cfg.include_in_cache)
+    op = ops[bisect_right(ends, rng.randrange(ends[-1]))]
     r = lambda: rng.randrange(REG_POOL)
     if op == "loadi":
         return Instr("loadi", rd=r(), imm=_gen_const(cfg, rng))
@@ -281,7 +286,7 @@ def gen_entangled_case(cfg: GenConfig, rng: random.Random) -> Case:
         k = rng.randint(1, live)
     else:
         k = rng.randint(0, cfg.max_forward_steps)
-    return replace(case, forward_steps=k)
+    return Case(case.program, k, case.seed_cache)
 
 
 # --- property checkers over cases ---
@@ -593,16 +598,21 @@ def _smaller(case: Case):
     drop one instruction, then rewind the forward steps, then halve one
     immediate."""
     prog = case.program
-    instrs = prog.instrs
+    instrs, steps, cache = prog.instrs, case.forward_steps, case.seed_cache
+
+    def with_instrs(new: tuple[Instr, ...]) -> Case:
+        return Case(Program(prog.base, new, prog.data, prog.access,
+                            prog.entry), steps, cache)
+
     for i in range(len(instrs)):
-        yield replace(case, program=replace(prog, instrs=instrs[:i] + instrs[i + 1:]))
-    if case.forward_steps > 0:
-        for k in (0, case.forward_steps // 2, case.forward_steps - 1):
-            yield replace(case, forward_steps=k)
+        yield with_instrs(instrs[:i] + instrs[i + 1:])
+    if steps > 0:
+        for k in (0, steps // 2, steps - 1):
+            yield Case(prog, k, cache)
     for i, ins in enumerate(instrs):
         if ins.imm and ins.imm < 0x1000:
-            halved = instrs[:i] + (ins._replace(imm=ins.imm // 2),) + instrs[i + 1:]
-            yield replace(case, program=replace(prog, instrs=halved))
+            yield with_instrs(instrs[:i] + (ins._replace(imm=ins.imm // 2),)
+                              + instrs[i + 1:])
 
 
 def shrink(prop: Property, case: Case, obligation: str,

@@ -15,12 +15,15 @@ replayed cycle-for-cycle from an invalidated state (see `variants`).
 The per-cycle records are immutable NamedTuples: a frozen dataclass
 sets each field through `object.__setattr__`, which made an 11-field
 `ResStation` about 4x dearer to build (2.0-3.4 us against 0.44-0.79 us,
-Python 3.11.7, 2 vCPUs).  `step_core` builds them with `tuple.__new__`,
-which skips the generated constructor's argument handling (about
-0.35 us against 0.85 us per `ResStation`, same host) and also its arity
-check, so every record it builds lists all its fields in order
-(tests/test_records.py checks their lengths).  `step_core` decodes its
-fetch group once.
+Python 3.11.7, 2 vCPUs).  `step_core` and `initial_ma_state` build them
+with `tuple.__new__`, which skips the generated constructor's argument
+handling (about 0.35 us against 0.85 us per `ResStation`, same host)
+and also its arity check, so every record they build lists all its
+fields in order (tests/test_records.py checks their lengths).  Each
+fetched instruction is decoded once per cycle (`decode_one`, cached per
+instruction), and the stations it takes are read off its first
+micro-instruction.  An initial state shares the default `MaParams` and
+one tuple of idle stations per station count.
 
 Scheduling within a cycle, in order:
   1. the commit batch is read off the pre-state reorder buffer
@@ -41,6 +44,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .isa import (
+    MASK32,
+    NOOP,
     REG_COUNT,
     AccessMap,
     ChoiceError,
@@ -49,10 +54,14 @@ from .isa import (
     TsxState,
     compare,
     dmem_read,
-    fetch_instr,
     w32,
     zero_rf,
 )
+
+# A record built from the tuple of all its fields, in order.
+_new = tuple.__new__
+# The empty set of stations removed from issue.
+_NONE: frozenset[int] = frozenset()
 
 # Micro-instructions that take no reservation station: their ROB line is
 # ready at issue and carries the instruction's immediate as its value.
@@ -85,7 +94,8 @@ def decode_one(i: Instr) -> tuple[MicroInstr, ...]:
     Loads split into an access check plus the load proper; everything
     else maps to a single micro-instruction.  `cmp` places its first
     source in the K slot so the comparison result has the architectural
-    operand order.
+    operand order.  A sequence takes a reservation station per
+    micro-instruction, or none at all (NO_STATION).
     """
     op = i.op
     if op == "ldri":
@@ -145,8 +155,18 @@ class ResStation(NamedTuple):
     rb_pc: int
 
 
-def idle_station(rs_id: int) -> ResStation:
-    return ResStation(rs_id, None, None, None, 0, 0, 0, False, False, 0, 0)
+@lru_cache(maxsize=None)
+def _idle_stations(count: int) -> tuple[ResStation, ...]:
+    """count idle stations, built once per count."""
+    return tuple(ResStation(i, None, None, None, 0, 0, 0, False, False, 0, 0)
+                 for i in range(count))
+
+
+@lru_cache(maxsize=None)
+def id_set(n: int) -> frozenset[int]:
+    """The ids 0..n-1, built once per n: every ROB tag of a tag space,
+    or every station of a machine."""
+    return frozenset(range(n))
 
 
 # Execution latency in cycles of the micro-instructions that take more
@@ -221,6 +241,9 @@ class MaParams:
         return tuple(p for p in cand if ga.allows(p))
 
 
+_DEFAULT_PARAMS = MaParams()
+
+
 class MaState(NamedTuple):
     pc: int
     rf: tuple[int, ...]
@@ -245,14 +268,15 @@ def initial_ma_state(
     pc: int = 0,
     params: MaParams | None = None,
 ) -> MaState:
-    params = params or MaParams()
+    """The machine at pc with an empty pipeline and cache.  It holds imem
+    and dmem as given, not copies: no step writes them, and the caller
+    must not either."""
+    params = params or _DEFAULT_PARAMS
     rf = zero_rf(params.reg_count)
-    return MaState(
-        pc=pc, rf=rf, tsx=TsxState(False, rf, 0), halt=False,
-        imem=dict(imem), dmem=dict(dmem), ga=ga, cache={},
-        rob=(), rs_f=tuple(idle_station(i) for i in range(params.rs_count)),
-        reg_st={}, cyc=0, fetch_pc=pc, params=params,
-    )
+    return _new(MaState, (
+        pc, rf, _new(TsxState, (False, rf, 0)), False, imem, dmem, ga, {},
+        (), _idle_stations(params.rs_count), {}, 0, pc, params,
+    ))
 
 
 class Choice(NamedTuple):
@@ -275,9 +299,9 @@ def maximal_choice(s: MaState) -> Choice:
     p = s.params
     return Choice(
         n=max_fetch_n(s),
-        allow_commit=frozenset(range(p.rob_tag_space)),
-        allow_start=frozenset(range(p.rs_count)),
-        busy_rs=frozenset(),
+        allow_commit=id_set(p.rob_tag_space),
+        allow_start=id_set(p.rs_count),
+        busy_rs=_NONE,
     )
 
 
@@ -310,31 +334,32 @@ class StepInfo(NamedTuple):
     retired: int
 
 
-def free_rob(rob: tuple[RobLine, ...], params: MaParams) -> int:
-    return params.max_rob - len(rob)
-
-
 def _fetch_group(s: MaState) -> tuple[int, list[MicroInstr], list[int]]:
     """The longest issuable prefix of the fetch group, as (n, its
     micro-instructions, each one's parent pc): the idle stations and free
     ROB lines cover it.  A longer prefix needs no fewer resources, so the
-    scan stops at the first instruction that does not fit."""
-    idle = sum(1 for rs in s.rs_f if not rs.busy)
-    free = free_rob(s.rob, s.params)
+    scan stops at the first instruction that does not fit.  Each fetched
+    instruction is decoded once."""
+    params = s.params
+    idle = 0
+    for rs in s.rs_f:
+        if not rs.busy:
+            idle += 1
+    free = params.max_rob - len(s.rob)
+    imem, fetch_pc = s.imem, s.fetch_pc
     uops: list[MicroInstr] = []
     ipcs: list[int] = []
     needed = 0
-    for n in range(s.params.fetch_num):
-        ipc = w32(s.fetch_pc + n)
-        group = decode_one(fetch_instr(s.imem, ipc))
-        for u in group:
-            if u.mop not in NO_STATION:
-                needed += 1
+    for n in range(params.fetch_num):
+        ipc = (fetch_pc + n) & MASK32
+        group = decode_one(imem.get(ipc, NOOP))
+        if group[0].mop not in NO_STATION:
+            needed += len(group)
         if needed > idle or len(uops) + len(group) > free:
             return n, uops, ipcs
         uops += group
         ipcs += [ipc] * len(group)
-    return s.params.fetch_num, uops, ipcs
+    return params.fetch_num, uops, ipcs
 
 
 def max_fetch_n(s: MaState) -> int:
@@ -347,7 +372,7 @@ def rob_ids(
     count: int, rob: tuple[RobLine, ...], params: MaParams
 ) -> tuple[int, ...]:
     """Consecutive fresh tags continuing past the newest ROB line."""
-    if count > free_rob(rob, params):
+    if count > params.max_rob - len(rob):
         raise ChoiceError("not enough reorder buffer space")
     space = params.rob_tag_space
     start = (rob[-1].rob_id + 1) % space if rob else 0
@@ -400,10 +425,12 @@ def comp_exc(rs: ResStation, s: MaState) -> bool:
 
 def to_commit(rob: tuple[RobLine, ...], allow_commit) -> tuple[RobLine, ...]:
     """Ready prefix that commits this cycle, cut at (and including) the
-    first exception, jump, or halt line."""
+    first exception, jump, or halt line; allow_commit holds the tags that
+    may commit, None all of them."""
     batch: list[RobLine] = []
     for line in rob:
-        if not line.rdy or line.rob_id not in allow_commit:
+        if not line.rdy or (allow_commit is not None
+                            and line.rob_id not in allow_commit):
             break
         batch.append(line)
         if line.excep or line.mop in INVALIDATING_MOPS:
@@ -425,17 +452,6 @@ def retired_lines(batch: tuple[RobLine, ...]) -> list[RobLine]:
     instruction by itself.
     """
     return [l for l in batch if l.excep or l.mop not in CHECK_MOPS]
-
-
-class _All:
-    def __contains__(self, x) -> bool:
-        return True
-
-
-_ALL = _All()
-
-# A record built from the tuple of all its fields, in order.
-_new = tuple.__new__
 
 
 def _setup_slot(
@@ -462,6 +478,10 @@ def _setup_slot(
     return None, s.rf[v]
 
 
+# What a halted state's step did: nothing.
+_HALTED = _new(StepInfo, (0, (), (), (), (), False, 0))
+
+
 def step_core(s: MaState, choice: Choice | None = None) -> tuple[MaState, StepInfo]:
     """One cycle of the machine; choice None means the maximal choice.
 
@@ -469,15 +489,16 @@ def step_core(s: MaState, choice: Choice | None = None) -> tuple[MaState, StepIn
     station shortage induced by busy_rs.
     """
     if s.halt:
-        return s, _new(StepInfo, (0, (), (), (), (), False, 0))
+        return s, _HALTED
 
     params = s.params
     cyc = s.cyc
+    rob0 = s.rob
     # Decode this cycle's fetch group, once.
     n, uops, ipcs = _fetch_group(s)
     if choice is None:
-        allow_commit = allow_start = _ALL
-        busy_rs: frozenset[int] = frozenset()
+        allow_commit = allow_start = None  # all of them
+        busy_rs: frozenset[int] = _NONE
         tag_override = None
     else:
         if choice.n > n:
@@ -485,7 +506,7 @@ def step_core(s: MaState, choice: Choice | None = None) -> tuple[MaState, StepIn
         if choice.n < n:
             # Cut the group before the first micro-instruction of
             # instruction choice.n.
-            k = ipcs.index(w32(s.fetch_pc + choice.n))
+            k = ipcs.index((s.fetch_pc + choice.n) & MASK32)
             n, uops, ipcs = choice.n, uops[:k], ipcs[:k]
         allow_commit, allow_start = choice.allow_commit, choice.allow_start
         busy_rs = choice.busy_rs
@@ -495,12 +516,14 @@ def step_core(s: MaState, choice: Choice | None = None) -> tuple[MaState, StepIn
         if len(tag_override) != len(uops):
             raise ChoiceError("tag override length mismatch")
         tags = tag_override
+    elif uops:
+        tags = rob_ids(len(uops), rob0, params)
     else:
-        tags = rob_ids(len(uops), s.rob, params)
+        tags = ()
 
     # Commit batch from the pre-state buffer: writebacks from this cycle
     # become commit-visible next cycle.
-    batch = to_commit(s.rob, allow_commit)
+    batch = to_commit(rob0, allow_commit)
     invalidated = batch_invalidates(batch)
 
     stations = list(s.rs_f)
@@ -510,19 +533,20 @@ def step_core(s: MaState, choice: Choice | None = None) -> tuple[MaState, StepIn
     # allowed by the choice.
     started: list[int] = []
     for i, rs in enumerate(stations):
-        if not (rs.busy and not rs.exec and rs.qj is None and rs.qk is None):
+        if (not rs.busy or rs.exec or rs.qj is not None or rs.qk is not None
+                or allow_start is not None and rs.rs_id not in allow_start):
             continue
-        if rs.rs_id not in allow_start:
-            continue
-        if rs.mop in BARRIER_OPS:
-            if any(l.mop in MEMORY_OPS for l in rob_before(rs.dst, s.rob)):
+        mop = rs.mop
+        if mop in BARRIER_OPS:
+            if any(l.mop in MEMORY_OPS for l in rob_before(rs.dst, rob0)):
                 continue
-        elif rs.mop in MEMORY_OPS:
-            if any(l.mop in BARRIER_OPS for l in rob_before(rs.dst, s.rob)):
+        elif mop in MEMORY_OPS:
+            if any(l.mop in BARRIER_OPS for l in rob_before(rs.dst, rob0)):
                 continue
         stations[i] = _new(ResStation, (
-            rs.rs_id, rs.mop, rs.qj, rs.qk, rs.vj, rs.vk,
-            w32(cyc + MOP_TIMES.get(rs.mop, 1)), True, True, rs.dst, rs.rb_pc,
+            rs.rs_id, mop, None, None, rs.vj, rs.vk,
+            (cyc + MOP_TIMES.get(mop, 1)) & MASK32, True, True, rs.dst,
+            rs.rb_pc,
         ))
         started.append(rs.rs_id)
 
@@ -531,47 +555,51 @@ def step_core(s: MaState, choice: Choice | None = None) -> tuple[MaState, StepIn
     reg_st = dict(s.reg_st)
     issued: list[IssueRec] = []
     for u, tag, ipc in zip(uops, tags, ipcs):
-        if u.mop in NO_STATION:
+        mop = u.mop
+        if mop in NO_STATION:
             issued.append(_new(IssueRec, (u, tag, None, ipc)))
             continue
-        pick = None
-        for i, rs in enumerate(stations):
+        for pick, rs in enumerate(stations):
             if not rs.busy and rs.rs_id not in busy_rs:
-                pick = i
                 break
-        if pick is None:
+        else:
             raise ChoiceError("no reservation station available for issue")
-        rs = stations[pick]
         qj, vj = _setup_slot(u.j, rs.vj, reg_st, s)
         qk, vk = _setup_slot(u.k, rs.vk, reg_st, s)
         stations[pick] = _new(ResStation, (
-            rs.rs_id, u.mop, qj, qk, vj, vk, rs.cpc, True, False, tag, ipc,
+            rs.rs_id, mop, qj, qk, vj, vk, rs.cpc, True, False, tag, ipc,
         ))
         issued.append(_new(IssueRec, (u, tag, rs.rs_id, ipc)))
         if u.rd is not None:
             reg_st[u.rd] = tag
 
     # Writeback: finishing stations free up, forward their result, and
-    # loads deposit their line and the prefetch set into the cache.
+    # loads deposit their line and the prefetch set into the cache, which
+    # is copied at the first fill.
+    cache = s.cache
     writebacks: list[WbRec] = []
     for i in range(len(stations)):
         rs = stations[i]
-        if not (rs.busy and rs.exec and rs.cpc == cyc):
+        if not rs.exec or rs.cpc != cyc or not rs.busy:
             continue
         val = comp_val(rs, s)
         exc = comp_exc(rs, s)
-        inserted: tuple[tuple[int, int], ...] = ()
-        if rs.mop in MEMORY_OPS:
-            ea = w32(rs.vj + rs.vk)
-            lines = [(ea, dmem_read(s.dmem, ea))]
-            lines += [(p, dmem_read(s.dmem, p))
-                      for p in params.prefetch_addrs(s.ga, ea)]
-            inserted = tuple(lines)
-        stations[i] = _new(ResStation, (
-            rs.rs_id, rs.mop, rs.qj, rs.qk, rs.vj, rs.vk, rs.cpc,
-            False, False, rs.dst, rs.rb_pc,
-        ))
+        mop = rs.mop
+        if mop in MEMORY_OPS:
+            dmem = s.dmem
+            ea = (rs.vj + rs.vk) & MASK32
+            inserted = ((ea, dmem.get(ea, 0)),) + tuple(
+                (p, dmem.get(p, 0)) for p in params.prefetch_addrs(s.ga, ea))
+            if cache is s.cache:
+                cache = dict(cache)
+            cache.update(inserted)
+        else:
+            inserted = ()
         dst = rs.dst
+        stations[i] = _new(ResStation, (
+            rs.rs_id, mop, rs.qj, rs.qk, rs.vj, rs.vk, rs.cpc,
+            False, False, dst, rs.rb_pc,
+        ))
         for j, other in enumerate(stations):
             if other.qj == dst or other.qk == dst:
                 stations[j] = _new(ResStation, (
@@ -582,7 +610,7 @@ def step_core(s: MaState, choice: Choice | None = None) -> tuple[MaState, StepIn
                     val if other.qk == dst else other.vk,
                     other.cpc, other.busy, other.exec, other.dst, other.rb_pc,
                 ))
-        writebacks.append(_new(WbRec, (rs.rs_id, dst, rs.mop, val, exc,
+        writebacks.append(_new(WbRec, (rs.rs_id, dst, mop, val, exc,
                                        inserted)))
 
     # Reorder buffer update: drop the committed prefix, apply writebacks,
@@ -590,7 +618,7 @@ def step_core(s: MaState, choice: Choice | None = None) -> tuple[MaState, StepIn
     if invalidated:
         rob: tuple[RobLine, ...] = ()
     else:
-        kept = list(s.rob[len(batch):])
+        kept = list(rob0[len(batch):])
         if writebacks:
             by_dst = {wb.dst: wb for wb in writebacks}
             for i, line in enumerate(kept):
@@ -605,64 +633,58 @@ def step_core(s: MaState, choice: Choice | None = None) -> tuple[MaState, StepIn
         rob = tuple(kept)
         assert len(rob) <= params.max_rob
 
-    # Commit effects, in program order over the batch.
+    # Commit effects, in program order over the batch, counting the
+    # instructions retired (see retired_lines).
     pc, rf, tsx, halt = s.pc, s.rf, s.tsx, s.halt
+    retired = len(batch)
     for line in batch:
+        mop = line.mop
         if line.excep:
             if tsx.active:
                 pc, rf = tsx.fb, tsx.rf
-                tsx = TsxState(False, tsx.rf, tsx.fb)
+                tsx = _new(TsxState, (False, tsx.rf, tsx.fb))
             else:
                 halt = True
-        elif line.mop in ("mjg", "mjge"):
+        elif mop in CHECK_MOPS:
+            retired -= 1  # pc advances when the paired load commits
+        elif mop == "mjg" or mop == "mjge":
             pc = line.val
-        elif line.mop == "mhalt":
-            pc = w32(pc + 1)
+        elif mop == "mhalt":
+            pc = (pc + 1) & MASK32
             halt = True
-        elif line.mop == "mtsx-start":
-            tsx = TsxState(True, rf, line.val)
-            pc = w32(pc + 1)
-        elif line.mop == "mtsx-end":
-            tsx = TsxState(False, tsx.rf, tsx.fb)
-            pc = w32(pc + 1)
-        elif line.mop in CHECK_MOPS:
-            pass  # pc advances when the paired load commits
+        elif mop == "mtsx-start":
+            tsx = _new(TsxState, (True, rf, line.val))
+            pc = (pc + 1) & MASK32
+        elif mop == "mtsx-end":
+            tsx = _new(TsxState, (False, tsx.rf, tsx.fb))
+            pc = (pc + 1) & MASK32
         else:
             if line.rdst is not None:
                 rf = rf[:line.rdst] + (line.val,) + rf[line.rdst + 1:]
-            pc = w32(pc + 1)
+            pc = (pc + 1) & MASK32
 
-    # Register status: release committed writers.
     if invalidated:
+        # The pipeline empties: reg_st, and every station not yet idle.
         reg_st = {}
-    else:
-        for line in batch:
-            if line.rdst is not None and reg_st.get(line.rdst) == line.rob_id:
-                del reg_st[line.rdst]
-
-    if invalidated:
         stations = [_new(ResStation, (rs.rs_id, rs.mop, rs.qj, rs.qk, rs.vj,
                                       rs.vk, rs.cpc, False, False, rs.dst,
-                                      rs.rb_pc))
+                                      rs.rb_pc)) if rs.busy or rs.exec else rs
                     for rs in stations]
         fetch_pc = pc
     else:
-        fetch_pc = w32(s.fetch_pc + n)
-
-    cache = s.cache
-    if any(wb.inserted for wb in writebacks):
-        cache = dict(s.cache)
-        for wb in writebacks:
-            for a, v in wb.inserted:
-                cache[a] = v
+        # Register status: release committed writers.
+        for line in batch:
+            if line.rdst is not None and reg_st.get(line.rdst) == line.rob_id:
+                del reg_st[line.rdst]
+        fetch_pc = (s.fetch_pc + n) & MASK32
 
     out = _new(MaState, (
         pc, rf, tsx, halt, s.imem, s.dmem, s.ga, cache, rob, tuple(stations),
-        reg_st, w32(cyc + 1), fetch_pc, params,
+        reg_st, (cyc + 1) & MASK32, fetch_pc, params,
     ))
     info = _new(StepInfo, (
         n, tuple(issued), tuple(started), tuple(writebacks), batch,
-        invalidated, len(retired_lines(batch)),
+        invalidated, retired,
     ))
     return out, info
 

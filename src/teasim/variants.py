@@ -16,23 +16,32 @@ already recorded by `step_core` gets its history without stepping again
 (`gen.case_pair`).
 
 `StatusLine` and `History` are immutable NamedTuples, about 4x cheaper
-to build than frozen dataclasses (measured in `ma`).
+to build than frozen dataclasses (measured in `ma`).  `next_h`, `invl`
+and `derive_choice` build their records (`History`, `StatusLine`,
+`MaState`, `ResStation`, `Choice`) with `tuple.__new__`, as
+`ma.step_core` does, and `derive_choice` takes its all-tags and
+all-stations sets from `ma.id_set`, built once per size.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .isa import ChoiceError, w32
+from .isa import MASK32, ChoiceError, w32
 from .ma import (
     CHECK_MOPS,
     MEMORY_OPS,
     Choice,
     MaState,
+    ResStation,
     StepInfo,
+    id_set,
     man_step,
     step_core,
 )
+
+# A record built from the tuple of all its fields, in order.
+_new = tuple.__new__
 
 # Status forms: ("fetch", pc, rs_id|None) | ("exec",) | ("wr-b", cache)
 # | ("delay",) | ("post-comm",)
@@ -59,11 +68,6 @@ def init_h(s: MaState) -> History:
     return History(s.cyc, s.cyc, dict(s.cache), {}, ())
 
 
-def _prev_tag(tag: int, s: MaState) -> int:
-    space = s.params.rob_tag_space
-    return (tag - 1) % space
-
-
 def next_h(s: MaState, h: History, info: StepInfo, out: MaState) -> History:
     """The history after the transition s -> out of the plain machine,
     `out, info = step_core(s)` from a state s that has not halted."""
@@ -73,24 +77,27 @@ def next_h(s: MaState, h: History, info: StepInfo, out: MaState) -> History:
 
     if info.invalidated:
         # Squashed work leaves only its cache footprint behind.
-        return History(comm_cy, w32(cyc + 1), dict(out.cache), {}, ())
+        return _new(History, (comm_cy, (cyc + 1) & MASK32, dict(out.cache),
+                              {}, ()))
 
+    # Committed loads move their pending lines into the committed cache;
+    # written-back loads leave theirs pending.  Each dict is copied before
+    # its first change.
     comm_cache = h.comm_cache
     ch_eff = h.ch_eff
-    committed_loads = [l for l in info.batch if l.mop in MEMORY_OPS]
-    if info.batch:
+    batch = info.batch
+    if batch:
         ch_eff = dict(ch_eff)
-        if committed_loads:
-            comm_cache = dict(comm_cache)
-            for line in committed_loads:
-                comm_cache.update(ch_eff.get(line.rob_id, {}))
-        for line in info.batch:
-            ch_eff.pop(line.rob_id, None)
-    wb_loads = [wb for wb in info.writebacks if wb.mop in MEMORY_OPS]
-    if wb_loads:
-        if ch_eff is h.ch_eff:
-            ch_eff = dict(ch_eff)
-        for wb in wb_loads:
+        for line in batch:
+            eff = ch_eff.pop(line.rob_id, None)
+            if eff and line.mop in MEMORY_OPS:
+                if comm_cache is h.comm_cache:
+                    comm_cache = dict(comm_cache)
+                comm_cache.update(eff)
+    for wb in info.writebacks:
+        if wb.mop in MEMORY_OPS:
+            if ch_eff is h.ch_eff:
+                ch_eff = dict(ch_eff)
             ch_eff[wb.dst] = dict(wb.inserted)
 
     # Status-line removals for this cycle's commits.  A load removes its
@@ -98,7 +105,7 @@ def next_h(s: MaState, h: History, info: StepInfo, out: MaState) -> History:
     # is retained (post-comm) until the load goes.
     removed: set[int] = set()
     retained: set[int] = set()
-    batch = info.batch
+    space = s.params.rob_tag_space
     for idx, line in enumerate(batch):
         if line.mop in CHECK_MOPS:
             nxt = batch[idx + 1] if idx + 1 < len(batch) else None
@@ -106,7 +113,7 @@ def next_h(s: MaState, h: History, info: StepInfo, out: MaState) -> History:
                 retained.add(line.rob_id)
         elif line.mop in MEMORY_OPS:
             removed.add(line.rob_id)
-            removed.add(_prev_tag(line.rob_id, s))
+            removed.add((line.rob_id - 1) % space)
         else:
             removed.add(line.rob_id)
 
@@ -131,18 +138,19 @@ def next_h(s: MaState, h: History, info: StepInfo, out: MaState) -> History:
                 st = ("exec",)
             else:
                 st = ("delay",)
-        new_lines.append(StatusLine(sl.rob_id, sl.pc, sl.statuses + (st,)))
+        new_lines.append(_new(StatusLine, (sl.rob_id, sl.pc,
+                                           sl.statuses + (st,))))
     for rec in info.issued:
-        new_lines.append(
-            StatusLine(rec.tag, rec.ipc, (("fetch", rec.ipc, rec.rs_id),))
-        )
+        new_lines.append(_new(StatusLine, (
+            rec.tag, rec.ipc, (("fetch", rec.ipc, rec.rs_id),))))
 
     if new_lines:
         # One status per live cycle: the oldest line anchors the window.
-        start_cy = w32(cyc + 1 - len(new_lines[0].statuses))
+        start_cy = (cyc + 1 - len(new_lines[0].statuses)) & MASK32
     else:
         start_cy = 0
-    return History(comm_cy, start_cy, comm_cache, ch_eff, tuple(new_lines))
+    return _new(History, (comm_cy, start_cy, comm_cache, ch_eff,
+                          tuple(new_lines)))
 
 
 def mah_step(s: MaState, h: History) -> tuple[MaState, History, StepInfo]:
@@ -156,7 +164,11 @@ def mah_step(s: MaState, h: History) -> tuple[MaState, History, StepInfo]:
 
 
 def reset_rs_f(rs_f):
-    return tuple(rs._replace(busy=False, exec=False) for rs in rs_f)
+    """The stations with every one idle; an idle one is kept as it is."""
+    return tuple(_new(ResStation, (rs.rs_id, rs.mop, rs.qj, rs.qk, rs.vj,
+                                   rs.vk, rs.cpc, False, False, rs.dst,
+                                   rs.rb_pc)) if rs.busy or rs.exec else rs
+                 for rs in rs_f)
 
 
 def comp_start_cyc(s: MaState, h: History) -> int:
@@ -167,13 +179,10 @@ def invl(s: MaState, h: History) -> MaState:
     """Rewind to the last commit point: empty pipeline, committed cache,
     fetch redirected to the architectural pc, cycle counter rolled back
     to the oldest in-flight issue."""
-    return MaState(
-        pc=s.pc, rf=s.rf, tsx=s.tsx, halt=s.halt,
-        imem=s.imem, dmem=s.dmem, ga=s.ga,
-        cache=dict(h.comm_cache),
-        rob=(), rs_f=reset_rs_f(s.rs_f), reg_st={},
-        cyc=comp_start_cyc(s, h), fetch_pc=s.pc, params=s.params,
-    )
+    return _new(MaState, (
+        s.pc, s.rf, s.tsx, s.halt, s.imem, s.dmem, s.ga, dict(h.comm_cache),
+        (), reset_rs_f(s.rs_f), {}, comp_start_cyc(s, h), s.pc, s.params,
+    ))
 
 
 def steps_to_take(s: MaState, h: History) -> int:
@@ -191,8 +200,8 @@ def get_h(h: History, cyc: int) -> list[tuple[int, int, Status]]:
     anchor = len(h.lines[0].statuses)
     out = []
     for sl in h.lines:
-        issue = w32(h.start_cy + anchor - len(sl.statuses))
-        off = w32(cyc - issue)
+        issue = (h.start_cy + anchor - len(sl.statuses)) & MASK32
+        off = (cyc - issue) & MASK32
         if off < len(sl.statuses):
             out.append((sl.rob_id, sl.pc, sl.statuses[off]))
     return out
@@ -201,23 +210,31 @@ def get_h(h: History, cyc: int) -> list[tuple[int, int, Status]]:
 def derive_choice(s: MaState, h: History) -> Choice:
     """Resource choices that make the nondeterministic machine repeat, at
     this replay cycle, what the recorded execution did."""
-    entries = get_h(h, s.cyc)
-    fetches = [(tag, pc, st) for tag, pc, st in entries if st[0] == "fetch"]
-    pcs = {pc for _, pc, _ in fetches}
-    used_rs = {st[2] for _, _, st in fetches if st[2] is not None}
-    exec_tags = {tag for tag, _, st in entries if st[0] == "exec"}
-    active = {tag for tag, _, st in entries if st[0] != "post-comm"}
-
+    tags: list[int] = []  # issued this cycle, in order
+    pcs: set[int] = set()  # their instructions
+    used_rs: set[int] = set()  # the stations they took
+    exec_tags: set[int] = set()
+    active: set[int] = set()  # not yet committed
+    for tag, pc, st in get_h(h, s.cyc):
+        kind = st[0]
+        if kind == "post-comm":
+            continue
+        active.add(tag)
+        if kind == "fetch":
+            tags.append(tag)
+            pcs.add(pc)
+            if st[2] is not None:
+                used_rs.add(st[2])
+        elif kind == "exec":
+            exec_tags.add(tag)
     p = s.params
-    return Choice(
-        n=len(pcs),
-        allow_commit=frozenset(range(p.rob_tag_space)) - active,
-        allow_start=frozenset(
-            rs.rs_id for rs in s.rs_f if rs.busy and rs.dst in exec_tags
-        ),
-        busy_rs=frozenset(range(p.rs_count)) - used_rs,
-        tags=tuple(tag for tag, _, _ in fetches),
-    )
+    return _new(Choice, (
+        len(pcs),
+        id_set(p.rob_tag_space) - active,
+        frozenset(rs.rs_id for rs in s.rs_f if rs.busy and rs.dst in exec_tags),
+        id_set(p.rs_count) - used_rs,
+        tuple(tags),
+    ))
 
 
 def step_using_h(s: MaState, h: History) -> tuple[MaState, History]:

@@ -347,8 +347,3 @@ class TestDemoBench:
         out = capsys.readouterr().out
         assert "unauthorized" in out
         assert "(empty)" in out
-
-    def test_bench_reports_rates(self, capsys):
-        assert main(["bench", "--seconds", "0.1"]) == 0
-        out = capsys.readouterr().out
-        assert "steps/s" in out and "ratio" in out

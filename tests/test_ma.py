@@ -85,6 +85,13 @@ class TestDecode:
             assert u.rd == (i.rd if writes else None), u
 
     @pytest.mark.parametrize("op", sorted(OP_SHAPES))
+    def test_stations_taken_by_all_micro_ops_or_none(self, op):
+        # Fetch reads an instruction's station count off its first
+        # micro-op.
+        uops = decode_one(sample_instr(op))
+        assert len({u.mop in NO_STATION for u in uops}) == 1, uops
+
+    @pytest.mark.parametrize("op", sorted(OP_SHAPES))
     def test_fresh_rob_line_ready_exactly_without_station(self, op):
         s = prog_state(sample_instr(op))
         u, info = step_core(s)

@@ -1,8 +1,9 @@
 """The per-cycle records are immutable, and no step mutates its input.
 
-Setting a field of any record raises.  The steps build their records
-with `tuple.__new__`, which checks no arity, so every record they build
-is checked to hold all its fields.  The records hold dicts (`cache`,
+Setting a field of any record raises.  The steps, the initial state,
+the history update, `invl` and `derive_choice` build their records with
+`tuple.__new__`, which checks no arity, so every record they build is
+checked to hold all its fields.  The records hold dicts (`cache`,
 `reg_st`, `dmem`, a history's `comm_cache` and `ch_eff`) that the type
 cannot freeze, so the steps are also checked to leave every part of
 their input state, as its text snapshot shows it, as they found it, and
@@ -26,7 +27,15 @@ from teasim.ma import (
     step_core,
 )
 from teasim.snapshot import history_to_text, isa_to_text, ma_to_text
-from teasim.variants import History, StatusLine, init_h, mah_step
+from teasim.variants import (
+    History,
+    StatusLine,
+    derive_choice,
+    init_h,
+    invl,
+    mah_step,
+    next_h,
+)
 
 from conftest import trial_rng
 
@@ -114,20 +123,32 @@ def test_entangled_checks_leave_the_shared_run_unchanged(fresh_run):
 
 
 def test_step_records_hold_all_their_fields():
+    """Every record built with `tuple.__new__`: by the initial state, by
+    `step_core`, by `next_h`, by `invl` and by `derive_choice`."""
     cfg = gen.GenConfig(seed=46)
     cases = [gen.Case(asm.load_bundled(name)) for name in PROGRAMS] + [
         gen.gen_walk_case(cfg, trial_rng("arity", i)) for i in range(40)]
     seen = set()
+
+    def check(*records):
+        for r in records:
+            assert len(r) == len(type(r)._fields), r
+            seen.add(type(r))
+
     for case in cases:
         s = gen.initial_state(case)
+        h = init_h(s)
+        check(s, s.tsx, *s.rs_f)
         for _ in range(MAX_STEPS):
             if s.halt:
                 break
-            s, info = step_core(s)
-            for r in (s, s.tsx, info, *s.rob, *s.rs_f, *info.issued,
-                      *info.writebacks, *info.batch):
-                assert len(r) == len(type(r)._fields), r
-                seen.add(type(r))
+            u, info = step_core(s)
+            h = next_h(s, h, info, u)
+            s = u
+            x = invl(s, h)
+            check(s, s.tsx, info, *s.rob, *s.rs_f, *info.issued,
+                  *info.writebacks, *info.batch, h, *h.lines, x, *x.rs_f,
+                  derive_choice(x, h))
         u = asm.emit_isa(case.program)
         for _ in range(MAX_STEPS):
             if u.halt:
@@ -135,4 +156,4 @@ def test_step_records_hold_all_their_fields():
             u = isa_det_step(u)
             assert len(u) == len(IsaState._fields), u
     assert seen == {MaState, TsxState, StepInfo, RobLine, ResStation,
-                    IssueRec, WbRec}
+                    IssueRec, WbRec, History, StatusLine, Choice}
