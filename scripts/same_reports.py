@@ -43,14 +43,11 @@ def suite_names(src: str) -> list[str]:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("src", nargs=2, help="the two source trees")
-    ap.add_argument("--suites", nargs="+",
-                    help="suites to run (default: every suite of the "
-                         "second tree)")
     ap.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3])
     ap.add_argument("--trials", type=int, default=200)
     args = ap.parse_args()
 
-    suites = args.suites or suite_names(args.src[1])
+    suites = suite_names(args.src[1])
     differ = 0
     for suite in suites:
         for seed in args.seeds:

@@ -22,7 +22,9 @@ and also its arity check, so every record they build lists all its
 fields in order (tests/test_records.py checks their lengths).  Each
 fetched instruction is decoded once per cycle (`decode_one`, cached per
 instruction), and the stations it takes are read off its first
-micro-instruction.  An initial state shares the default `MaParams` and
+micro-instruction.  A squash idles only the stations not already idle
+(`reset_rs_f`, also how `variants.invl` empties the pipeline).  An
+initial state shares the default `MaParams` and
 one tuple of idle stations per station count.
 
 Scheduling within a cycle, in order:
@@ -153,6 +155,14 @@ class ResStation(NamedTuple):
     exec: bool
     dst: int
     rb_pc: int
+
+
+def reset_rs_f(rs_f) -> tuple[ResStation, ...]:
+    """The stations with every one idle; an idle one is kept as it is."""
+    return tuple(_new(ResStation, (rs.rs_id, rs.mop, rs.qj, rs.qk, rs.vj,
+                                   rs.vk, rs.cpc, False, False, rs.dst,
+                                   rs.rb_pc)) if rs.busy or rs.exec else rs
+                 for rs in rs_f)
 
 
 @lru_cache(maxsize=None)
@@ -666,10 +676,7 @@ def step_core(s: MaState, choice: Choice | None = None) -> tuple[MaState, StepIn
     if invalidated:
         # The pipeline empties: reg_st, and every station not yet idle.
         reg_st = {}
-        stations = [_new(ResStation, (rs.rs_id, rs.mop, rs.qj, rs.qk, rs.vj,
-                                      rs.vk, rs.cpc, False, False, rs.dst,
-                                      rs.rb_pc)) if rs.busy or rs.exec else rs
-                    for rs in stations]
+        stations = reset_rs_f(stations)
         fetch_pc = pc
     else:
         # Register status: release committed writers.

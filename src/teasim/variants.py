@@ -18,8 +18,9 @@ already recorded by `step_core` gets its history without stepping again
 `StatusLine` and `History` are immutable NamedTuples, about 4x cheaper
 to build than frozen dataclasses (measured in `ma`).  `next_h`, `invl`
 and `derive_choice` build their records (`History`, `StatusLine`,
-`MaState`, `ResStation`, `Choice`) with `tuple.__new__`, as
-`ma.step_core` does, and `derive_choice` takes its all-tags and
+`MaState`, `Choice`) with `tuple.__new__`, as `ma.step_core` does;
+`invl` idles the stations with `ma.reset_rs_f`, the rule a squash in
+`step_core` follows, and `derive_choice` takes its all-tags and
 all-stations sets from `ma.id_set`, built once per size.
 """
 
@@ -33,15 +34,13 @@ from .ma import (
     MEMORY_OPS,
     Choice,
     MaState,
-    ResStation,
     StepInfo,
+    _new,
     id_set,
     man_step,
+    reset_rs_f,
     step_core,
 )
-
-# A record built from the tuple of all its fields, in order.
-_new = tuple.__new__
 
 # Status forms: ("fetch", pc, rs_id|None) | ("exec",) | ("wr-b", cache)
 # | ("delay",) | ("post-comm",)
@@ -161,14 +160,6 @@ def mah_step(s: MaState, h: History) -> tuple[MaState, History, StepInfo]:
     if s.halt:
         return s, h, info
     return out, next_h(s, h, info, out), info
-
-
-def reset_rs_f(rs_f):
-    """The stations with every one idle; an idle one is kept as it is."""
-    return tuple(_new(ResStation, (rs.rs_id, rs.mop, rs.qj, rs.qk, rs.vj,
-                                   rs.vk, rs.cpc, False, False, rs.dst,
-                                   rs.rb_pc)) if rs.busy or rs.exec else rs
-                 for rs in rs_f)
 
 
 def comp_start_cyc(s: MaState, h: History) -> int:
