@@ -1,15 +1,20 @@
 #!/usr/bin/env python3
-"""Whether two source trees give byte-identical `check --json` reports.
+"""Whether two source trees give byte-identical CLI output.
 
 A change that claims to keep every report as it was is held to this
-beside tests/test_golden.py, which pins one run.  For each suite and
-each seed of a grid, every tree runs
+beside tests/test_golden.py, which pins one run.  Every tree runs, each
+in a fresh `python -m teasim.cli` process:
 
-    python -m teasim.cli check --suite S --trials N --seed K --json
+- `check --suite S --trials N --seed K --json` for each suite and each
+  seed of a grid;
+- `run P --machine M`, with and without `--trace`, for each bundled
+  program P (read from the second tree) on each machine M;
+- `demo meltdown` and `demo spectre`;
+- two usage errors, `check --suite nope` and `check --trials -1`.
 
-in a fresh process.  The script prints the SHA-256 digest and exit code
-of every run that differs between the trees, then a count, and exits 1
-if any differs.
+The script prints the SHA-256 digest of stdout and stderr and the exit
+code of every run that differs between the trees, then a count, and
+exits 1 if any differs.
 
     python scripts/same_reports.py OLD/src src
     python scripts/same_reports.py OLD/src src --seeds 1 2 3 --trials 200
@@ -18,6 +23,7 @@ if any differs.
 from __future__ import annotations
 
 import argparse
+import glob
 import hashlib
 import os
 import subprocess
@@ -25,11 +31,12 @@ import sys
 
 
 def run(src: str, argv: list[str]) -> tuple[str, int]:
-    """(digest of stdout, exit code) of the CLI from one tree."""
+    """(digest of stdout and stderr, exit code) of the CLI from one tree."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     p = subprocess.run([sys.executable, "-m", "teasim.cli", *argv],
                        env=env, capture_output=True)
-    return hashlib.sha256(p.stdout).hexdigest(), p.returncode
+    out = hashlib.sha256(p.stdout + b"\0" + p.stderr).hexdigest()
+    return out, p.returncode
 
 
 def suite_names(src: str) -> list[str]:
@@ -47,21 +54,26 @@ def main() -> int:
     ap.add_argument("--trials", type=int, default=200)
     args = ap.parse_args()
 
-    suites = suite_names(args.src[1])
+    runs = [["check", "--suite", suite, "--trials", str(args.trials),
+             "--seed", str(seed), "--json"]
+            for suite in suite_names(args.src[1]) for seed in args.seeds]
+    programs = sorted(glob.glob(os.path.join(args.src[1], "teasim", "programs",
+                                             "*.asm")))
+    runs += [["run", prog, "--machine", machine] + trace
+             for prog in programs for machine in ("isa", "ma", "ma-h")
+             for trace in ([], ["--trace"])]
+    runs += [["demo", "meltdown"], ["demo", "spectre"],
+             ["check", "--suite", "nope"], ["check", "--trials", "-1"]]
     differ = 0
-    for suite in suites:
-        for seed in args.seeds:
-            argv = ["check", "--suite", suite, "--trials", str(args.trials),
-                    "--seed", str(seed), "--json"]
-            got = [run(src, argv) for src in args.src]
-            if got[0] != got[1]:
-                differ += 1
-                print(f"suite {suite} seed {seed}:")
-                for src, (digest, code) in zip(args.src, got):
-                    print(f"  {src}: {digest} exit {code}")
-    runs = len(suites) * len(args.seeds)
-    print(f"{differ} of {runs} reports differ "
-          f"({args.trials} trials, seeds {' '.join(map(str, args.seeds))})")
+    for argv in runs:
+        got = [run(src, argv) for src in args.src]
+        if got[0] != got[1]:
+            differ += 1
+            print(" ".join(argv) + ":")
+            for src, (digest, code) in zip(args.src, got):
+                print(f"  {src}: {digest} exit {code}")
+    print(f"{differ} of {len(runs)} runs differ ({args.trials} trials, "
+          f"seeds {' '.join(map(str, args.seeds))})")
     return 1 if differ else 0
 
 

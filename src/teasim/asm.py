@@ -16,6 +16,7 @@ and a shared tuple of idle stations.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from importlib import resources
 
@@ -169,7 +170,9 @@ def emit_ma(p: Program, params: MaParams | None = None) -> MaState:
     return initial_ma_state(p.imem, p.dmem, p.ga, pc=p.entry, params=params)
 
 
+@functools.lru_cache
 def load_bundled(name: str) -> Program:
-    """Parse one of the programs shipped with the package."""
+    """Parse one of the programs shipped with the package, once per
+    name; a Program is immutable, so callers share it."""
     text = resources.files("teasim.programs").joinpath(f"{name}.asm").read_text()
     return parse(text)

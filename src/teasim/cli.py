@@ -6,11 +6,15 @@ the obligation suites, `demo` walks the two bundled attacks, and
 
 Exit codes: 0 success / all checks passed, 1 counterexamples found,
 2 usage or internal error, 3 step budget exhausted.
+
+`main` may be called repeatedly in one process: the argument parser is
+built once, on the first call, and holds no state between calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -119,7 +123,16 @@ def cmd_check(args) -> int:
         return 2
     if args.replay:
         return _replay_bundle(args.replay, args.json)
-    cfg = GenConfig(seed=args.seed, trials=args.trials)
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get("TEA_SEED", "0")
+        try:
+            seed = int(env)
+        except ValueError:
+            print(f"error: TEA_SEED must be an integer, got {env!r}",
+                  file=sys.stderr)
+            return 2
+    cfg = GenConfig(seed=seed, trials=args.trials)
     reports = suite_reports(args.suite, cfg)
     doc = report_json(reports, args.suite)
     if args.json:
@@ -234,10 +247,10 @@ def cmd_demo(args) -> int:
     return 2
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="teasim")
     sub = parser.add_subparsers(dest="cmd", required=True)
-    default_seed = int(os.environ.get("TEA_SEED", "0"))
 
     p = sub.add_parser("run", help="simulate a program")
     p.add_argument("program")
@@ -247,25 +260,26 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--params", help="key=value parameter file")
     p.add_argument("--param", action="append", default=[],
                    help="single key=value override")
-    p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("check", help="run obligation suites")
     p.add_argument("--suite", default="all")
     p.add_argument("--trials", type=int, default=300)
-    p.add_argument("--seed", type=int, default=default_seed)
+    p.add_argument("--seed", type=int)  # None: TEA_SEED, else 0
     p.add_argument("--json", action="store_true")
     p.add_argument("--bundle-dir", help="write counterexample bundles here")
     p.add_argument("--replay", help="re-verify a counterexample bundle")
-    p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("demo", help="walk a bundled attack")
     p.add_argument("attack", choices=["meltdown", "spectre"])
     p.add_argument("--max-steps", type=int, default=100_000)
-    p.set_defaults(fn=cmd_demo)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
+    fn = {"run": cmd_run, "check": cmd_check, "demo": cmd_demo}[args.cmd]
     try:
-        return args.fn(args)
+        return fn(args)
     except Exception as e:  # internal error: distinct exit code
         print(f"internal error: {e}", file=sys.stderr)
         return 2

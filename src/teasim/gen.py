@@ -34,8 +34,11 @@ obligation and starts over, within SHRINK_BUDGET candidates.  A walk
 property's candidate fails only if it fails the obligation within
 2c + 8 steps, c being the step at which the current best case first
 failed it; for the trial's own case, c is read off the trial's first
-finding, so shrinking walks no case twice.  The report holds the shrunk
-case and its findings, re-checked by the full, unbounded check.
+finding, so shrinking does not walk that case again.  A candidate found
+passing under one bound is not checked again under it: when it comes
+up again it is skipped, though it still uses budget.  The report holds
+the shrunk case and its findings, re-checked by the full, unbounded
+check.
 """
 
 from __future__ import annotations
@@ -627,7 +630,14 @@ def shrink(prop: Property, case: Case, obligation: str,
     a loop exit thus costs a few steps, not a walk to max_steps.  first
     is the case's first finding of the obligation, as its full check
     made it (findings come in step order); without it, a walk
-    property's case is walked once more to find it."""
+    property's case is walked once more to find it.
+
+    Checks are deterministic, so a candidate already checked under the
+    same bound and found passing is skipped, not checked again: after
+    halving an immediate, the deletions repeat the last round's, and
+    deleting any of several identical instructions gives one program.
+    A skipped candidate still counts against the budget, so the result
+    is the one checking every candidate would give."""
 
     def first_failure(cand: Case, within: int | None) -> Finding | None:
         found = (prop.check(cand, (obligation, within)) if prop.walks
@@ -640,15 +650,20 @@ def shrink(prop: Property, case: Case, obligation: str,
     hit = first
     if prop.walks and hit is None:
         hit = first_failure(case, None)
+    passed: set[tuple[Case, int | None]] = set()  # (candidate, within)
     while True:
         for cand in _smaller(best):
             if budget == 0:
                 return best
             budget -= 1
-            found = first_failure(cand, 2 * hit.step + 8 if prop.walks else None)
+            key = (cand, 2 * hit.step + 8 if prop.walks else None)
+            if key in passed:
+                continue
+            found = first_failure(*key)
             if found:
                 best, hit = cand, found
                 break
+            passed.add(key)
         else:
             return best
 

@@ -347,3 +347,60 @@ class TestDemoBench:
         out = capsys.readouterr().out
         assert "unauthorized" in out
         assert "(empty)" in out
+
+
+class TestRepeatedCalls:
+    """main builds its parser once per process; no call may see another's
+    arguments or environment."""
+
+    def test_tea_seed_read_by_each_check(self, capsys, monkeypatch):
+        argv = ["check", "--suite", "entangled", "--trials", "1", "--json"]
+        for env, seed in (("4", 4), ("7", 7), (None, 0)):
+            if env is None:
+                monkeypatch.delenv("TEA_SEED", raising=False)
+            else:
+                monkeypatch.setenv("TEA_SEED", env)
+            assert main(argv) == 0
+            (report,) = json.loads(capsys.readouterr().out)["reports"]
+            assert report["seed"] == seed
+        monkeypatch.setenv("TEA_SEED", "4")
+        assert main(argv + ["--seed", "9"]) == 0
+        assert json.loads(capsys.readouterr().out)["reports"][0]["seed"] == 9
+
+    def test_invalid_tea_seed_fails_check_only(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("TEA_SEED", "abc")
+        assert main(["check", "--suite", "entangled", "--trials", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: TEA_SEED must be an integer, got 'abc'\n"
+        # An explicit seed, and a subcommand that draws nothing, ignore it.
+        assert main(["check", "--suite", "entangled", "--trials", "1",
+                     "--seed", "2"]) == 0
+        assert main(["run", write_prog(tmp_path, "halt\n")]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_param_overrides_do_not_add_up(self, tmp_path, capsys):
+        path = write_prog(tmp_path, "halt\n")
+        assert main(["run", path, "--param", "rs-count=6"]) == 0
+        assert "param rs-count 6" in capsys.readouterr().out
+        assert main(["run", path, "--param", "fetch-num=2"]) == 0
+        out = capsys.readouterr().out
+        assert "param fetch-num 2" in out
+        assert "param rs-count 6" not in out
+
+    def test_usage_error_then_valid_call(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--trials", "x"])
+        assert exc.value.code == 2
+        assert main(["check", "--suite", "nope"]) == 2
+        capsys.readouterr()
+        assert main(["check", "--suite", "entangled", "--trials", "2",
+                     "--seed", "5"]) == 0
+        assert "  entangled: 2 trials, 0 failing" in capsys.readouterr().out
+
+    def test_patched_command_runs(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr("teasim.cli.cmd_check",
+                            lambda args: seen.append(args.suite) or 42)
+        assert main(["check", "--suite", "entangled"]) == 42
+        assert seen == ["entangled"]

@@ -107,14 +107,15 @@ def test_shrink_meltdown_case_stays_small():
 
 # Without the step bound on candidates, these shrinks walked 6,723
 # (spectre) and 89,489 (meltdown) steps and reached the same programs.
-# Checking, shrinking and re-checking the bundled case now steps 333 and
-# 3,688 times; walking the original case once more in the shrink would
-# add 23 and 1,172.
+# Checking, shrinking and re-checking the bundled case now steps 301 and
+# 3,658 times; walking the original case once more in the shrink would
+# add 23 and 1,172, and walking again the candidates already found
+# passing 32 and 30.
 BUNDLED_SHRINKS = [
-    ("spectre", "spectre", 340,
+    ("spectre", "spectre", 310,
      ".access 0 511\n.data 16 1\n.data 17 2\n.data 18 3\n.data 19 4\n"
      ".data 22 77\n.entry 0\njge r5 0\nldr r7 r2 r6\n"),
-    ("wsk", "meltdown", 3_750,
+    ("wsk", "meltdown", 3_700,
      ".access 0 511\n.data 4096 57\n.entry 0\nloadi r1 4096\ntsx-start 5\n"
      "ldri r3 r1 0\nnoop\nnoop\nin-cache r7 r1 r0\n"),
 ]
@@ -149,6 +150,48 @@ def test_shrink_from_the_first_finding_as_from_a_rewalk(name, bundled):
     first = prop.check(case)[0]
     assert (shrink(prop, case, first.obligation, first)
             == shrink(prop, case, first.obligation))
+
+
+@pytest.mark.parametrize("name, bundled, shrunk, checked",
+                         [(n, b, s, k) for (n, b, _, s), k
+                          in zip(BUNDLED_SHRINKS, (30, 98))],
+                         ids=[b for _, b, _, _ in BUNDLED_SHRINKS])
+def test_shrink_checks_each_passing_candidate_once(name, bundled, shrunk, checked):
+    # Checking every candidate took 34 (spectre) and 101 (meltdown)
+    # checks for the same result.  A candidate may be checked again
+    # under another bound, but never under the same one.
+    prop = PROPERTIES[name]
+    case = Case(asm.load_bundled(bundled))
+    first = prop.check(case)[0]
+    calls = []
+
+    def check(c, until=None):
+        calls.append((c, until))
+        return prop.check(c, until)
+
+    small = shrink(replace(prop, check=check), case, first.obligation, first)
+    assert asm.render(small.program) == shrunk
+    assert len(calls) == checked == len(set(calls))
+
+
+def test_shrink_skips_repeated_candidates_within_its_budget(monkeypatch):
+    # Deleting any of the three noops gives one program, checked once;
+    # the repeats still use budget, so a budget of 3 never reaches the
+    # deletion of halt and a budget of 4 does.
+    prog = Program(0, (Instr("noop"),) * 3 + (Instr("halt"),), (),
+                   ((0, 0x7F),), 0)
+    case = Case(prog)
+    for budget, checked in ((3, 1), (4, 2)):
+        calls = []
+
+        def check(c):
+            calls.append(c)
+            return [Finding("only-original", "functional", "")] if c == case else []
+
+        monkeypatch.setattr(gen, "SHRINK_BUDGET", budget)
+        prop = Property("fake", gen_entangled_case, check)
+        assert shrink(prop, case, "only-original") == case
+        assert len(calls) == checked
 
 
 @pytest.mark.parametrize("fail_at, accepted", [(13, True), (14, False)])
@@ -246,9 +289,9 @@ def test_walk_and_entangled_cases_draw_the_same():
 
 def test_shrink_spends_at_most_its_budget():
     # Only the original fails, so no candidate is accepted and the
-    # budget runs out among the 200 deletions.
-    prog = Program(0, (Instr("noop"),) * 199 + (Instr("halt"),), (),
-                   ((0, 0x7F),), 0)
+    # budget runs out among the 200 deletions, which are all distinct.
+    prog = Program(0, tuple(Instr("loadi", rd=1, imm=i) for i in range(199))
+                   + (Instr("halt"),), (), ((0, 0x7F),), 0)
     case = Case(prog, forward_steps=3)
     checked = []
 
