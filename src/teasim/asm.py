@@ -17,8 +17,8 @@ and a shared tuple of idle stations.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 from .isa import (
     OP_SHAPES,
@@ -38,8 +38,7 @@ class AsmError(ValueError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True, slots=True)
-class Program:
+class Program(NamedTuple):
     base: int
     instrs: tuple[Instr, ...]
     data: tuple[tuple[int, int], ...]

@@ -5,7 +5,9 @@ the obligation suites, `demo` walks the two bundled attacks, and
 `check --replay` re-verifies a counterexample bundle.
 
 Exit codes: 0 success / all checks passed, 1 counterexamples found,
-2 usage or internal error, 3 step budget exhausted.
+2 usage or internal error, 3 step budget exhausted.  A usage error that
+the argument parser finds is reported like any other, in one `error: …`
+line, and `main` returns 2; only `--help` leaves by `SystemExit`.
 
 `main` may be called repeatedly in one process: the argument parser is
 built once, on the first call, and holds no state between calls.
@@ -20,7 +22,7 @@ import os
 import sys
 from dataclasses import replace
 
-from . import asm, snapshot
+from . import asm
 from .gen import (Case, GenConfig, Lookahead, PROPERTIES, Report, report_json,
                   run_property)
 from .isa import run_isa
@@ -71,6 +73,8 @@ def _parse_params(path: str | None, overrides: list[str]) -> MaParams:
 
 
 def cmd_run(args) -> int:
+    from . import snapshot  # only `run` prints states
+
     try:
         params = _parse_params(args.params, args.param)
         with open(args.program) as fh:
@@ -247,9 +251,22 @@ def cmd_demo(args) -> int:
     return 2
 
 
+class _UsageError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error for `main` to report as one `error: …` line,
+    instead of printing argparse's usage block and exiting.  Subparsers
+    are built with the same class."""
+
+    def error(self, message: str):
+        raise _UsageError(message)
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="teasim")
+    parser = _Parser(prog="teasim")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("run", help="simulate a program")
@@ -276,7 +293,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except _UsageError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     fn = {"run": cmd_run, "check": cmd_check, "demo": cmd_demo}[args.cmd]
     try:
         return fn(args)

@@ -48,10 +48,10 @@ import random
 import zlib
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .asm import Program, render
 from .isa import MASK32, Instr, cache_invariant_ok, run_isa
@@ -84,8 +84,7 @@ OP_WEIGHTS: tuple[tuple[str, int], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class GenConfig:
+class GenConfig(NamedTuple):
     seed: int = 0
     trials: int = 100
     max_forward_steps: int = 40
@@ -100,6 +99,8 @@ class GenConfig:
 MAX_FORWARD_STEPS = 10_000
 
 
+# A dataclass, since tests/test_acceptance.py rebuilds one with
+# dataclasses.replace (the record rule is in `ma`).
 @dataclass(frozen=True)
 class Case:
     """Replayable input to a property check."""
@@ -430,7 +431,7 @@ def _walk(case: Case, per_step, max_steps: int,
         found = per_step(s, u, info, wit, run)
         if found:
             last_found = step
-            findings.extend(replace(f, step=step) for f in found)
+            findings.extend(f._replace(step=step) for f in found)
             if len(findings) >= 8 or any(f.obligation == target for f in found):
                 break
         squashed = info.invalidated
@@ -516,6 +517,8 @@ def check_incache_case(case: Case) -> list[Finding]:
 
 # --- registry ---
 
+# A dataclass, since perfbench's tracer wraps gen and check with
+# dataclasses.replace (the record rule is in `ma`).
 @dataclass(frozen=True)
 class Property:
     name: str
@@ -527,11 +530,11 @@ class Property:
 
 
 def _no_ic(cfg: GenConfig) -> GenConfig:
-    return replace(cfg, include_in_cache=False)
+    return cfg._replace(include_in_cache=False)
 
 
 def _safe(cfg: GenConfig) -> GenConfig:
-    return replace(cfg, include_in_cache=False, include_kernel=False)
+    return cfg._replace(include_in_cache=False, include_kernel=False)
 
 
 PROPERTIES: dict[str, Property] = {
@@ -550,15 +553,13 @@ PROPERTIES: dict[str, Property] = {
 }
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(NamedTuple):
     trial: int
     findings: tuple[Finding, ...]
     case: Case
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     prop: str
     seed: int
     # Random trials run: fewer than configured when the run stopped at

@@ -9,12 +9,13 @@ the environment may insert or evict any set of accessible, value-correct
 lines.  The `in-cache` instruction queries cache membership and is the
 covert channel the microarchitectural model is audited against.
 
-`Instr`, `TsxState` and `IsaState` are immutable NamedTuples, about 4x
-cheaper to build than frozen dataclasses (measured in `ma`), and an
-`Instr` hashes as a plain tuple when `ma.decode_one` looks it up.  The
-hot steps (`_next`, `_write`, `_branch`) build their `IsaState` with
-`tuple.__new__`, as `ma.step_core` builds its records; `_write` sets
-its register in a list, about 40% cheaper than joining two slices.
+`Instr`, `TsxState` and `IsaState` are immutable NamedTuples, by the
+record rule in `ma`'s docstring (`AccessMap`, which checks its ranges,
+is one of its four dataclasses), and an `Instr` hashes as a plain tuple
+when `ma.decode_one` looks it up.  The hot steps (`_next`, `_write`,
+`_branch`) build their `IsaState` with `tuple.__new__`, as
+`ma.step_core` builds its records; `_write` sets its register in a
+list, about 40% cheaper than joining two slices.
 """
 
 from __future__ import annotations
@@ -97,6 +98,7 @@ class TsxState(NamedTuple):
     fb: int
 
 
+# A dataclass, for its __post_init__ check (the record rule is in `ma`).
 @dataclass(frozen=True, slots=True)
 class AccessMap:
     """Accessibility predicate: sorted disjoint inclusive ranges of user

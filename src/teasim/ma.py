@@ -12,10 +12,21 @@ starts allowed).  The deterministic machine always takes the maximal
 choice; the restricted choices exist so that a recorded execution can be
 replayed cycle-for-cycle from an invalidated state (see `variants`).
 
-The per-cycle records are immutable NamedTuples: a frozen dataclass
-sets each field through `object.__setattr__`, which made an 11-field
-`ResStation` about 4x dearer to build (2.0-3.4 us against 0.44-0.79 us,
-Python 3.11.7, 2 vCPUs).  `step_core` and `initial_ma_state` build them
+Records are immutable NamedTuples, in this module and every other.  A
+frozen dataclass sets each field through `object.__setattr__`, which
+made an 11-field `ResStation` about 4x dearer to build (2.0-3.4 us
+against 0.44-0.79 us, Python 3.11.7, 2 vCPUs), and its decorator builds
+the class's methods at every import: about 0.7 ms per class against
+0.09 ms for a NamedTuple (a 4-field record, same host).  So the plain
+value records (`MicroInstr`, `asm.Program`, `gen.GenConfig`,
+`gen.Failure`, `gen.Report`, `refine.Finding`) are NamedTuples too.
+Four dataclasses stay, each for a reason (tests/test_records.py pins
+them): `MaParams` and `isa.AccessMap` check their fields in
+`__post_init__`, tests/test_acceptance.py rebuilds a `gen.Case` with
+`dataclasses.replace`, and perfbench's tracer wraps each `gen.Property`
+with `dataclasses.replace`, skipping one that is not a dataclass.
+
+`step_core` and `initial_ma_state` build the per-cycle records
 with `tuple.__new__`, which skips the generated constructor's argument
 handling (about 0.35 us against 0.85 us per `ResStation`, same host)
 and also its arity check, so every record they build lists all its
@@ -77,8 +88,7 @@ CHECK_MOPS = frozenset({"memi-check", "mem-check"})
 Slot = tuple[str, int] | None
 
 
-@dataclass(frozen=True, slots=True)
-class MicroInstr:
+class MicroInstr(NamedTuple):
     """Micro-instruction with J/K source slots resolved at decode; rd is
     set exactly when it writes a register."""
 
@@ -195,6 +205,7 @@ PREFETCH_ARITY = {"none": 0, "next": 1, "stride": 2}
 MAX_SIZE = 256
 
 
+# A dataclass, for its __post_init__ check (the record rule is above).
 @dataclass(frozen=True, slots=True)
 class MaParams:
     """The machine's sizes and its prefetch policy, which `run --param`

@@ -31,9 +31,8 @@ hold every line the architectural run does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .isa import (
     AuthAction,
@@ -69,8 +68,7 @@ def r_a(s: MaState) -> IsaState:
     return arch_project(s, keep_cache=True)
 
 
-@dataclass(frozen=True, slots=True)
-class Finding:
+class Finding(NamedTuple):
     """One obligation failure.
 
     kind is "tea-meltdown" or "tea-spectre" for transient-execution

@@ -15,13 +15,13 @@ history by it, so `mah_step` is `step_core` plus `next_h`, and a run
 already recorded by `step_core` gets its history without stepping again
 (`gen.case_pair`).
 
-`StatusLine` and `History` are immutable NamedTuples, about 4x cheaper
-to build than frozen dataclasses (measured in `ma`).  `next_h`, `invl`
-and `derive_choice` build their records (`History`, `StatusLine`,
-`MaState`, `Choice`) with `tuple.__new__`, as `ma.step_core` does;
-`invl` idles the stations with `ma.reset_rs_f`, the rule a squash in
-`step_core` follows, and `derive_choice` takes its all-tags and
-all-stations sets from `ma.id_set`, built once per size.
+`StatusLine` and `History` are immutable NamedTuples, by the record
+rule in `ma`'s docstring.  `next_h`, `invl` and `derive_choice` build
+their records (`History`, `StatusLine`, `MaState`, `Choice`) with
+`tuple.__new__`, as `ma.step_core` does; `invl` idles the stations with
+`ma.reset_rs_f`, the rule a squash in `step_core` follows, and
+`derive_choice` takes its all-tags and all-stations sets from
+`ma.id_set`, built once per size.
 """
 
 from __future__ import annotations

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -36,7 +35,7 @@ def reference_walk(case: gen.Case, max_steps: int, spec) -> list:
         wit = 0 if info.retired else stutter_wit(s)
         found = check_wsk_transition(s, u, info, wit, spec,
                                      gen.Lookahead(u))
-        findings += [replace(f, step=step) for f in found]
+        findings += [f._replace(step=step) for f in found]
         if len(findings) >= 8:
             break
         s = u

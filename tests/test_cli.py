@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -239,6 +241,10 @@ USAGE_ERRORS = {
     "prefetch-count-oversized": (
         ["run", "{tmp}/p.asm", "--param", "prefetch=next 100000000"],
         {"p.asm": "ldri r1 r0 4\nhalt\n"}),
+    # usage errors that the argument parser detects
+    "run-without-program": (["run"], {}),
+    "trials-not-an-integer": (["check", "--trials", "x"], {}),
+    "unknown-subcommand": (["bogus"], {}),
     "org-without-address": (["run", "{tmp}/p.asm"], {"p.asm": ".org\nhalt\n"}),
     "entry-without-address": (["run", "{tmp}/p.asm"],
                               {"p.asm": ".entry\nhalt\n"}),
@@ -349,6 +355,26 @@ class TestDemoBench:
         assert "(empty)" in out
 
 
+def test_only_run_imports_snapshot():
+    """In a fresh interpreter, `check` leaves the state printer
+    unimported; `run` imports it."""
+    package = os.path.dirname(asm.__file__)
+    program = os.path.join(package, "programs", "meltdown.asm")
+    code = f"""if True:
+        import contextlib, io, sys
+        from teasim.cli import main
+        for argv in (["check", "--suite", "entangled", "--trials", "1", "--json"],
+                     ["run", {program!r}, "--machine", "isa"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                rc = main(argv)
+            print(rc, "teasim.snapshot" in sys.modules)
+    """
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(package))
+    out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                         capture_output=True, env=env)
+    assert out.stdout == "0 False\n0 True\n"
+
+
 class TestRepeatedCalls:
     """main builds its parser once per process; no call may see another's
     arguments or environment."""
@@ -389,14 +415,20 @@ class TestRepeatedCalls:
         assert "param rs-count 6" not in out
 
     def test_usage_error_then_valid_call(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["check", "--trials", "x"])
-        assert exc.value.code == 2
+        assert main(["check", "--trials", "x"]) == 2
+        assert capsys.readouterr().err == (
+            "error: argument --trials: invalid int value: 'x'\n")
         assert main(["check", "--suite", "nope"]) == 2
         capsys.readouterr()
         assert main(["check", "--suite", "entangled", "--trials", "2",
                      "--seed", "5"]) == 0
         assert "  entangled: 2 trials, 0 failing" in capsys.readouterr().out
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: teasim check")
 
     def test_patched_command_runs(self, monkeypatch):
         seen = []

@@ -218,7 +218,7 @@ def test_shrink_bounds_walk_candidates(fail_at, accepted):
         return gen._walk(c, per_step, 2500, until)
 
     assert [f.step for f in check(case)] == [3]
-    cand = replace(case, program=replace(prog, instrs=prog.instrs[1:]))
+    cand = replace(case, program=prog._replace(instrs=prog.instrs[1:]))
     assert [f.step for f in check(cand)] == [fail_at]
     prop = Property("fake", gen_walk_case, check, walks=True)
     small = shrink(prop, case, "late")

@@ -9,10 +9,18 @@ cannot freeze, so the steps are also checked to leave every part of
 their input state, as its text snapshot shows it, as they found it, and
 the checks of an entangled case to leave the run it shares with its
 generator (`gen._run`) as they found it.
+
+Every other record is a NamedTuple too, except four dataclasses, each
+kept for a reason (see `ma`'s module docstring).
 """
+
+import dataclasses
+import importlib
+import pkgutil
 
 import pytest
 
+import teasim
 from teasim import asm, gen
 from teasim.isa import Instr, IsaState, TsxState, isa_det_step
 from teasim.ma import (
@@ -157,3 +165,29 @@ def test_step_records_hold_all_their_fields():
             assert len(u) == len(IsaState._fields), u
     assert seen == {MaState, TsxState, StepInfo, RobLine, ResStation,
                     IssueRec, WbRec, History, StatusLine, Choice}
+
+
+# The only dataclasses in teasim, by module.
+DATACLASSES = {
+    # tests/test_acceptance.py calls dataclasses.replace on it.
+    "gen.Case",
+    # perfbench's tracer wraps each property's gen and check with
+    # dataclasses.replace, and skips a property that is not a dataclass.
+    "gen.Property",
+    # Both check their fields in __post_init__.
+    "ma.MaParams",
+    "isa.AccessMap",
+}
+
+
+def test_only_the_kept_dataclasses_remain():
+    found = set()
+    for info in pkgutil.iter_modules(teasim.__path__):
+        mod = importlib.import_module(f"teasim.{info.name}")
+        found.update(f"{info.name}.{name}" for name, obj in vars(mod).items()
+                     if isinstance(obj, type) and obj.__module__ == mod.__name__
+                     and dataclasses.is_dataclass(obj))
+    assert found == DATACLASSES
+    # Otherwise perfbench's gen.generate and gen.check spans vanish
+    # without a word.
+    assert all(dataclasses.is_dataclass(p) for p in gen.PROPERTIES.values())
