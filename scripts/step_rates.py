@@ -9,7 +9,12 @@ this script runs the same two loops in N rounds.  In each round every
 source tree is measured in a fresh process, in alternating order, and
 the process keeps the best of k passes of each loop, the ISA and
 pipeline passes interleaved.  It prints each round's rates and, per
-tree, the median ISA and pipeline steps/s and their ratio.
+tree, the median ISA and pipeline steps/s and their ratio.  For each
+tree after the first it then prints one line: its ISA and pipeline
+speed-ups over the first tree, each the median over the rounds of the
+round's speed-up (the two trees of a round run back to back), and how
+the median ratio moved.  A change keeps criterion 7's margin when its
+ISA speed-up is at least its pipeline speed-up.
 
     python scripts/step_rates.py                    # this checkout's src
     python scripts/step_rates.py OLD/src src -n 8   # two trees, interleaved
@@ -95,6 +100,18 @@ def main() -> int:
               f"pipeline {statistics.median(r['ma'] for r in rs):,.0f}/s, "
               f"ratio {statistics.median(ratios):.1f}x "
               f"(lowest {min(ratios):.1f}x)")
+    first, *rest = args.src
+    base = runs[first]
+    for src in rest:
+        isa_up = statistics.median(r["isa"] / b["isa"]
+                                   for r, b in zip(runs[src], base))
+        ma_up = statistics.median(r["ma"] / b["ma"]
+                                  for r, b in zip(runs[src], base))
+        was = statistics.median(b["isa"] / b["ma"] for b in base)
+        now = statistics.median(r["isa"] / r["ma"] for r in runs[src])
+        print(f"{src} over {first}: ISA {isa_up:.3f}x, pipeline "
+              f"{ma_up:.3f}x; median ratio {was:.1f}x -> {now:.1f}x "
+              f"({now - was:+.1f}x)")
     return 0
 
 

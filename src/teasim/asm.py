@@ -21,6 +21,7 @@ from importlib import resources
 from typing import NamedTuple
 
 from .isa import (
+    MASK32,
     OP_SHAPES,
     REG_COUNT,
     AccessMap,
@@ -47,7 +48,10 @@ class Program(NamedTuple):
 
     @property
     def imem(self) -> dict[int, Instr]:
-        return {w32(self.base + i): ins for i, ins in enumerate(self.instrs)}
+        addrs = range(self.base, self.base + len(self.instrs))
+        if addrs.stop > MASK32 + 1:  # the block wraps around address 0
+            addrs = map(w32, addrs)
+        return dict(zip(addrs, self.instrs))
 
     @property
     def dmem(self) -> dict[int, int]:

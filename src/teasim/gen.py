@@ -2,7 +2,10 @@
 
 Programs are contiguous instruction blocks with the entry point at or
 just before the block, ending in halt; load addresses are biased to
-straddle the user/kernel boundary so faults are exercised.  Entangled
+straddle the user/kernel boundary so faults are exercised.  Every
+integer draw goes through `_below`, which draws the same words as
+`random.randrange` without its argument handling, so the streams are
+CPython 3.11's (tests/test_streams.py pins them).  Entangled
 (state, history) pairs come from emitting a program, seeding a valid
 cache, and running the history-carrying machine forward a bounded
 number of steps from the empty history; the entangled property checks
@@ -10,20 +13,23 @@ that one sample.  Each entangled case's deterministic run is computed
 once: the generator's halt probe records it (`_run` keeps the last
 case's run, keyed by program and cache), and the sample's history is
 then folded over that record (`case_pair`) instead of running the
-machine again.  The per-transition properties walk
-instead: from the emitted, cache-seeded initial state they follow the
-deterministic step once per cycle, so every checked state is reachable,
-and hand each transition s -> u to the obligation, with the stutter
-witness of s read off the walk's own run (which steps past the walk's
-last step when the next retirement lies beyond it), and with that run
-after u, in which an authorization policy reads ahead (see
-`Lookahead`).  A walk stops at halt, at 8 findings, at its step limit,
-or once its future is already checked: when it comes back, with no
-finding since, to a state it has seen, either an empty pipeline with
-the same committed state or, past the program's last instruction, the
-same state up to a shift of addresses, ROB tags and time (see `_walk`).  Their cases (and
-arch-equivalence's) carry no forward steps: the same program and cache
-draws, without the sample's.
+machine again; the sample's own transition is read off it too, when
+the probe reached it.  The per-transition properties walk instead:
+from the initial state (built with its seeded cache in one step,
+`initial_state`) they follow the deterministic step once per cycle, so
+every checked state is reachable, and hand each transition s -> u to
+the obligation, with the stutter witness of s read off the walk's own
+run (which steps past the walk's last step when the next retirement
+lies beyond it), and with that run after u, in which an authorization
+policy reads ahead (see `Lookahead`).  The walk reads that look-ahead's
+deque directly: it appends each transition it steps and pops the one it
+walks.  A walk stops at halt, at 8 findings, at its step limit, or once
+its future is already checked: when it comes back, with no finding
+since, to a state it has seen, either an empty pipeline with the same
+committed state or, past the program's last instruction, the same
+state up to a shift of addresses, ROB tags and time (see `_walk`).
+Their cases (and arch-equivalence's) carry no forward steps: the same
+program and cache draws, without the sample's.
 
 Each registered property pairs a case generator with a checker over the
 case; `run_property` drives seeded trials (per-trial streams are split
@@ -55,7 +61,7 @@ from typing import Callable, NamedTuple
 
 from .asm import Program, render
 from .isa import MASK32, Instr, cache_invariant_ok, run_isa
-from .ma import MaState, StepInfo, run_ma, step_core
+from .ma import MaState, StepInfo, initial_ma_state, run_ma, step_core
 from .refine import (
     AUTH_SPECS,
     Finding,
@@ -145,15 +151,28 @@ def _trial_rng(cfg_seed: int, prop: str, trial: int) -> random.Random:
     return random.Random(((cfg_seed * 0x9E3779B1) ^ (h * 0x85EBCA77)) + trial)
 
 
+def _below(rng: random.Random, n: int) -> int:
+    """rng.randrange(n), drawing the same words: CPython 3.11's
+    `_randbelow_with_getrandbits` without `randrange`'s argument
+    handling.  Every integer draw of a generator goes through it."""
+    if n <= 0:
+        raise ValueError(f"empty range below {n}")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def _gen_const(cfg: GenConfig, rng: random.Random) -> int:
     top = ACCESSIBLE_TOP
     roll = rng.random()
     if roll < 0.4:
-        return rng.randrange(0, max(2, top))
+        return _below(rng, max(2, top))
     if roll < 0.8 and cfg.include_kernel:
         # straddle the boundary so derived addresses fault
-        return max(0, top + rng.randrange(-4, 8))
-    return rng.randrange(0, 32)
+        return max(0, top - 4 + _below(rng, 12))
+    return _below(rng, 32)
 
 
 @lru_cache(maxsize=None)
@@ -167,29 +186,29 @@ def _op_table(include_in_cache: bool) -> tuple[tuple[str, ...], tuple[int, ...]]
 
 def _gen_instr(cfg: GenConfig, rng: random.Random, length: int) -> Instr:
     ops, ends = _op_table(cfg.include_in_cache)
-    op = ops[bisect_right(ends, rng.randrange(ends[-1]))]
-    r = lambda: rng.randrange(REG_POOL)
+    op = ops[bisect_right(ends, _below(rng, ends[-1]))]
+    r = lambda: _below(rng, REG_POOL)
     if op == "loadi":
         return Instr("loadi", rd=r(), imm=_gen_const(cfg, rng))
     if op == "addi":
-        return Instr("addi", rd=r(), r1=r(), imm=rng.randrange(0, 8))
+        return Instr("addi", rd=r(), r1=r(), imm=_below(rng, 8))
     if op in ("add", "mul", "and", "cmp"):
         return Instr(op, rd=r(), r1=r(), r2=r())
     if op in ("jg", "jge"):
-        off = rng.choice([-3, -2, -1, 2, 3, 4])
+        off = (-3, -2, -1, 2, 3, 4)[_below(rng, 6)]
         return Instr(op, r1=r(), imm=off & MASK32)
     if op == "ldri":
         if cfg.include_kernel and rng.random() < 0.4:
             # offset straddling the boundary: faults whenever the base
             # register is small
-            imm = max(0, ACCESSIBLE_TOP + rng.randrange(-3, 8))
+            imm = max(0, ACCESSIBLE_TOP - 3 + _below(rng, 11))
         else:
-            imm = rng.randrange(0, 6)
+            imm = _below(rng, 6)
         return Instr("ldri", rd=r(), r1=r(), imm=imm)
     if op == "ldr":
         return Instr("ldr", rd=r(), r1=r(), r2=r())
     if op == "tsx-start":
-        return Instr("tsx-start", imm=rng.randrange(0, length + 2))
+        return Instr("tsx-start", imm=_below(rng, length + 2))
     if op == "tsx-end":
         return Instr("tsx-end")
     if op == "in-cache":
@@ -198,20 +217,20 @@ def _gen_instr(cfg: GenConfig, rng: random.Random, length: int) -> Instr:
 
 
 def gen_program(cfg: GenConfig, rng: random.Random) -> Program:
-    length = rng.randint(MIN_LEN, MAX_LEN)
-    base = rng.randrange(0, 4)
+    length = MIN_LEN + _below(rng, MAX_LEN - MIN_LEN + 1)
+    base = _below(rng, 4)
     instrs = [_gen_instr(cfg, rng, length) for _ in range(length)]
     instrs.append(Instr("halt"))
     if cfg.include_kernel:
         access = ((0, ACCESSIBLE_TOP),)
-        kernel_addr = ACCESSIBLE_TOP + 1 + rng.randrange(0, 64)
-        data = [(kernel_addr, rng.randrange(1, 200))]
+        kernel_addr = ACCESSIBLE_TOP + 1 + _below(rng, 64)
+        data = [(kernel_addr, 1 + _below(rng, 199))]
     else:
         access = FULL_ACCESS
         data = []
-    for _ in range(rng.randrange(0, 4)):
-        data.append((rng.randrange(0, ACCESSIBLE_TOP + 1), rng.randrange(0, 256)))
-    entry = max(0, base - rng.randrange(0, 2))
+    for _ in range(_below(rng, 4)):
+        data.append((_below(rng, ACCESSIBLE_TOP + 1), _below(rng, 256)))
+    entry = max(0, base - _below(rng, 2))
     return Program(base, tuple(instrs), tuple(data), access, entry)
 
 
@@ -220,15 +239,17 @@ def seed_cache(prog: Program, rng: random.Random) -> tuple[tuple[int, int], ...]
     ga = prog.ga
     dmem = prog.dmem
     pool = [a for a, _ in prog.data if ga.allows(a)]
-    pool += [rng.randrange(0, ACCESSIBLE_TOP + 1) for _ in range(2)]
+    pool += [_below(rng, ACCESSIBLE_TOP + 1) for _ in range(2)]
     picked = sorted({a for a in pool if ga.allows(a) and rng.random() < 0.5})
     return tuple((a, dmem.get(a, 0)) for a in picked)
 
 
 def initial_state(case: Case) -> MaState:
-    """The case's emitted program with its seeded cache; forward_steps
-    is not applied."""
-    return asm.emit_ma(case.program)._replace(cache=dict(case.seed_cache))
+    """The case's emitted program with its seeded cache, built in one
+    step; forward_steps is not applied."""
+    p = case.program
+    return initial_ma_state(p.imem, p.dmem, p.ga, p.entry,
+                            cache=dict(case.seed_cache))
 
 
 @lru_cache(maxsize=1)
@@ -287,17 +308,23 @@ def gen_entangled_case(cfg: GenConfig, rng: random.Random) -> Case:
     if x.halt:
         live -= 1
     if live > 0 and rng.random() < 0.8:
-        k = rng.randint(1, live)
+        k = 1 + _below(rng, live)
     else:
-        k = rng.randint(0, cfg.max_forward_steps)
+        k = _below(rng, cfg.max_forward_steps + 1)
     return Case(case.program, k, case.seed_cache)
 
 
 # --- property checkers over cases ---
 
 def check_entangled_case(case: Case) -> list[Finding]:
-    """The entangled-state obligations on the case's sample."""
-    return check_entangled_sample(*case_pair(case))
+    """The entangled-state obligations on the case's sample, handing
+    over the sample's successor when the case's recorded run (`_run`)
+    holds it.  A live sample is forward_steps transitions into the run."""
+    s, h = case_pair(case)
+    steps = _run(case.program, case.seed_cache)[1]
+    k = case.forward_steps
+    return check_entangled_sample(
+        s, h, steps[k] if not s.halt and k < len(steps) else None)
 
 
 # What a bounded walk looks for: an obligation, and the number of steps
@@ -333,9 +360,11 @@ def _tail_key(s: MaState) -> tuple:
 class Lookahead:
     """The deterministic run after a state, stepped on demand: item i is
     its i-th transition (u, info), stepped by `step_core` the first time
-    something reads it and kept, so all its readers share one run.
-    Iterating it goes on without end (a halted state steps to itself);
-    `advance` moves its start one transition on."""
+    something reads it and kept in `steps`, so all its readers share one
+    run.  Iterating it goes on without end (a halted state steps to
+    itself).  `state` is where the run starts, and `advance` moves it
+    one transition on; `_walk` does the same inline, popping the first
+    transition off `steps` and setting `state` to its u."""
 
     __slots__ = ("state", "steps")
 
@@ -408,7 +437,9 @@ def _walk(case: Case, per_step, max_steps: int,
     last_found = -1
     squashed = True  # the initial state is keyed like a squashed one
     run = Lookahead(s)
-    # The first `clear` transitions of the run from s retire nothing.
+    # The look-ahead, read here directly: the transitions of the run from
+    # s stepped so far, of which the first `clear` retire nothing.
+    steps = run.steps
     clear = 0
     findings: list[Finding] = []
     for step in range(limit):
@@ -424,10 +455,16 @@ def _walk(case: Case, per_step, max_steps: int,
             first = seen.setdefault(key, step)
             if last_found < first < step:
                 break
-        while clear <= cap and not run[clear][1].retired:
+        # Step on to the next retirement; clear <= len(steps) holds.
+        while clear <= cap:
+            if clear == len(steps):
+                steps.append(step_core(steps[-1][0] if clear else s))
+            if steps[clear][1].retired:
+                break
             clear += 1
         wit = clear if clear <= cap else None
-        u, info = run.advance()
+        u, info = steps.popleft()
+        run.state = u
         found = per_step(s, u, info, wit, run)
         if found:
             last_found = step
@@ -435,7 +472,8 @@ def _walk(case: Case, per_step, max_steps: int,
             if len(findings) >= 8 or any(f.obligation == target for f in found):
                 break
         squashed = info.invalidated
-        clear = max(clear - 1, 0)
+        if clear:
+            clear -= 1
         s = u
     return findings
 
@@ -493,15 +531,15 @@ def check_arch_equiv_case(case: Case) -> list[Finding]:
 def gen_incache_case(cfg: GenConfig, rng: random.Random) -> Case:
     """A probe of a random inaccessible address, with a seeded cache."""
     top = ACCESSIBLE_TOP
-    kernel = top + 1 + rng.randrange(0, 1 << 16)
-    split = rng.randrange(0, kernel + 1)
+    kernel = top + 1 + _below(rng, 1 << 16)
+    split = _below(rng, kernel + 1)
     instrs = (
         Instr("loadi", rd=1, imm=split),
         Instr("loadi", rd=2, imm=(kernel - split) & MASK32),
         Instr("in-cache", rd=3, r1=1, r2=2),
         Instr("halt"),
     )
-    data = ((rng.randrange(0, top + 1), rng.randrange(0, 99)),)
+    data = ((_below(rng, top + 1), _below(rng, 99)),)
     prog = Program(0, instrs, data, ((0, top),), 0)
     return Case(prog, 0, seed_cache(prog, rng))
 

@@ -48,6 +48,19 @@ Scheduling within a cycle, in order:
      deposit their line plus the prefetch set into the cache,
   5. commit effects are applied in program order; an exception, taken
      jump, or halt empties the pipeline and redirects fetch.
+
+`step_core` makes one pass over the stations for steps 2 and 4: it
+counts the idle ones (the fetch group is sized against that count
+after the starts, which leave a station busy), starts the ready ones,
+and collects the ones that finish, which step 4 then writes back
+without a second scan.  This rests on an invariant that
+tests/test_ma.py checks, under the maximal step and under replay: only
+a station executing with cpc == cyc in the pre-state writes back, so
+no station started or issued in a cycle writes back in it (a start
+finishes at cyc + 1 at the earliest, and an issued station is not
+executing).  Issue builds each micro-instruction's ROB line as it goes,
+and step 5 releases each committed writer from the register status in
+the same pass over the batch.
 """
 
 from __future__ import annotations
@@ -288,15 +301,17 @@ def initial_ma_state(
     ga: AccessMap,
     pc: int = 0,
     params: MaParams | None = None,
+    cache: dict[int, int] | None = None,
 ) -> MaState:
-    """The machine at pc with an empty pipeline and cache.  It holds imem
-    and dmem as given, not copies: no step writes them, and the caller
-    must not either."""
+    """The machine at pc with an empty pipeline and the given cache
+    (empty by default).  It holds imem, dmem and cache as given, not
+    copies: no step writes them, and the caller must not either."""
     params = params or _DEFAULT_PARAMS
     rf = zero_rf(params.reg_count)
     return _new(MaState, (
-        pc, rf, _new(TsxState, (False, rf, 0)), False, imem, dmem, ga, {},
-        (), _idle_stations(params.rs_count), {}, 0, pc, params,
+        pc, rf, _new(TsxState, (False, rf, 0)), False, imem, dmem, ga,
+        {} if cache is None else cache, (), _idle_stations(params.rs_count),
+        {}, 0, pc, params,
     ))
 
 
@@ -355,17 +370,15 @@ class StepInfo(NamedTuple):
     retired: int
 
 
-def _fetch_group(s: MaState) -> tuple[int, list[MicroInstr], list[int]]:
+def _fetch_group(
+    s: MaState, idle: int
+) -> tuple[int, list[MicroInstr], list[int]]:
     """The longest issuable prefix of the fetch group, as (n, its
-    micro-instructions, each one's parent pc): the idle stations and free
-    ROB lines cover it.  A longer prefix needs no fewer resources, so the
-    scan stops at the first instruction that does not fit.  Each fetched
-    instruction is decoded once."""
+    micro-instructions, each one's parent pc): the idle stations (idle
+    of them) and free ROB lines cover it.  A longer prefix needs no
+    fewer resources, so the scan stops at the first instruction that
+    does not fit.  Each fetched instruction is decoded once."""
     params = s.params
-    idle = 0
-    for rs in s.rs_f:
-        if not rs.busy:
-            idle += 1
     free = params.max_rob - len(s.rob)
     imem, fetch_pc = s.imem, s.fetch_pc
     uops: list[MicroInstr] = []
@@ -374,19 +387,20 @@ def _fetch_group(s: MaState) -> tuple[int, list[MicroInstr], list[int]]:
     for n in range(params.fetch_num):
         ipc = (fetch_pc + n) & MASK32
         group = decode_one(imem.get(ipc, NOOP))
+        k = len(group)
         if group[0].mop not in NO_STATION:
-            needed += len(group)
-        if needed > idle or len(uops) + len(group) > free:
+            needed += k
+        if needed > idle or len(uops) + k > free:
             return n, uops, ipcs
         uops += group
-        ipcs += [ipc] * len(group)
+        ipcs += [ipc] * k
     return params.fetch_num, uops, ipcs
 
 
 def max_fetch_n(s: MaState) -> int:
     """Largest n (up to the fetch width) whose decoded fetch group fits
     the free stations and ROB lines."""
-    return _fetch_group(s)[0]
+    return _fetch_group(s, sum(not rs.busy for rs in s.rs_f))[0]
 
 
 def rob_ids(
@@ -397,7 +411,10 @@ def rob_ids(
         raise ChoiceError("not enough reorder buffer space")
     space = params.rob_tag_space
     start = (rob[-1].rob_id + 1) % space if rob else 0
-    return tuple((start + k) % space for k in range(count))
+    end = start + count
+    if end <= space:
+        return tuple(range(start, end))
+    return tuple(range(start, space)) + tuple(range(end - space))
 
 
 def rob_get(tag: int, rob: tuple[RobLine, ...]) -> RobLine | None:
@@ -459,12 +476,6 @@ def to_commit(rob: tuple[RobLine, ...], allow_commit) -> tuple[RobLine, ...]:
     return tuple(batch)
 
 
-def batch_invalidates(batch: tuple[RobLine, ...]) -> bool:
-    return bool(batch) and (
-        batch[-1].excep or batch[-1].mop in INVALIDATING_MOPS
-    )
-
-
 def retired_lines(batch: tuple[RobLine, ...]) -> list[RobLine]:
     """The lines of a commit batch that each complete one instruction.
 
@@ -489,7 +500,7 @@ def _setup_slot(
         return None, 0
     kind, v = slot
     if kind == "c":
-        return None, w32(v)
+        return None, v & MASK32
     tag = reg_st.get(v)
     if tag is not None:
         line = rob_get(tag, s.rob)
@@ -515,46 +526,37 @@ def step_core(s: MaState, choice: Choice | None = None) -> tuple[MaState, StepIn
     params = s.params
     cyc = s.cyc
     rob0 = s.rob
-    # Decode this cycle's fetch group, once.
-    n, uops, ipcs = _fetch_group(s)
     if choice is None:
         allow_commit = allow_start = None  # all of them
-        busy_rs: frozenset[int] = _NONE
-        tag_override = None
     else:
-        if choice.n > n:
-            raise ChoiceError(f"cannot fetch {choice.n} instructions here")
-        if choice.n < n:
-            # Cut the group before the first micro-instruction of
-            # instruction choice.n.
-            k = ipcs.index((s.fetch_pc + choice.n) & MASK32)
-            n, uops, ipcs = choice.n, uops[:k], ipcs[:k]
         allow_commit, allow_start = choice.allow_commit, choice.allow_start
-        busy_rs = choice.busy_rs
-        tag_override = choice.tags
-
-    if tag_override is not None:
-        if len(tag_override) != len(uops):
-            raise ChoiceError("tag override length mismatch")
-        tags = tag_override
-    elif uops:
-        tags = rob_ids(len(uops), rob0, params)
-    else:
-        tags = ()
 
     # Commit batch from the pre-state buffer: writebacks from this cycle
     # become commit-visible next cycle.
     batch = to_commit(rob0, allow_commit)
-    invalidated = batch_invalidates(batch)
+    invalidated = bool(batch) and (batch[-1].excep
+                                   or batch[-1].mop in INVALIDATING_MOPS)
 
     stations = list(s.rs_f)
 
     # Execution starts: operands resolved before this cycle, the barrier
     # discipline satisfied against the pre-state buffer, and the start
-    # allowed by the choice.
+    # allowed by the choice.  The same pass counts the idle stations and
+    # finds the ones that finish this cycle: only one executing with
+    # cpc == cyc here can, as one started now finishes at cyc + 1 at the
+    # earliest and one issued now is not executing.
+    idle = 0
     started: list[int] = []
+    finishing: list[int] = []
     for i, rs in enumerate(stations):
-        if (not rs.busy or rs.exec or rs.qj is not None or rs.qk is not None
+        if not rs.busy:
+            idle += 1
+            continue
+        if rs.exec:
+            if rs.cpc == cyc:
+                finishing.append(i)
+            continue
+        if (rs.qj is not None or rs.qk is not None
                 or allow_start is not None and rs.rs_id not in allow_start):
             continue
         mop = rs.mop
@@ -571,14 +573,38 @@ def step_core(s: MaState, choice: Choice | None = None) -> tuple[MaState, StepIn
         ))
         started.append(rs.rs_id)
 
+    # Decode this cycle's fetch group, once; a start leaves its station
+    # busy, so the idle count is the pre-state's.
+    n, uops, ipcs = _fetch_group(s, idle)
+    if choice is None:
+        busy_rs: frozenset[int] = _NONE
+        tags = None
+    else:
+        if choice.n > n:
+            raise ChoiceError(f"cannot fetch {choice.n} instructions here")
+        if choice.n < n:
+            # Cut the group before the first micro-instruction of
+            # instruction choice.n.
+            k = ipcs.index((s.fetch_pc + choice.n) & MASK32)
+            n, uops, ipcs = choice.n, uops[:k], ipcs[:k]
+        busy_rs = choice.busy_rs
+        tags = choice.tags
+    if tags is None:
+        tags = rob_ids(len(uops), rob0, params) if uops else ()
+    elif len(tags) != len(uops):
+        raise ChoiceError("tag override length mismatch")
+
     # Issue into idle stations not removed by the choice; each issued
-    # writer becomes its register's pending writer.
+    # writer becomes its register's pending writer, and each issued
+    # micro-instruction gets its ROB line.
     reg_st = dict(s.reg_st)
     issued: list[IssueRec] = []
+    fresh: list[RobLine] = []
     for u, tag, ipc in zip(uops, tags, ipcs):
-        mop = u.mop
+        mop, rd = u.mop, u.rd
         if mop in NO_STATION:
             issued.append(_new(IssueRec, (u, tag, None, ipc)))
+            fresh.append(_new(RobLine, (tag, mop, rd, True, u.imm, False)))
             continue
         for pick, rs in enumerate(stations):
             if not rs.busy and rs.rs_id not in busy_rs:
@@ -587,22 +613,22 @@ def step_core(s: MaState, choice: Choice | None = None) -> tuple[MaState, StepIn
             raise ChoiceError("no reservation station available for issue")
         qj, vj = _setup_slot(u.j, rs.vj, reg_st, s)
         qk, vk = _setup_slot(u.k, rs.vk, reg_st, s)
+        rs_id = rs.rs_id
         stations[pick] = _new(ResStation, (
-            rs.rs_id, mop, qj, qk, vj, vk, rs.cpc, True, False, tag, ipc,
+            rs_id, mop, qj, qk, vj, vk, rs.cpc, True, False, tag, ipc,
         ))
-        issued.append(_new(IssueRec, (u, tag, rs.rs_id, ipc)))
-        if u.rd is not None:
-            reg_st[u.rd] = tag
+        issued.append(_new(IssueRec, (u, tag, rs_id, ipc)))
+        fresh.append(_new(RobLine, (tag, mop, rd, False, u.imm, False)))
+        if rd is not None:
+            reg_st[rd] = tag
 
     # Writeback: finishing stations free up, forward their result, and
     # loads deposit their line and the prefetch set into the cache, which
     # is copied at the first fill.
     cache = s.cache
     writebacks: list[WbRec] = []
-    for i in range(len(stations)):
+    for i in finishing:
         rs = stations[i]
-        if not rs.exec or rs.cpc != cyc or not rs.busy:
-            continue
         val = comp_val(rs, s)
         exc = comp_exc(rs, s)
         mop = rs.mop
@@ -640,22 +666,19 @@ def step_core(s: MaState, choice: Choice | None = None) -> tuple[MaState, StepIn
         rob: tuple[RobLine, ...] = ()
     else:
         kept = list(rob0[len(batch):])
-        if writebacks:
-            by_dst = {wb.dst: wb for wb in writebacks}
+        for wb in writebacks:
+            # A finishing station's line is in flight, so not committed.
             for i, line in enumerate(kept):
-                wb = by_dst.get(line.rob_id)
-                if wb is not None:
+                if line.rob_id == wb.dst:
                     kept[i] = _new(RobLine, (line.rob_id, line.mop, line.rdst,
                                              True, wb.val, wb.excep))
-        for rec in issued:
-            u = rec.uop
-            kept.append(_new(RobLine, (rec.tag, u.mop, u.rd,
-                                       u.mop in NO_STATION, u.imm, False)))
-        rob = tuple(kept)
+                    break
+        rob = tuple(kept + fresh)
         assert len(rob) <= params.max_rob
 
     # Commit effects, in program order over the batch, counting the
-    # instructions retired (see retired_lines).
+    # instructions retired (see retired_lines) and releasing each
+    # committed writer that is still its register's pending one.
     pc, rf, tsx, halt = s.pc, s.rf, s.tsx, s.halt
     retired = len(batch)
     for line in batch:
@@ -680,8 +703,11 @@ def step_core(s: MaState, choice: Choice | None = None) -> tuple[MaState, StepIn
             tsx = _new(TsxState, (False, tsx.rf, tsx.fb))
             pc = (pc + 1) & MASK32
         else:
-            if line.rdst is not None:
-                rf = rf[:line.rdst] + (line.val,) + rf[line.rdst + 1:]
+            rd = line.rdst
+            if rd is not None:
+                rf = rf[:rd] + (line.val,) + rf[rd + 1:]
+                if reg_st.get(rd) == line.rob_id:
+                    del reg_st[rd]
             pc = (pc + 1) & MASK32
 
     if invalidated:
@@ -690,10 +716,6 @@ def step_core(s: MaState, choice: Choice | None = None) -> tuple[MaState, StepIn
         stations = reset_rs_f(stations)
         fetch_pc = pc
     else:
-        # Register status: release committed writers.
-        for line in batch:
-            if line.rdst is not None and reg_st.get(line.rdst) == line.rob_id:
-                del reg_st[line.rdst]
         fetch_pc = (s.fetch_pc + n) & MASK32
 
     out = _new(MaState, (
@@ -719,10 +741,8 @@ def man_step(s: MaState, choice: Choice) -> MaState:
 
 def arch_project(s: MaState, keep_cache: bool) -> IsaState:
     """Project the committed architectural state; pipeline discarded."""
-    return IsaState(
-        s.pc, s.rf, s.tsx, s.halt, s.imem, s.dmem, s.ga,
-        dict(s.cache) if keep_cache else {},
-    )
+    return _new(IsaState, (s.pc, s.rf, s.tsx, s.halt, s.imem, s.dmem, s.ga,
+                           dict(s.cache) if keep_cache else {}))
 
 
 def run_ma(s: MaState, max_steps: int) -> tuple[MaState, int]:

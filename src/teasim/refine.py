@@ -14,8 +14,12 @@ the witness then strictly decreases; the caller supplies the witness,
 which a walk reads off its own run), and a retiring transition must be
 matched by running the architectural machine one step per retired
 instruction, resolving its cache nondeterminism so the cache-membership
-results agree.  Failures come back as data (findings with a kind and
-message), never exceptions.
+results agree.  Only a committed `in-cache` reads the cache, so only it
+makes a cache choice, through `isa.isa_step`; every other retired
+instruction takes the deterministic step `isa_det_step` directly.  The
+entangled obligations likewise take the sample's transition from the
+caller when it has one recorded.  Failures come back as data (findings
+with a kind and message), never exceptions.
 
 The cache-action audit compares each transition's actual cache delta
 against the actions a designer-supplied authorization policy admits for
@@ -55,7 +59,7 @@ from .ma import (
     retired_lines,
     step_core,
 )
-from .variants import History, is_entangled, mah_step
+from .variants import History, is_entangled, mah_step, next_h
 
 
 def r_ic(s: MaState) -> IsaState:
@@ -116,10 +120,11 @@ def run_ic(
 ) -> tuple[IsaState | None, Finding | None]:
     """Architectural run matching a retiring transition.
 
-    Executes one step per retired instruction, picking the pre-step
-    cache choice so an in-cache result agrees with what the pipeline
-    computed.  A result no legal choice can produce is the transient
-    execution counterexample.
+    Executes one step per retired instruction.  A committed in-cache
+    is stepped with a pre-step cache choice picked so its result agrees
+    with what the pipeline computed; no other instruction reads the
+    cache, so it takes the deterministic step.  A result no legal
+    choice can produce is the transient execution counterexample.
     """
     v = w
     for line in retired_lines(batch):
@@ -130,19 +135,21 @@ def run_ic(
                 f"pipeline committed {line.mop} where the architectural "
                 f"stream has {instr.render()!r} at {v.pc:#x}",
             )
+        if line.mop != "min-cache":
+            v = isa_det_step(v)
+            continue
         pre_add = pre_rem = ()
-        if line.mop == "min-cache":
-            ea = w32(v.rf[instr.r1] + v.rf[instr.r2])
-            if line.val == 1:
-                if not v.ga.allows(ea):
-                    return None, Finding(
-                        "wsk-run", "tea-meltdown",
-                        f"in-cache observed a cached kernel address "
-                        f"{ea:#x}; no architectural cache choice allows it",
-                    )
-                pre_add = ((ea, dmem_read(v.dmem, ea)),)
-            elif v.ga.allows(ea) and ea in v.cache:
-                pre_rem = ((ea, dmem_read(v.dmem, ea)),)
+        ea = w32(v.rf[instr.r1] + v.rf[instr.r2])
+        if line.val == 1:
+            if not v.ga.allows(ea):
+                return None, Finding(
+                    "wsk-run", "tea-meltdown",
+                    f"in-cache observed a cached kernel address "
+                    f"{ea:#x}; no architectural cache choice allows it",
+                )
+            pre_add = ((ea, dmem_read(v.dmem, ea)),)
+        elif v.ga.allows(ea) and ea in v.cache:
+            pre_rem = ((ea, dmem_read(v.dmem, ea)),)
         v = isa_step(v, pre_add=pre_add, pre_rem=pre_rem)
     return v, None
 
@@ -350,18 +357,26 @@ def is_initial(s: MaState) -> bool:
     )
 
 
-def check_entangled_sample(s: MaState, h: History) -> list[Finding]:
+def check_entangled_sample(
+    s: MaState, h: History, step: tuple[MaState, StepInfo] | None = None,
+) -> list[Finding]:
     """The entangled-state obligations for one sample (s, h): the sample
     is entangled, and so is its successor under the step with history.
-    The successor is stepped only for an entangled sample.  The two
-    lemmas behind the definition, that the maximal choice reproduces the
+    step is the transition (u, info) = step_core(s) of a live s when the
+    caller already has it (a recorded run); without it the successor is
+    stepped here, and only for an entangled sample.  The two lemmas
+    behind the definition, that the maximal choice reproduces the
     deterministic step and that a pipeline-empty state is entangled with
     the empty history, hold by construction and are tested, not checked
     per sample."""
     if not is_entangled(s, h):
         return [Finding("entangled-sample", "functional",
                         "generated sample is not entangled")]
-    u, hu, _ = mah_step(s, h)
+    if step is None:
+        u, hu, _ = mah_step(s, h)
+    else:
+        u, info = step
+        hu = next_h(s, h, info, u)
     if not is_entangled(u, hu):
         return [Finding("entangled-closure", "functional",
                         "successor of an entangled state is not entangled")]

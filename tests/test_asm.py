@@ -84,6 +84,13 @@ class TestEmit:
         isa = asm.emit_isa(p)
         assert isa.pc == 2 and isa.rf == (0,) * 12 and not isa.tsx.active
 
+    def test_instruction_memory_wraps_around_address_zero(self):
+        p = parse(".org 0xFFFFFFFE\nloadi r1 1\nnoop\nhalt\n")
+        assert p.imem == {0xFFFFFFFE: Instr("loadi", rd=1, imm=1),
+                          0xFFFFFFFF: Instr("noop"), 0: Instr("halt")}
+        assert parse(".org 5\nnoop\nhalt\n").imem == {
+            5: Instr("noop"), 6: Instr("halt")}
+
     def test_emitted_states_entangled(self):
         for name in ("meltdown", "spectre", "primality"):
             s = asm.emit_ma(asm.load_bundled(name))

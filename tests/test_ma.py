@@ -33,6 +33,7 @@ from teasim.ma import (
 )
 from teasim.refine import label, r_ic
 from teasim.snapshot import ma_to_text
+from teasim.variants import derive_choice, init_h, invl, mah_step, steps_to_take
 
 from conftest import trial_rng
 
@@ -346,3 +347,45 @@ def test_no_writeback_commits_in_its_own_cycle():
                 assert wb.dst not in batch
                 loads += wb.mop in MEMORY_OPS
     assert loads >= 50
+
+
+def writeback_transitions():
+    """(s, info) of each cycle along the deterministic runs from the
+    bundled programs and 200 generated walk cases (at most 400 cycles
+    each), and, from every 3rd state of them, of its replay: rewound to
+    its last commit point (`invl`) and stepped under `derive_choice`."""
+    cfg = GenConfig(seed=19)
+    starts = [asm.emit_ma(asm.load_bundled(name))
+              for name in ("meltdown", "spectre", "primality")]
+    starts += [initial_state(gen_walk_case(cfg, trial_rng("finishing", i)))
+               for i in range(200)]
+    for s in starts:
+        h = init_h(s)
+        for step in range(400):
+            if s.halt:
+                break
+            if step % 3 == 0:
+                x = invl(s, h)
+                for _ in range(steps_to_take(s, h)):
+                    x2, info = step_core(x, derive_choice(x, h))
+                    yield "replay", x, info
+                    x = x2
+            u, h, info = mah_step(s, h)
+            yield "maximal", s, info
+            s = u
+
+
+def test_only_stations_finishing_in_the_pre_state_write_back():
+    # step_core finds its writebacks in its start pass: a station writes
+    # back only if it was executing with cpc == cyc before the cycle, so
+    # none started or issued in the cycle writes back in it.
+    seen = {"maximal": 0, "replay": 0}
+    for kind, s, info in writeback_transitions():
+        fresh = set(info.started)
+        fresh |= {rec.rs_id for rec in info.issued if rec.rs_id is not None}
+        for wb in info.writebacks:
+            assert wb.rs_id not in fresh
+            rs = next(rs for rs in s.rs_f if rs.rs_id == wb.rs_id)
+            assert rs.busy and rs.exec and rs.cpc == s.cyc
+            seen[kind] += 1
+    assert seen["maximal"] >= 1000 and seen["replay"] >= 1000, seen

@@ -330,7 +330,9 @@ class TestEntangledObligations:
     def test_successor_mutant_fails_entangled_closure(self, monkeypatch,
                                                       fresh_run):
         # The successor keeps its predecessor's history: the sample is
-        # still entangled, and its successor is not.
+        # still entangled, and its successor is not.  The check steps the
+        # successor with history (mah_step) or folds the history over
+        # its recorded transition (next_h); both keep h here.
         mah_step = refine.mah_step
 
         def stale_history(s, h):
@@ -338,6 +340,7 @@ class TestEntangledObligations:
             return u, h, info
 
         monkeypatch.setattr(refine, "mah_step", stale_history)
+        monkeypatch.setattr(refine, "next_h", lambda s, h, info, u: h)
         report = run_property("entangled", GenConfig(seed=14, trials=60))
         assert report.failures
         assert {x.obligation for f in report.failures
