@@ -59,7 +59,20 @@ class Program(NamedTuple):
 
     @property
     def ga(self) -> AccessMap:
-        return AccessMap(tuple(sorted(self.access)))
+        return _access_map(self.access)
+
+
+# The checked access map of each tuple of ranges, built once: an
+# AccessMap is immutable, so programs share it.  Programs draw their
+# ranges from a few tuples (generated ones from two), so this stays small.
+_ACCESS_MAPS: dict[tuple[tuple[int, int], ...], AccessMap] = {}
+
+
+def _access_map(access: tuple[tuple[int, int], ...]) -> AccessMap:
+    ga = _ACCESS_MAPS.get(access)
+    if ga is None:
+        ga = _ACCESS_MAPS[access] = AccessMap(tuple(sorted(access)))
+    return ga
 
 
 def _int_lit(tok: str, line_no: int) -> int:

@@ -72,9 +72,20 @@ def _parse_params(path: str | None, overrides: list[str]) -> MaParams:
     return replace(base, **fields) if fields else base
 
 
+def _negative_max_steps(args) -> bool:
+    """Report a negative --max-steps as a usage error."""
+    if args.max_steps < 0:
+        print(f"error: --max-steps must be at least 0, got {args.max_steps}",
+              file=sys.stderr)
+        return True
+    return False
+
+
 def cmd_run(args) -> int:
     from . import snapshot  # only `run` prints states
 
+    if _negative_max_steps(args):
+        return 2
     try:
         params = _parse_params(args.params, args.param)
         with open(args.program) as fh:
@@ -205,6 +216,8 @@ def _replay_bundle(path: str, as_json: bool) -> int:
 
 
 def cmd_demo(args) -> int:
+    if _negative_max_steps(args):
+        return 2
     if args.attack == "meltdown":
         prog = asm.load_bundled("meltdown")
         secret = dict(prog.data)[4096]

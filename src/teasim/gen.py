@@ -13,21 +13,23 @@ that one sample.  Each entangled case's deterministic run is computed
 once: the generator's halt probe records it (`_run` keeps the last
 case's run, keyed by program and cache), and the sample's history is
 then folded over that record (`case_pair`) instead of running the
-machine again; the sample's own transition is read off it too, when
-the probe reached it.  The per-transition properties walk instead:
-from the initial state (built with its seeded cache in one step,
-`initial_state`) they follow the deterministic step once per cycle, so
-every checked state is reachable, and hand each transition s -> u to
-the obligation, with the stutter witness of s read off the walk's own
-run (which steps past the walk's last step when the next retirement
-lies beyond it), and with that run after u, in which an authorization
-policy reads ahead (see `Lookahead`).  The walk reads that look-ahead's
-deque directly: it appends each transition it steps and pops the one it
-walks.  A walk stops at halt, at 8 findings, at its step limit, or once
-its future is already checked: when it comes back, with no finding
-since, to a state it has seen, either an empty pipeline with the same
-committed state or, past the program's last instruction, the same
-state up to a shift of addresses, ROB tags and time (see `_walk`).
+machine again, starting at the last squash before the sample, since a
+squash's history reads nothing of the one before it (see
+`variants.next_h`); the sample's own transition is read off the record
+too, when the probe reached it.  The per-transition properties walk
+instead: from the initial state (built with its seeded cache in one
+step, `initial_state`) they follow the deterministic step once per
+cycle, so every checked state is reachable, and hand each transition
+s -> u to the obligation, with the stutter witness of s read off the
+walk's own run (which steps past the walk's last step when the next
+retirement lies beyond it), and with that run after u, in which an
+authorization policy reads ahead (see `Lookahead`).  The walk reads that
+look-ahead's deque directly: it appends each transition it steps and
+pops the one it walks.  A walk stops at halt, at 8 findings, at its step
+limit, or once its future is already checked: when it comes back, with
+no finding since, to a state it has seen, either an empty pipeline with
+the same committed state or, past the program's last instruction, the
+same state up to a shift of addresses, ROB tags and time (see `_walk`).
 Their cases (and arch-equivalence's) carry no forward steps: the same
 program and cache draws, without the sample's.
 
@@ -185,18 +187,19 @@ def _op_table(include_in_cache: bool) -> tuple[tuple[str, ...], tuple[int, ...]]
 
 
 def _gen_instr(cfg: GenConfig, rng: random.Random, length: int) -> Instr:
+    """One instruction, built positionally: (op, rd, r1, r2, imm)."""
     ops, ends = _op_table(cfg.include_in_cache)
     op = ops[bisect_right(ends, _below(rng, ends[-1]))]
     r = lambda: _below(rng, REG_POOL)
     if op == "loadi":
-        return Instr("loadi", rd=r(), imm=_gen_const(cfg, rng))
+        return Instr("loadi", r(), None, None, _gen_const(cfg, rng))
     if op == "addi":
-        return Instr("addi", rd=r(), r1=r(), imm=_below(rng, 8))
-    if op in ("add", "mul", "and", "cmp"):
-        return Instr(op, rd=r(), r1=r(), r2=r())
+        return Instr("addi", r(), r(), None, _below(rng, 8))
+    if op in ("add", "mul", "and", "cmp", "ldr", "in-cache"):
+        return Instr(op, r(), r(), r())
     if op in ("jg", "jge"):
         off = (-3, -2, -1, 2, 3, 4)[_below(rng, 6)]
-        return Instr(op, r1=r(), imm=off & MASK32)
+        return Instr(op, None, r(), None, off & MASK32)
     if op == "ldri":
         if cfg.include_kernel and rng.random() < 0.4:
             # offset straddling the boundary: faults whenever the base
@@ -204,15 +207,11 @@ def _gen_instr(cfg: GenConfig, rng: random.Random, length: int) -> Instr:
             imm = max(0, ACCESSIBLE_TOP - 3 + _below(rng, 11))
         else:
             imm = _below(rng, 6)
-        return Instr("ldri", rd=r(), r1=r(), imm=imm)
-    if op == "ldr":
-        return Instr("ldr", rd=r(), r1=r(), r2=r())
+        return Instr("ldri", r(), r(), None, imm)
     if op == "tsx-start":
-        return Instr("tsx-start", imm=_below(rng, length + 2))
+        return Instr("tsx-start", None, None, None, _below(rng, length + 2))
     if op == "tsx-end":
         return Instr("tsx-end")
-    if op == "in-cache":
-        return Instr("in-cache", rd=r(), r1=r(), r2=r())
     return Instr("noop")
 
 
@@ -271,10 +270,20 @@ def case_pair(case: Case) -> tuple[MaState, History]:
     The history is folded (`next_h`) over the transitions of the case's
     run: those `_run` holds, then, past the recorded end, ones stepped
     here and not recorded, so a case that was never probed costs what a
-    plain run with history costs."""
+    plain run with history costs.  The fold starts at the last squash
+    that `_run` holds before the sample: a squash's history reads
+    nothing of the one it is given (see `next_h`), so it is handed the
+    empty history of the state it starts from."""
     s, steps = _run(case.program, case.seed_cache)
+    k = case.forward_steps
+    after = min(k, len(steps))  # one past the last recorded squash
+    while after and not steps[after - 1][1].invalidated:
+        after -= 1
+    start = max(after - 1, 0)
+    if start:
+        s = steps[start - 1][0]
     h = init_h(s)
-    for i in range(case.forward_steps):
+    for i in range(start, k):
         if s.halt:
             break
         u, info = steps[i] if i < len(steps) else step_core(s)

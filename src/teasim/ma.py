@@ -31,9 +31,14 @@ with `tuple.__new__`, which skips the generated constructor's argument
 handling (about 0.35 us against 0.85 us per `ResStation`, same host)
 and also its arity check, so every record they build lists all its
 fields in order (tests/test_records.py checks their lengths).  Each
-fetched instruction is decoded once per cycle (`decode_one`, cached per
-instruction), and the stations it takes are read off its first
-micro-instruction.  A squash idles only the stations not already idle
+fetched instruction is decoded once per cycle, read from the one decode
+cache: a plain dict (`_decoded`, filled by `decoded`) from instruction
+to what the fetch reads, its micro-instructions, their count and the
+reservation stations they take (all of them or none: NO_STATION).  A
+dict read costs the fetch no call on a hit; the cache is emptied when
+it holds DECODE_CACHE_SIZE (8192) entries, so it stays bounded, and
+`refine` reads a retired instruction's micro-instructions from it too.
+A squash idles only the stations not already idle
 (`reset_rs_f`, also how `variants.invl` empties the pipeline).  An
 initial state shares the default `MaParams` and
 one tuple of idle stations per station count.
@@ -112,7 +117,6 @@ class MicroInstr(NamedTuple):
     imm: int = 0  # mtsx-start fallback address
 
 
-@lru_cache(maxsize=8192)
 def decode_one(i: Instr) -> tuple[MicroInstr, ...]:
     """Decode an instruction into its micro-instruction sequence.
 
@@ -155,6 +159,27 @@ def decode_one(i: Instr) -> tuple[MicroInstr, ...]:
 
 
 MAX_DECODE = 2  # largest micro-instruction sequence decode_one produces
+
+# The decode cache (see the module docstring): instruction ->
+# (micro-instructions, their count, the stations they take).
+Decoded = tuple[tuple[MicroInstr, ...], int, int]
+DECODE_CACHE_SIZE = 8192
+_decoded: dict[Instr, Decoded] = {}
+
+
+def decoded(i: Instr) -> Decoded:
+    """i's entry in the decode cache: its micro-instructions, their
+    count and the reservation stations they take, decoding it on a
+    miss.  The cache is emptied when it holds DECODE_CACHE_SIZE."""
+    entry = _decoded.get(i)
+    if entry is None:
+        uops = decode_one(i)
+        k = len(uops)
+        entry = (uops, k, 0 if uops[0].mop in NO_STATION else k)
+        if len(_decoded) >= DECODE_CACHE_SIZE:
+            _decoded.clear()
+        _decoded[i] = entry
+    return entry
 
 
 class RobLine(NamedTuple):
@@ -383,14 +408,15 @@ def _fetch_group(
     imem, fetch_pc = s.imem, s.fetch_pc
     uops: list[MicroInstr] = []
     ipcs: list[int] = []
-    needed = 0
+    cache = _decoded
+    needed = taken = 0
     for n in range(params.fetch_num):
         ipc = (fetch_pc + n) & MASK32
-        group = decode_one(imem.get(ipc, NOOP))
-        k = len(group)
-        if group[0].mop not in NO_STATION:
-            needed += k
-        if needed > idle or len(uops) + k > free:
+        instr = imem.get(ipc, NOOP)
+        group, k, stations = cache.get(instr) or decoded(instr)
+        needed += stations
+        taken += k
+        if needed > idle or taken > free:
             return n, uops, ipcs
         uops += group
         ipcs += [ipc] * k

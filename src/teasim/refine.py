@@ -55,7 +55,7 @@ from .ma import (
     StepInfo,
     WbRec,
     arch_project,
-    decode_one,
+    decoded,
     retired_lines,
     step_core,
 )
@@ -111,7 +111,7 @@ def stutter_wit(s: MaState) -> int | None:
 
 
 def _expected_mop(instr, faulted: bool) -> str | None:
-    uops = decode_one(instr)
+    uops = decoded(instr)[0]
     return uops[0].mop if faulted else uops[-1].mop
 
 

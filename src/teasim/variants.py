@@ -69,15 +69,20 @@ def init_h(s: MaState) -> History:
 
 def next_h(s: MaState, h: History, info: StepInfo, out: MaState) -> History:
     """The history after the transition s -> out of the plain machine,
-    `out, info = step_core(s)` from a state s that has not halted."""
-    cyc = s.cyc
-    will_commit = bool(s.rob) and s.rob[0].rdy
-    comm_cy = cyc if will_commit else h.comm_cy
+    `out, info = step_core(s)` from a state s that has not halted.
 
+    The squash rule: on an invalidating transition the result reads
+    nothing of h.  The squash commits its batch, so comm_cy is cyc, and
+    the history is History(cyc, cyc + 1, out's cache, {}, ()), whatever
+    h was; `gen.case_pair` starts its fold at the last squash for this
+    reason (tests/test_gen.py checks the rule on recorded runs)."""
+    cyc = s.cyc
     if info.invalidated:
         # Squashed work leaves only its cache footprint behind.
-        return _new(History, (comm_cy, (cyc + 1) & MASK32, dict(out.cache),
+        return _new(History, (cyc, (cyc + 1) & MASK32, dict(out.cache),
                               {}, ()))
+    will_commit = bool(s.rob) and s.rob[0].rdy
+    comm_cy = cyc if will_commit else h.comm_cy
 
     # Committed loads move their pending lines into the committed cache;
     # written-back loads leave theirs pending.  Each dict is copied before
@@ -116,29 +121,36 @@ def next_h(s: MaState, h: History, info: StepInfo, out: MaState) -> History:
         else:
             removed.add(line.rob_id)
 
-    rob_tags = {l.rob_id: l for l in s.rob}
-    station_by_dst = {rs.dst: rs for rs in s.rs_f if rs.busy}
-    started = set(info.started)
+    # Each kept line's ROB readiness and busy station, looked up by tag
+    # in maps built at the first line that needs them.
+    rdy_by_tag = station_by_dst = None
     new_lines: list[StatusLine] = []
     for sl in h.lines:
-        if sl.rob_id in removed:
+        tag = sl.rob_id
+        if tag in removed:
             continue
-        if sl.rob_id in retained or sl.rob_id not in rob_tags:
+        if tag in retained:
             st: Status = ("post-comm",)
-        elif rob_tags[sl.rob_id].rdy:
-            st = ("delay",)
         else:
-            rs = station_by_dst.get(sl.rob_id)
-            if rs is None:
+            if rdy_by_tag is None:
+                rdy_by_tag = {l.rob_id: l.rdy for l in s.rob}
+                station_by_dst = {rs.dst: rs for rs in s.rs_f if rs.busy}
+            rdy = rdy_by_tag.get(tag)
+            if rdy is None:
+                st = ("post-comm",)
+            elif rdy:
                 st = ("delay",)
-            elif rs.exec and rs.cpc == cyc:
-                st = ("wr-b", s.cache)
-            elif rs.exec or rs.rs_id in started:
-                st = ("exec",)
             else:
-                st = ("delay",)
-        new_lines.append(_new(StatusLine, (sl.rob_id, sl.pc,
-                                           sl.statuses + (st,))))
+                rs = station_by_dst.get(tag)
+                if rs is None:
+                    st = ("delay",)
+                elif rs.exec and rs.cpc == cyc:
+                    st = ("wr-b", s.cache)
+                elif rs.exec or rs.rs_id in info.started:
+                    st = ("exec",)
+                else:
+                    st = ("delay",)
+        new_lines.append(_new(StatusLine, (tag, sl.pc, sl.statuses + (st,))))
     for rec in info.issued:
         new_lines.append(_new(StatusLine, (
             rec.tag, rec.ipc, (("fetch", rec.ipc, rec.rs_id),))))

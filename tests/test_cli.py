@@ -216,6 +216,10 @@ USAGE_ERRORS = {
     "replay-truncated-line": (["check", "--replay", "{tmp}/b.bundle"],
                               {"b.bundle": bundle(drop=("forward_steps",))}),
     "negative-trials": (["check", "--suite", "entangled", "--trials", "-5"], {}),
+    # a negative step budget is not a budget that ran out (exit 3)
+    "run-negative-max-steps": (["run", "{tmp}/p.asm", "--max-steps", "-3"],
+                               {"p.asm": "halt\n"}),
+    "demo-negative-max-steps": (["demo", "meltdown", "--max-steps", "-1"], {}),
     "param-without-value": (["run", "{tmp}/p.asm", "--param", "bogus"],
                             {"p.asm": "halt\n"}),
     "unknown-param": (["run", "{tmp}/p.asm", "--param", "bogus=1"],

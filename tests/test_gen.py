@@ -435,6 +435,71 @@ def test_check_after_another_case_was_generated(fresh_run):
         assert check_entangled_case(a) == want
 
 
+def squashes(s, steps):
+    """(s, h, info, u) at each invalidating transition of a recorded run
+    from s, h being the history folded from init_h(s) up to it."""
+    h = init_h(s)
+    out = []
+    for u, info in steps:
+        if info.invalidated:
+            out.append((s, h, info, u))
+        h = variants.next_h(s, h, info, u)
+        s = u
+    return out
+
+
+def deterministic_run(s, limit):
+    """The transitions of the deterministic run from s, to halt or limit."""
+    steps = []
+    while len(steps) < limit and not s.halt:
+        steps.append(ma.step_core(s))
+        s = steps[-1][0]
+    return steps
+
+
+def test_a_squash_reads_nothing_of_its_history(fresh_run):
+    # case_pair starts its fold at the last squash before the sample,
+    # handing it init_h of the state it starts from: on every squash of
+    # the bundled programs' runs and of 200 generated cases' recorded
+    # runs, that gives the history the full fold gives.
+    runs = []
+    for name in ("meltdown", "spectre", "primality"):
+        s = initial_state(Case(asm.load_bundled(name)))
+        runs.append((s, deterministic_run(s, 3000)))
+    cfg = GenConfig(seed=50)
+    for i in range(200):
+        case = gen_entangled_case(cfg, trial_rng("squash", i))
+        runs.append(gen._run(case.program, case.seed_cache))
+    seen = 0
+    for s0, steps in runs:
+        for s, h, info, u in squashes(s0, steps):
+            assert variants.next_h(s, h, info, u) == \
+                variants.next_h(s, init_h(s), info, u)
+            seen += 1
+    assert seen >= 200
+
+
+def test_entangled_folds_often_start_past_step_0(monkeypatch, fresh_run):
+    # At seed 7, 42 of the first 200 entangled samples have a squash in
+    # their recorded run, so their fold starts past the initial state.
+    folded = []  # the states case_pair folds from, in order
+
+    def next_h(s, h, info, u):
+        folded.append(s)
+        return variants.next_h(s, h, info, u)
+
+    monkeypatch.setattr(gen, "next_h", next_h)
+    cfg = GenConfig(seed=7)
+    late = 0
+    for i in range(200):
+        case = gen_entangled_case(cfg, gen._trial_rng(7, "entangled", i))
+        s0 = gen._run(case.program, case.seed_cache)[0]
+        folded.clear()
+        assert case_pair(case) == reference_pair(case)
+        late += bool(folded) and folded[0] is not s0
+    assert late >= 30
+
+
 @pytest.mark.parametrize("order", [(40,), (60,), (60, 40), (40, 60), (20, 12)],
                          ids=["40", "60", "60-40", "40-60", "20-12"])
 def test_probe_draws_as_run_ma_probe(fresh_run, order):

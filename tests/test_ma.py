@@ -2,7 +2,7 @@
 
 import pytest
 
-from teasim import asm
+from teasim import asm, ma
 from teasim.gen import GenConfig, gen_walk_case, initial_state
 from teasim.isa import (
     OP_SHAPES,
@@ -91,6 +91,27 @@ class TestDecode:
         # micro-op.
         uops = decode_one(sample_instr(op))
         assert len({u.mop in NO_STATION for u in uops}) == 1, uops
+
+    def test_decode_cache_stays_within_its_bound(self, monkeypatch):
+        monkeypatch.setattr(ma, "_decoded", {})
+        for imm in range(ma.DECODE_CACHE_SIZE + 100):
+            ma.decoded(Instr("loadi", 1, None, None, imm))
+        assert 0 < len(ma._decoded) <= ma.DECODE_CACHE_SIZE
+        # Decoding goes on past a full cache.
+        s = prog_state(Instr("loadi", 1, imm=7), Instr("halt"))
+        assert run_ma(s, 20)[0].rf[1] == 7
+
+    def test_decode_cache_entries_match_a_fresh_decode(self, monkeypatch):
+        # Whatever the fetch put in the cache, for every op, is the
+        # instruction's decode, its length and the stations it takes.
+        monkeypatch.setattr(ma, "_decoded", {})
+        for op in OP_SHAPES:
+            run_ma(prog_state(sample_instr(op), Instr("halt")), 20)
+        assert {i.op for i in ma._decoded} == set(OP_SHAPES)
+        for i, entry in ma._decoded.items():
+            uops = decode_one(i)
+            taken = sum(u.mop not in NO_STATION for u in uops)
+            assert entry == (uops, len(uops), taken), i
 
     @pytest.mark.parametrize("op", sorted(OP_SHAPES))
     def test_fresh_rob_line_ready_exactly_without_station(self, op):
