@@ -82,3 +82,24 @@ def stale_forwarding(monkeypatch, fresh_run):
         return setup_slot(slot, old_v, reg_st, s)
 
     monkeypatch.setattr(ma, "_setup_slot", stale)
+
+
+@pytest.fixture
+def and_computes_or(monkeypatch, fresh_run):
+    """A station executing `and` computes the bitwise or of its
+    operands."""
+    comp_val = ma.comp_val
+
+    def wrong(rs, s):
+        if rs.mop == "mand":
+            return rs.vj | rs.vk
+        return comp_val(rs, s)
+
+    monkeypatch.setattr(ma, "comp_val", wrong)
+
+
+@pytest.fixture
+def jumps_do_not_squash(monkeypatch, fresh_run):
+    """A committing jump neither ends its commit batch nor invalidates
+    the pipeline, so work fetched down the wrong path commits."""
+    monkeypatch.setattr(ma, "INVALIDATING_MOPS", frozenset({"mhalt"}))

@@ -212,6 +212,11 @@ USAGE_ERRORS = {
     "replay-removed-writeback-property": (
         ["check", "--replay", "{tmp}/b.bundle"],
         {"b.bundle": bundle(property="action-writeback")}),
+    # a property that no longer exists: it could not fail, since the
+    # ISA's in-cache tests the access map first
+    "replay-removed-incache-property": (
+        ["check", "--replay", "{tmp}/b.bundle"],
+        {"b.bundle": bundle(property="incache-constraint")}),
     # a record missing a field
     "replay-truncated-line": (["check", "--replay", "{tmp}/b.bundle"],
                               {"b.bundle": bundle(drop=("forward_steps",))}),
@@ -357,6 +362,17 @@ class TestDemoBench:
         out = capsys.readouterr().out
         assert "unauthorized" in out
         assert "(empty)" in out
+
+    # Budgets too small for the attack's runs to halt.
+    @pytest.mark.parametrize("attack, steps", [("meltdown", 30),
+                                               ("spectre", 3),
+                                               ("meltdown", 0)])
+    def test_budget_exhaustion_exit_code(self, capsys, attack, steps):
+        assert main(["demo", attack, "--max-steps", str(steps)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == (f"step budget exhausted: a run did not halt "
+                                f"within {steps} steps\n")
+        assert captured.err == ""
 
 
 def test_only_run_imports_snapshot():

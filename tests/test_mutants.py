@@ -1,16 +1,17 @@
 """Seeded pipeline mutants that a clean verdict must not survive.
 
 Each mutant is a fixture (in conftest.py) that monkeypatches one
-function of `teasim.ma`, and its test names the suite that must report
-it within a fixed trial budget and seed; the unmutated machine is clean
-on the same trials.
+function or table of `teasim.ma`, and its test names the suite or
+property that must report it within a fixed trial budget and seed; the
+unmutated machine is clean on the same trials.
 """
 
 import json
 
 import pytest
 
-from teasim import cli, gen
+from teasim import asm, cli, gen
+from teasim.isa import run_isa
 from teasim.refine import AUTH_SPECS
 
 from conftest import reference_walk
@@ -53,11 +54,50 @@ def test_stale_forwarding_mutant_fails_wsk_match(stale_forwarding, capsys):
 
 def test_stale_forwarding_mutant_fails_arch_equivalence(stale_forwarding,
                                                         capsys):
-    # Shrinking the arch-equivalence failures accepts candidates whose
-    # findings record no walk step.
     code, doc = check_json(capsys, "all")
     assert code == 1
-    assert first_failure(doc, "arch-equivalence") == (0, {"arch-equivalence"})
+    assert first_failure(doc, "arch-equivalence") == (0, {"wsk-match"})
+
+
+# arch-equivalence's trial budget, and the trial of its first failure at
+# SEED under each mutant, with that failure's obligations.
+ARCH_TRIALS = 100
+ARCH_KILLS = [("and_computes_or", 26, {"wsk-match"}),
+              ("jumps_do_not_squash", 92, {"wsk-run"})]
+
+
+def arch_failures(max_failures: int) -> tuple:
+    cfg = gen.GenConfig(seed=SEED, trials=ARCH_TRIALS,
+                        max_failures=max_failures)
+    return gen.run_property("arch-equivalence", cfg).failures
+
+
+def test_unmutated_machine_passes_arch_equivalence():
+    assert arch_failures(10) == ()
+
+
+@pytest.mark.parametrize("mutant, trial, obligations", ARCH_KILLS)
+def test_arch_equivalence_kills_mutant(request, mutant, trial, obligations):
+    request.getfixturevalue(mutant)
+    (fail,) = arch_failures(1)
+    assert fail.trial == trial
+    assert {f.obligation for f in fail.findings} == obligations
+
+
+# A kernel-free loop that never halts: comparing the two machines' end
+# states has nothing to compare, but the walk checks every step.
+LOOP = "loadi r1 3\nloadi r2 5\nloadi r8 1\nand r3 r1 r2\njge r8 -1\n"
+
+
+def test_arch_equivalence_checks_a_run_that_never_halts(request):
+    prog = asm.parse(LOOP)
+    assert not run_isa(asm.emit_isa(prog), 2000)[0].halt
+    check = gen.PROPERTIES["arch-equivalence"].check
+    assert check(gen.Case(prog)) == []
+    request.getfixturevalue("and_computes_or")
+    found = check(gen.Case(prog))
+    assert len(found) == 8
+    assert {f.obligation for f in found} == {"wsk-match"}
 
 
 def walk_kinds(name: str, max_steps: int, spec) -> list[str]:

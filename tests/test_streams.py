@@ -23,7 +23,6 @@ SHA256 = {
     "wsk-safe": "9d09fb71dd7edf5d8de54ae6da57ba1e4556f70ef1b78205ccd3e6fcd96184f6",
     "spectre": "3ad9a315a975dbb2d4fb6aca9092403d82f96c2d62689f67a8d9e92ff1500202",
     "arch-equivalence": "8433fb406d59022478c7e362b5fb2cbf9e3e64ee4367f17b90a892af303e0965",
-    "incache-constraint": "359e33068f6f87e5697b773f806995efc6ba4607fb5d14acd29334c3f7e076f3",
 }
 
 
