@@ -14,7 +14,8 @@ directory of its own:
   of that name;
 - `run P --machine M`, with and without `--trace`, for each bundled
   program P (read from the second tree) on each machine M;
-- `demo meltdown` and `demo spectre`;
+- `demo meltdown` and `demo spectre`, and each with a step budget
+  too small for its runs to halt (`--max-steps 30` and `18`);
 - two usage errors, `check --suite nope` and `check --trials -1`.
 
 The script prints the SHA-256 digest of stdout and stderr (and of the
@@ -117,6 +118,8 @@ def main() -> int:
                  for prog in programs for machine in ("isa", "ma", "ma-h")
                  for trace in ([], ["--trace"])]
         runs += [["demo", "meltdown"], ["demo", "spectre"],
+                 ["demo", "meltdown", "--max-steps", "30"],
+                 ["demo", "spectre", "--max-steps", "18"],
                  ["check", "--suite", "nope"], ["check", "--trials", "-1"]]
         for argv in runs:
             compare(argv, [run(src, cwd, argv)

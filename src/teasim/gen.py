@@ -369,9 +369,9 @@ class Lookahead:
     its i-th transition (u, info), stepped by `step_core` the first time
     something reads it and kept in `steps`, so all its readers share one
     run.  Iterating it goes on without end (a halted state steps to
-    itself).  `state` is where the run starts, and `advance` moves it
-    one transition on; `_walk` does the same inline, popping the first
-    transition off `steps` and setting `state` to its u."""
+    itself).  `state` is where the run starts; `_walk` moves it one
+    transition on by popping the first transition off `steps` and
+    setting `state` to its u."""
 
     __slots__ = ("state", "steps")
 
@@ -384,13 +384,6 @@ class Lookahead:
         while len(steps) <= i:
             steps.append(step_core(steps[-1][0] if steps else self.state))
         return steps[i]
-
-    def advance(self) -> tuple[MaState, StepInfo]:
-        """The first transition (u, info); the run then starts at u."""
-        first = self[0]
-        self.steps.popleft()
-        self.state = first[0]
-        return first
 
 
 def _walk(case: Case, per_step, max_steps: int,

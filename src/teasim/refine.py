@@ -12,11 +12,12 @@ retires nothing must leave the architectural fields unchanged and reach
 a retirement within the stutter bound (the step is deterministic, so
 the witness then strictly decreases; the caller supplies the witness,
 which a walk reads off its own run), and a retiring transition must be
-matched by running the architectural machine one step per retired
-instruction, resolving its cache nondeterminism so the cache-membership
-results agree.  Only a committed `in-cache` reads the cache, so only it
-makes a cache choice, through `isa.isa_step`; every other retired
-instruction takes the deterministic step `isa_det_step` directly.  The
+matched by one architectural run for both maps, `run_ic`, one step per
+retired instruction.  Only a committed `in-cache` reads the cache: under
+r_ic it makes a cache choice, through `isa.isa_step`, so the
+cache-membership results agree; under r_a it takes the deterministic
+step `isa_det_step`, like every other instruction, and reads the
+pipeline's committed cache, which the barrier rule makes exact.  The
 entangled obligations likewise take the sample's transition from the
 caller when it has one recorded.  Failures come back as data (findings
 with a kind and message), never exceptions.
@@ -46,7 +47,6 @@ from .isa import (
     fetch_instr,
     isa_det_step,
     isa_step,
-    label,
     w32,
 )
 from .ma import (
@@ -116,26 +116,33 @@ def _expected_mop(instr, faulted: bool) -> str | None:
 
 
 def run_ic(
-    w: IsaState, batch: tuple[RobLine, ...]
+    w: IsaState, batch: tuple[RobLine, ...], observable: bool = False
 ) -> tuple[IsaState | None, Finding | None]:
-    """Architectural run matching a retiring transition.
+    """Architectural run matching a retiring transition s -> u, from
+    w = r(s): one step per retired instruction.
 
-    Executes one step per retired instruction.  A committed in-cache
-    is stepped with a pre-step cache choice picked so its result agrees
-    with what the pipeline computed; no other instruction reads the
-    cache, so it takes the deterministic step.  A result no legal
-    choice can produce is the transient execution counterexample.
+    Only a committed in-cache reads the cache.  Under r_ic (the default)
+    it is stepped with a pre-step cache choice picked so its result
+    agrees with what the pipeline computed; a result no legal choice can
+    produce is the transient execution counterexample.  Under r_a
+    (observable) w holds the pipeline's committed cache, so every
+    instruction takes the deterministic step, an in-cache reads that
+    cache, and the caller compares its result.  The barrier rule makes
+    that exact: an in-cache starts only when no older memory micro-op
+    is in the ROB, and younger loads wait until it leaves the ROB, so
+    the cache cannot change between its execution and its commit.
     """
+    obligation = "wsk-a-run" if observable else "wsk-run"
     v = w
     for line in retired_lines(batch):
         instr = fetch_instr(v.imem, v.pc)
         if line.mop != _expected_mop(instr, line.excep):
             return None, Finding(
-                "wsk-run", "functional",
+                obligation, "functional",
                 f"pipeline committed {line.mop} where the architectural "
                 f"stream has {instr.render()!r} at {v.pc:#x}",
             )
-        if line.mop != "min-cache":
+        if observable or line.mop != "min-cache":
             v = isa_det_step(v)
             continue
         pre_add = pre_rem = ()
@@ -257,32 +264,6 @@ def check_cache_action(
     return Finding("action-soundness", "tea-spectre", "; ".join(parts))
 
 
-def run_ic_c(
-    w: IsaState, batch: tuple[RobLine, ...]
-) -> tuple[IsaState | None, Finding | None]:
-    """Architectural run for the cache-observable refinement.
-
-    The caches already agree, so no cache choice is made: one
-    deterministic step per retired instruction.  The pipeline's own
-    fills are the action audit's to check.  The generators leave
-    in-cache out of these programs; a replayed case may not.
-    """
-    v = w
-    for line in retired_lines(batch):
-        instr = fetch_instr(v.imem, v.pc)
-        if instr.op == "in-cache":
-            return None, Finding("wsk-a-run", "functional",
-                                 "in-cache present in an action-labeled run")
-        if line.mop != _expected_mop(instr, line.excep):
-            return None, Finding(
-                "wsk-a-run", "functional",
-                f"pipeline committed {line.mop} where the architectural "
-                f"stream has {instr.render()!r} at {v.pc:#x}",
-            )
-        v = isa_det_step(v)
-    return v, None
-
-
 def check_wsk_transition(
     s: MaState, u: MaState, info: StepInfo, wit: int | None,
     spec: AuthSpec | None = None, run: Run | None = None,
@@ -329,7 +310,7 @@ def check_wsk_transition(
     if spec is None:
         v, fail = run_ic(r_ic(s), info.batch)
     else:
-        v, fail = run_ic_c(r_a(s), info.batch)
+        v, fail = run_ic(r_a(s), info.batch, observable=True)
     if fail is not None:
         findings.append(fail)
         return findings

@@ -103,3 +103,17 @@ def jumps_do_not_squash(monkeypatch, fresh_run):
     """A committing jump neither ends its commit batch nor invalidates
     the pipeline, so work fetched down the wrong path commits."""
     monkeypatch.setattr(ma, "INVALIDATING_MOPS", frozenset({"mhalt"}))
+
+
+@pytest.fixture
+def in_cache_always_one(monkeypatch, fresh_run):
+    """A station executing `in-cache` answers 1, whatever the cache
+    holds."""
+    comp_val = ma.comp_val
+
+    def always_one(rs, s):
+        if rs.mop == "min-cache":
+            return 1
+        return comp_val(rs, s)
+
+    monkeypatch.setattr(ma, "comp_val", always_one)

@@ -18,9 +18,9 @@ from teasim.gen import (
     check_incache_case,
     report_json,
 )
-from teasim.isa import isa_det_step
+from teasim.isa import isa_det_step, label
 from teasim.ma import ma_step, man_step, maximal_choice, run_ma, step_core
-from teasim.refine import label, r_ic, run_ic, stutter_wit
+from teasim.refine import r_ic, run_ic, stutter_wit
 from teasim.variants import init_h, is_entangled, mah_step
 
 from conftest import trial_rng

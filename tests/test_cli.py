@@ -366,7 +366,8 @@ class TestDemoBench:
     # Budgets too small for the attack's runs to halt.
     @pytest.mark.parametrize("attack, steps", [("meltdown", 30),
                                                ("spectre", 3),
-                                               ("meltdown", 0)])
+                                               ("meltdown", 0),
+                                               ("spectre", 18)])
     def test_budget_exhaustion_exit_code(self, capsys, attack, steps):
         assert main(["demo", attack, "--max-steps", str(steps)]) == 3
         captured = capsys.readouterr()

@@ -4,13 +4,16 @@ Every public top-level function or class in `src/teasim` must be named
 somewhere in `src/` or `scripts/` outside its own definition, every
 defaulted parameter of a function there must be set by some call in
 `src/` or `scripts/`, and every annotated field of a class there must be
-read as an attribute in `src/` or `scripts/`.  A definition kept
-although only tests use it must be named by some test.
+read as an attribute in `src/` or `scripts/`.  No module there imports a
+name it never reads.  A definition kept although only tests use it must
+be named by some test.
 """
 
 import ast
 import pathlib
 from collections import Counter, defaultdict
+
+import teasim
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "teasim").glob("*.py"))
@@ -29,6 +32,9 @@ KEPT_FOR_TESTS = {
     # address: no property runs it, since it cannot fail.
     "gen_incache_case",
     "check_incache_case",
+    # The paper's observation label: the architectural state with the
+    # cache erased (acceptance criteria 4 and 5).
+    "label",
 }
 
 
@@ -56,6 +62,26 @@ def test_every_public_definition_is_used_outside_tests():
                     and total[node.name] == mentions(node)[node.name]):
                 unused.add(node.name)
     assert unused == KEPT_FOR_TESTS
+
+
+def test_no_unused_imports():
+    """Every name a module imports is read in it, so an import alias
+    never counts as the only use of a definition.  The package's
+    `__init__` re-exports the names in its `__all__`."""
+    unused = set()
+    for f in PACKAGE + SCRIPTS:
+        tree = ast.parse(f.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if f.name == "__init__.py":
+            read |= set(teasim.__all__)
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in read:
+                        unused.add(f"{f.stem}.{name}")
+    assert unused == set()
 
 
 def test_every_kept_definition_is_used_by_tests():

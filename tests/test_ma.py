@@ -10,6 +10,7 @@ from teasim.isa import (
     ChoiceError,
     Instr,
     isa_det_step,
+    label,
     w32,
 )
 from teasim.ma import (
@@ -31,7 +32,7 @@ from teasim.ma import (
     run_ma,
     step_core,
 )
-from teasim.refine import label, r_ic
+from teasim.refine import r_ic
 from teasim.snapshot import ma_to_text
 from teasim.variants import derive_choice, init_h, invl, mah_step, steps_to_take
 

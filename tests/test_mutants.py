@@ -126,3 +126,47 @@ def test_stall_mutant_walks_match_reference(stall, name, max_steps, spec):
 def test_stale_forwarding_mutant_walks_match_reference(
         stale_forwarding, name, max_steps, spec):
     assert "functional" in walk_kinds(name, max_steps, spec)
+
+
+# Kernel-free programs that draw `in-cache`, checked under r_a: the
+# matched run steps each committed in-cache deterministically on the
+# pipeline's cache, so its answer is checked, not rejected.  The trial
+# budget, and the trial at which the always-1 mutant is first found.
+IC_TRIALS, IC_KILL = 300, 4
+
+
+def wsk_a_failures(trials: int) -> list[tuple[int, set[str]]]:
+    """(trial, obligations) of each of the first `trials` kernel-free
+    in-cache walks with a `wsk-a-*` finding."""
+    cfg = gen.GenConfig(seed=SEED, include_kernel=False)
+    out = []
+    for i in range(trials):
+        case = gen.gen_walk_case(cfg, gen._trial_rng(SEED, "spectre", i))
+        found = {f.obligation for f in gen.check_spectre_case(case)
+                 if f.obligation.startswith("wsk-a-")}
+        if found:
+            out.append((i, found))
+    return out
+
+
+def test_unmutated_machine_matches_in_cache_under_r_a():
+    assert wsk_a_failures(IC_TRIALS) == []
+
+
+def test_in_cache_always_one_mutant_fails_wsk_a_match(in_cache_always_one):
+    assert wsk_a_failures(IC_KILL + 1)[0] == (IC_KILL, {"wsk-a-match"})
+
+
+# A user load, then an in-cache of the line it filled, which answers 1.
+IN_CACHE_BUNDLE = {
+    "property": "spectre", "forward_steps": 0, "seed_cache": [],
+    "program": ".access 0 511\n.data 16 7\nloadi r1 16\nloadi r2 0\n"
+               "ldr r3 r1 r2\nin-cache r4 r1 r2\nhalt\n",
+}
+
+
+def test_spectre_bundle_with_in_cache_replays_clean(tmp_path, capsys):
+    path = tmp_path / "in-cache.bundle"
+    path.write_text(json.dumps(IN_CACHE_BUNDLE))
+    assert cli.main(["check", "--replay", str(path)]) == 0
+    assert capsys.readouterr().out == "bundle no longer fails\n"

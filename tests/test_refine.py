@@ -1,7 +1,7 @@
 """Refinement maps, witnesses, matched runs, and the action audit."""
 
 from teasim import asm, refine, variants
-from teasim.isa import AccessMap, Instr, IsaState
+from teasim.isa import AccessMap, Instr, IsaState, label
 from teasim.ma import (
     RobLine,
     initial_ma_state,
@@ -15,7 +15,6 @@ from teasim.refine import (
     check_cache_action,
     check_entangled_sample,
     check_wsk_transition,
-    label,
     r_a,
     r_ic,
     run_ic,
