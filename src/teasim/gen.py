@@ -36,17 +36,12 @@ without the sample's.
 Each registered property pairs a case generator with a checker over the
 case; `run_property` drives seeded trials (per-trial streams are split
 deterministically from the root seed, so reports are reproducible).  A
-failing case is shrunk greedily: `_smaller` yields the candidates in one
-fixed order, and `shrink` keeps the first that still fails the same
-obligation and starts over, within SHRINK_BUDGET candidates.  A walk
-property's candidate fails only if it fails the obligation within
-2c + 8 steps, c being the step at which the current best case first
-failed it; for the trial's own case, c is read off the trial's first
-finding, so shrinking does not walk that case again.  A candidate found
-passing under one bound is not checked again under it: when it comes
-up again it is skipped, though it still uses budget.  The report holds
-the shrunk case and its findings, re-checked by the full, unbounded
-check.
+failing case is shrunk (`shrink`) in rounds of passes that delete blocks
+of instructions, rewind the forward steps and halve immediates, each
+pass going on from a candidate that still fails the same obligation
+(for a walk, within a step bound), until a round changes nothing or the
+budget is spent.  The report holds the shrunk case and its findings,
+re-checked by the full, unbounded check.
 """
 
 from __future__ import annotations
@@ -56,9 +51,9 @@ import random
 import zlib
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Callable, NamedTuple
 
 from .asm import Program, render
@@ -618,80 +613,85 @@ class Report(NamedTuple):
         }
 
 
-# Candidates one shrink may check.
+# Candidates one shrink may check or skip.
 SHRINK_BUDGET = 150
 
 
-def _smaller(case: Case):
-    """Candidate reductions of a case, in the order shrink tries them:
-    drop one instruction, then rewind the forward steps, then halve one
-    immediate."""
-    prog = case.program
-    instrs, steps, cache = prog.instrs, case.forward_steps, case.seed_cache
+def _splice(case: Case, i: int, j: int, new: tuple[Instr, ...] = ()) -> Case:
+    """The case with its instructions i to j - 1 replaced by new."""
+    instrs = case.program.instrs
+    return replace(case, program=case.program._replace(
+        instrs=instrs[:i] + new + instrs[j:]))
 
-    def with_instrs(new: tuple[Instr, ...]) -> Case:
-        return Case(Program(prog.base, new, prog.data, prog.access,
-                            prog.entry), steps, cache)
 
-    for i in range(len(instrs)):
-        yield with_instrs(instrs[:i] + instrs[i + 1:])
-    if steps > 0:
-        for k in (0, steps // 2, steps - 1):
-            yield Case(prog, k, cache)
-    for i, ins in enumerate(instrs):
-        if ins.imm and ins.imm < 0x1000:
-            yield with_instrs(instrs[:i] + (ins._replace(imm=ins.imm // 2),)
-                              + instrs[i + 1:])
+def _passes(best: Callable[[], Case]):
+    """The candidates of a shrink: rounds of passes over the current best
+    case, which best() reads after each candidate, each pass going on in
+    place from a candidate that still fails.  A round deletes blocks of k
+    instructions, k halving from n/2 to 1, then rewinds the forward steps
+    to 0, to half and by one, then halves each immediate.  The round that
+    changes nothing is the last, so the result is 1-minimal."""
+    while True:
+        start = best()
+        k = max(len(start.program.instrs) // 2, 1)
+        while k:
+            i = 0
+            while i + k <= len(best().program.instrs):
+                yield (cand := _splice(best(), i, i + k))
+                i += 0 if best() is cand else k
+            k //= 2
+        for j in range(3):
+            while steps := best().forward_steps:
+                yield (cand := replace(best(), forward_steps=(
+                    0, steps // 2, steps - 1)[j]))
+                if best() is not cand:
+                    break
+        for i, ins in enumerate(best().program.instrs):
+            while ins.imm and ins.imm < 0x1000:
+                ins = ins._replace(imm=ins.imm // 2)
+                yield (cand := _splice(best(), i, i + 1, (ins,)))
+                if best() is not cand:
+                    break
+        if best() is start:
+            return
 
 
 def shrink(prop: Property, case: Case, obligation: str,
            first: Finding | None = None) -> Case:
-    """Greedy reduction preserving failure of the same obligation: take
-    the first candidate that still fails and start over from it, until
-    no candidate fails or SHRINK_BUDGET candidates are checked.
+    """Reduction in rounds of passes (`_passes`), keeping each candidate
+    that still fails the same obligation, until a round changes nothing
+    or SHRINK_BUDGET candidates are checked or skipped.
 
-    A walk property's candidate counts as failing only if it fails the
-    obligation within 2c + 8 steps, where c is the step at which the
-    current best case first failed it; its walk stops there.  Deleting
-    a loop exit thus costs a few steps, not a walk to max_steps.  first
-    is the case's first finding of the obligation, as its full check
-    made it (findings come in step order); without it, a walk
-    property's case is walked once more to find it.
+    A walk property's candidate fails only if it fails the obligation
+    within 2c + 8 steps, c being the step at which the current best case
+    first failed it, and its walk stops there: deleting a loop exit
+    costs a few steps, not a walk to max_steps.  first is the case's
+    first finding of the obligation from its full check (findings come
+    in step order); without it, a walk property's case is walked again.
 
-    Checks are deterministic, so a candidate already checked under the
-    same bound and found passing is skipped, not checked again: after
-    halving an immediate, the deletions repeat the last round's, and
-    deleting any of several identical instructions gives one program.
-    A skipped candidate still counts against the budget, so the result
-    is the one checking every candidate would give."""
+    Checks are deterministic, so a candidate already found passing under
+    the same bound is skipped: a round after a success repeats the
+    deletions of the one before, and deleting any of several identical
+    instructions gives one program.  A skip still uses budget, so the
+    result is the one checking every candidate gives."""
 
     def first_failure(cand: Case, within: int | None) -> Finding | None:
         found = (prop.check(cand, (obligation, within)) if prop.walks
                  else prop.check(cand))
         return next((f for f in found if f.obligation == obligation), None)
 
-    budget = SHRINK_BUDGET
-    best = case
-    # A walk property's first failure on the current best case.
-    hit = first
+    best, hit = case, first  # hit: a walk property's first failure on best
     if prop.walks and hit is None:
         hit = first_failure(case, None)
     passed: set[tuple[Case, int | None]] = set()  # (candidate, within)
-    while True:
-        for cand in _smaller(best):
-            if budget == 0:
-                return best
-            budget -= 1
-            key = (cand, 2 * hit.step + 8 if prop.walks else None)
-            if key in passed:
-                continue
-            found = first_failure(*key)
-            if found:
+    for cand in islice(_passes(lambda: best), SHRINK_BUDGET):
+        key = (cand, 2 * hit.step + 8 if prop.walks else None)
+        if key not in passed:
+            if found := first_failure(*key):
                 best, hit = cand, found
-                break
-            passed.add(key)
-        else:
-            return best
+            else:
+                passed.add(key)
+    return best
 
 
 def run_property(

@@ -2,6 +2,8 @@
 
 import random
 from dataclasses import replace
+from functools import lru_cache
+from itertools import count, islice
 
 import pytest
 
@@ -119,19 +121,20 @@ def test_shrink_meltdown_case_stays_small():
                for f in prop.check(small))
 
 
-# Without the step bound on candidates, these shrinks walked 6,723
-# (spectre) and 89,489 (meltdown) steps and reached the same programs.
-# Checking, shrinking and re-checking the bundled case now steps 301 and
-# 3,658 times; walking the original case once more in the shrink would
-# add 23 and 1,172, and walking again the candidates already found
-# passing 32 and 30.
+# Checking, shrinking and re-checking the bundled case steps 217 and
+# 1,778 times; restarting the candidate list after every success, as the
+# shrinker did before it shrank in rounds of passes, stepped 301 and
+# 3,658 times, and reached programs of the same sizes.  Each bound is the
+# count plus 3%.  Walking the original case once more in the shrink
+# would add 21 and 1,172 steps, and walking again the candidates already
+# found passing 8 and 73.
 BUNDLED_SHRINKS = [
-    ("spectre", "spectre", 310,
+    ("spectre", "spectre", 224,
      ".access 0 511\n.data 16 1\n.data 17 2\n.data 18 3\n.data 19 4\n"
-     ".data 22 77\n.entry 0\njge r5 0\nldr r7 r2 r6\n"),
-    ("wsk", "meltdown", 3_700,
-     ".access 0 511\n.data 4096 57\n.entry 0\nloadi r1 4096\ntsx-start 5\n"
-     "ldri r3 r1 0\nnoop\nnoop\nin-cache r7 r1 r0\n"),
+     ".data 22 77\n.entry 0\njge r5 0\nldr r6 r1 r3\n"),
+    ("wsk", "meltdown", 1_830,
+     ".access 0 511\n.data 4096 57\n.entry 0\nloadi r1 4096\nloadi r2 0\n"
+     "loadi r9 0\ntsx-start 5\nldri r3 r1 0\nin-cache r7 r1 r0\n"),
 ]
 
 
@@ -168,10 +171,10 @@ def test_shrink_from_the_first_finding_as_from_a_rewalk(name, bundled):
 
 @pytest.mark.parametrize("name, bundled, shrunk, checked",
                          [(n, b, s, k) for (n, b, _, s), k
-                          in zip(BUNDLED_SHRINKS, (30, 98))],
+                          in zip(BUNDLED_SHRINKS, (18, 51))],
                          ids=[b for _, b, _, _ in BUNDLED_SHRINKS])
 def test_shrink_checks_each_passing_candidate_once(name, bundled, shrunk, checked):
-    # Checking every candidate took 34 (spectre) and 101 (meltdown)
+    # Checking every candidate took 19 (spectre) and 58 (meltdown)
     # checks for the same result.  A candidate may be checked again
     # under another bound, but never under the same one.
     prop = PROPERTIES[name]
@@ -189,13 +192,14 @@ def test_shrink_checks_each_passing_candidate_once(name, bundled, shrunk, checke
 
 
 def test_shrink_skips_repeated_candidates_within_its_budget(monkeypatch):
-    # Deleting any of the three noops gives one program, checked once;
-    # the repeats still use budget, so a budget of 3 never reaches the
-    # deletion of halt and a budget of 4 does.
+    # The two deletions of a block of two come first.  Then deleting any
+    # of the three noops gives one program, checked once; the repeats
+    # still use budget, so a budget of 5 never reaches the deletion of
+    # halt and a budget of 6 does.
     prog = Program(0, (Instr("noop"),) * 3 + (Instr("halt"),), (),
                    ((0, 0x7F),), 0)
     case = Case(prog)
-    for budget, checked in ((3, 1), (4, 2)):
+    for budget, checked in ((5, 3), (6, 4)):
         calls = []
 
         def check(c):
@@ -206,6 +210,95 @@ def test_shrink_skips_repeated_candidates_within_its_budget(monkeypatch):
         prop = Property("fake", gen_entangled_case, check)
         assert shrink(prop, case, "only-original") == case
         assert len(calls) == checked
+
+
+def one_step_candidates(case: Case):
+    """Each single-instruction deletion, forward-step rewind and immediate
+    halving of a case: the candidate kinds of a shrink, one step each."""
+    instrs = case.program.instrs
+
+    def with_instrs(new):
+        return replace(case, program=case.program._replace(instrs=new))
+
+    for i in range(len(instrs)):
+        yield with_instrs(instrs[:i] + instrs[i + 1:])
+    steps = case.forward_steps
+    for k in (0, steps // 2, steps - 1) if steps else ():
+        yield replace(case, forward_steps=k)
+    for i, ins in enumerate(instrs):
+        if ins.imm and ins.imm < 0x1000:
+            yield with_instrs(instrs[:i] + (ins._replace(imm=ins.imm // 2),)
+                              + instrs[i + 1:])
+
+
+@lru_cache(maxsize=None)
+def spectre_failures(seed: int, n: int) -> tuple[Case, ...]:
+    """The cases of the first n failing `spectre` trials at a seed."""
+    prop = PROPERTIES["spectre"]
+    cfg = prop.adjust(GenConfig(seed=seed))
+    cases = (prop.gen(cfg, gen._trial_rng(seed, "spectre", i))
+             for i in count())
+    return tuple(islice((c for c in cases if prop.check(c)), n))
+
+
+MINIMAL_SHRINKS = ([("spectre", "spectre", None), ("wsk", "meltdown", None)]
+                   + [("spectre", None, i) for i in range(10)])
+
+
+@pytest.mark.parametrize("name, bundled, failure", MINIMAL_SHRINKS,
+                         ids=["spectre", "meltdown"]
+                         + [f"seed-1-failure-{i}" for i in range(10)])
+def test_shrinks_end_one_minimal(monkeypatch, name, bundled, failure):
+    # The shrink stops because a round changed nothing, not because its
+    # budget ran out, and no candidate of the result fails the obligation
+    # within the result's own bound of 2c + 8 steps.
+    ended = []
+    passes = gen._passes
+
+    def watched(best):
+        yield from passes(best)
+        ended.append(True)
+
+    monkeypatch.setattr(gen, "_passes", watched)
+    prop = PROPERTIES[name]
+    case = (Case(asm.load_bundled(bundled)) if bundled
+            else spectre_failures(1, 10)[failure])
+    first = prop.check(case)[0]
+    small = shrink(prop, case, first.obligation, first)
+    assert ended
+    hit = next(f for f in prop.check(small)
+               if f.obligation == first.obligation)
+    until = (first.obligation, 2 * hit.step + 8)
+    for cand in one_step_candidates(small):
+        assert all(f.obligation != first.obligation
+                   for f in prop.check(cand, until)), cand
+
+
+# The shrinks of `spectre`'s 103 failures at seed 1 in 300 trials step
+# 6,288 times; restarting the candidate list after every success took
+# 14,377 steps.  The bound is the count plus 3%.
+def test_spectre_shrinks_at_seed_1_walk_few_steps(monkeypatch):
+    steps = shrunk = 0
+    for module in (gen, refine):
+        def counting(s, step_core=module.step_core):
+            nonlocal steps
+            steps += 1
+            return step_core(s)
+
+        monkeypatch.setattr(module, "step_core", counting)
+    shrink = gen.shrink
+
+    def counted(*args):
+        nonlocal shrunk
+        before = steps
+        small = shrink(*args)
+        shrunk += steps - before
+        return small
+
+    monkeypatch.setattr(gen, "shrink", counted)
+    cfg = GenConfig(seed=1, trials=300, max_failures=300)
+    assert len(run_property("spectre", cfg).failures) == 103
+    assert shrunk <= 6_480
 
 
 @pytest.mark.parametrize("fail_at, accepted", [(13, True), (14, False)])
@@ -303,7 +396,8 @@ def test_walk_and_entangled_cases_draw_the_same():
 
 def test_shrink_spends_at_most_its_budget():
     # Only the original fails, so no candidate is accepted and the
-    # budget runs out among the 200 deletions, which are all distinct.
+    # budget runs out among the deletions (129 of blocks of 100 down to
+    # 3, then single ones), which are all distinct.
     prog = Program(0, tuple(Instr("loadi", rd=1, imm=i) for i in range(199))
                    + (Instr("halt"),), (), ((0, 0x7F),), 0)
     case = Case(prog, forward_steps=3)

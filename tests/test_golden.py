@@ -13,7 +13,7 @@ from teasim.cli import main
 
 ARGV = ["check", "--suite", "all", "--trials", "40", "--seed", "3", "--json"]
 EXIT_CODE = 1  # the buggy suites report counterexamples
-SHA256 = "1097be240cf2f8c92cdf98636f1af56dcb766ce78d32faead27651649f562b1b"
+SHA256 = "973994ec05d5889bfbaf8bb65cb845b0e1ed8765122d15078d09d21076410a96"
 
 
 def test_check_all_report_is_unchanged(capsys):
