@@ -48,7 +48,7 @@ def costs(runs: list[tuple[str, int, int]]) -> list[dict]:
     shrink = gen.shrink
     shrinks: list[dict] = []
 
-    def measured(prop, case, obligation, first=None):
+    def measured(prop, case, obligation, first):
         checked = 0
 
         def check(*args):

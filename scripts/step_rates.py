@@ -1,37 +1,58 @@
 #!/usr/bin/env python3
-"""Criterion 7's step rates, measured so that a change can be compared.
+"""Criterion 7's step rates and the recorded layers' costs, measured so
+that a change can be compared.
 
 tests/test_acceptance.py::test_criterion_7_throughput times one pass of
 200,000 `isa_det_step` and 20,000 `ma_step` steps over the bundled
 primality program, and asks for an ISA/pipeline ratio of at least 10x.
-One pass cannot resolve a change to the pipeline on a shared host, so
-this script runs the same two loops in N rounds.  In each round every
-source tree is measured in a fresh process, in alternating order, and
-the process keeps the best of k passes of each loop, the ISA and
-pipeline passes interleaved.  It prints each round's rates and, per
-tree, the median ISA and pipeline steps/s and their ratio.  For each
-tree after the first it then prints one line: its ISA and pipeline
-speed-ups over the first tree, each the median over the rounds of the
-round's speed-up (the two trees of a round run back to back), and how
-the median ratio moved.  A change keeps criterion 7's margin when its
-ISA speed-up is at least its pipeline speed-up.
+That loop does not predict what the benchmark's verdicts spend in the
+pipeline, so the first source tree also runs the suites of
+`check --suite S --trials N --seed K` for each verdict below and each
+seed, recording the arguments and result of every call of
+`ma.step_core`, `variants.next_h` and `variants.derive_choice`.
+
+Then, in N rounds, every tree is measured in a fresh process, the trees
+in alternating order.  The process keeps the best of k passes of
+criterion 7's two loops, the ISA and pipeline passes interleaved, then
+the best of k passes over each layer's recorded inputs, with the
+collector off.  A replayed result unlike the recorded one is counted,
+and the script exits 1 if any is.  It prints each round's rates and µs
+per call, then per tree their medians and the lowest round's ratio, and
+for each tree after the first its speed-ups over the first, each the
+median over the rounds of the round's speed-up, and how the median
+ratio moved.  A change keeps criterion 7's margin when its ISA speed-up
+is at least its pipeline speed-up.
 
     python scripts/step_rates.py                    # this checkout's src
     python scripts/step_rates.py OLD/src src -n 8   # two trees, interleaved
+    python scripts/step_rates.py OLD/src src -n 5 -k 3 --seeds 1 2 3
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
+import importlib
 import json
 import os
+import pickle
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ISA_STEPS, MA_STEPS = 200_000, 20_000  # criterion 7's loop lengths
+# Layer -> (module, function); the recorded calls pass positional
+# arguments only.
+LAYERS = {
+    "step_core": ("teasim.ma", "step_core"),
+    "next_h": ("teasim.variants", "next_h"),
+    "derive_choice": ("teasim.variants", "derive_choice"),
+}
+# The benchmark's three verdicts.
+VERDICTS = (("spectre-buggy", 1), ("meltdown-safe", 10), ("entangled", 20))
 
 
 def rate(step, s0, n: int) -> float:
@@ -46,8 +67,39 @@ def rate(step, s0, n: int) -> float:
     return n / (time.perf_counter() - t0)
 
 
-def best_rates(k: int) -> dict:
-    """The best of k interleaved passes of each loop, in this process."""
+def record(path: str, seeds: list[int]) -> None:
+    """Run the verdicts in this process with every layer wrapped, and
+    pickle {layer: [(args, result), ...]} to path."""
+    from teasim import cli
+    from teasim.gen import GenConfig
+
+    modules = [importlib.import_module(f"teasim.{m}")
+               for m in ("ma", "variants", "refine", "gen", "cli")]
+    calls: dict[str, list] = {}
+    for layer, (mod, name) in LAYERS.items():
+        fn = getattr(importlib.import_module(mod), name)
+        log = calls[layer] = []
+
+        def wrapped(*args, fn=fn, log=log):
+            out = fn(*args)
+            log.append((args, out))
+            return out
+
+        for m in modules:  # every binding of the function
+            for key, value in list(vars(m).items()):
+                if value is fn:
+                    setattr(m, key, wrapped)
+    for suite, trials in VERDICTS:
+        for seed in seeds:
+            cli.suite_reports(suite, GenConfig(seed=seed, trials=trials))
+    with open(path, "wb") as fh:
+        pickle.dump(calls, fh, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def measure_here(path: str, k: int) -> dict:
+    """In this process: {"isa", "ma": best steps/s over k interleaved
+    passes of each loop, "layers": {layer: {"us": best µs per call over
+    k passes, "calls": n, "differ": results unlike the recorded ones}}}."""
     from teasim import asm
     from teasim.isa import isa_det_step
     from teasim.ma import ma_step
@@ -58,61 +110,105 @@ def best_rates(k: int) -> dict:
     for _ in range(k):
         isa = max(isa, rate(isa_det_step, isa0, ISA_STEPS))
         ma = max(ma, rate(ma_step, ma0, MA_STEPS))
-    return {"isa": isa, "ma": ma}
+
+    with open(path, "rb") as fh:
+        calls = pickle.load(fh)
+    # A verdict keeps few states alive; the collector would scan all
+    # the recorded ones here, so it is off while the passes are timed.
+    gc.disable()
+    layers = {}
+    for layer, (mod, name) in LAYERS.items():
+        fn = getattr(importlib.import_module(mod), name)
+        inputs = [args for args, _ in calls[layer]]
+        best = float("inf")
+        for _ in range(k):
+            t0 = time.perf_counter()
+            for args in inputs:
+                fn(*args)
+            best = min(best, time.perf_counter() - t0)
+        differ = sum(fn(*args) != want for args, want in calls[layer])
+        layers[layer] = {"us": best / max(len(inputs), 1) * 1e6,
+                         "calls": len(inputs), "differ": differ}
+    return {"isa": isa, "ma": ma, "layers": layers}
 
 
-def measure(src: str, k: int) -> dict:
+def child(src: str, *argv: str) -> str:
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    out = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--one", str(k)],
-        env=env, check=True, capture_output=True, text=True).stdout
-    return json.loads(out)
+    return subprocess.run([sys.executable, os.path.abspath(__file__), *argv],
+                          env=env, check=True, capture_output=True,
+                          text=True).stdout
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("src", nargs="*",
                     default=[os.path.join(HERE, os.pardir, "src")],
-                    help="source trees to measure (default: this checkout's)")
+                    help="source trees to measure, the first recording "
+                         "(default: this checkout's)")
     ap.add_argument("-n", "--rounds", type=int, default=5)
     ap.add_argument("-k", "--best-of", type=int, default=3)
-    ap.add_argument("--one", type=int, metavar="K", help=argparse.SUPPRESS)
+    ap.add_argument("--seeds", nargs="+", type=int, default=list(range(1, 17)))
+    ap.add_argument("--record", metavar="PATH", help=argparse.SUPPRESS)
+    ap.add_argument("--one", metavar="PATH", help=argparse.SUPPRESS)
     args = ap.parse_args()
-    if args.one is not None:
-        print(json.dumps(best_rates(args.one)))
+    if args.record:
+        record(args.record, args.seeds)
+        return 0
+    if args.one:
+        print(json.dumps(measure_here(args.one, args.best_of)))
         return 0
     if args.rounds < 1 or args.best_of < 1:
         ap.error("--rounds and --best-of must be at least 1")
 
     runs: dict[str, list[dict]] = {src: [] for src in args.src}
-    for i in range(args.rounds):
-        order = args.src if i % 2 == 0 else args.src[::-1]
-        for src in order:
-            r = measure(src, args.best_of)
-            runs[src].append(r)
-            print(f"round {i + 1} {src}: ISA {r['isa']:,.0f}/s, "
-                  f"pipeline {r['ma']:,.0f}/s, ratio {r['isa'] / r['ma']:.1f}x",
-                  flush=True)
-    print(f"\nmedians over {args.rounds} rounds, best of {args.best_of}:")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "calls.pickle")
+        child(args.src[0], "--record", path, "--seeds", *map(str, args.seeds))
+        for i in range(args.rounds):
+            order = args.src if i % 2 == 0 else args.src[::-1]
+            for src in order:
+                r = json.loads(child(src, "--one", path,
+                                     "--best-of", str(args.best_of)))
+                runs[src].append(r)
+                print(f"round {i + 1} {src}: ISA {r['isa']:,.0f}/s, "
+                      f"pipeline {r['ma']:,.0f}/s, ratio "
+                      f"{r['isa'] / r['ma']:.1f}x; " + ", ".join(
+                          f"{layer} {v['us']:.2f} µs"
+                          for layer, v in r["layers"].items()), flush=True)
+
+    first, *rest = args.src
+    calls = {layer: v["calls"] for layer, v in runs[first][0]["layers"].items()}
+    print(f"\nmedians over {args.rounds} rounds, best of {args.best_of}; "
+          "calls: " + ", ".join(f"{layer} {n:,}" for layer, n in calls.items()))
     for src, rs in runs.items():
         ratios = [r["isa"] / r["ma"] for r in rs]
         print(f"{src}: ISA {statistics.median(r['isa'] for r in rs):,.0f}/s, "
               f"pipeline {statistics.median(r['ma'] for r in rs):,.0f}/s, "
               f"ratio {statistics.median(ratios):.1f}x "
-              f"(lowest {min(ratios):.1f}x)")
-    first, *rest = args.src
+              f"(lowest {min(ratios):.1f}x); " + ", ".join(
+                  f"{layer} "
+                  f"{statistics.median(r['layers'][layer]['us'] for r in rs):.2f}"
+                  f" µs" for layer in LAYERS))
     base = runs[first]
     for src in rest:
-        isa_up = statistics.median(r["isa"] / b["isa"]
-                                   for r, b in zip(runs[src], base))
-        ma_up = statistics.median(r["ma"] / b["ma"]
-                                  for r, b in zip(runs[src], base))
+        pairs = list(zip(runs[src], base))
+        ups = {"ISA": statistics.median(r["isa"] / b["isa"] for r, b in pairs),
+               "pipeline": statistics.median(r["ma"] / b["ma"]
+                                             for r, b in pairs)}
+        ups.update({layer: statistics.median(
+            b["layers"][layer]["us"] / r["layers"][layer]["us"]
+            for r, b in pairs) for layer in LAYERS})
         was = statistics.median(b["isa"] / b["ma"] for b in base)
         now = statistics.median(r["isa"] / r["ma"] for r in runs[src])
-        print(f"{src} over {first}: ISA {isa_up:.3f}x, pipeline "
-              f"{ma_up:.3f}x; median ratio {was:.1f}x -> {now:.1f}x "
-              f"({now - was:+.1f}x)")
-    return 0
+        print(f"{src} over {first}: "
+              + ", ".join(f"{name} {up:.3f}x" for name, up in ups.items())
+              + f"; median ratio {was:.1f}x -> {now:.1f}x ({now - was:+.1f}x)")
+    differ = {layer: max(r["layers"][layer]["differ"]
+                         for rs in runs.values() for r in rs)
+              for layer in LAYERS}
+    print("differing results: " + ", ".join(
+        f"{layer} {n}" for layer, n in differ.items()))
+    return 1 if any(differ.values()) else 0
 
 
 if __name__ == "__main__":

@@ -71,20 +71,9 @@ def _parse_params(path: str | None, overrides: list[str]) -> MaParams:
     return replace(base, **fields) if fields else base
 
 
-def _negative_max_steps(args) -> bool:
-    """Report a negative --max-steps as a usage error."""
-    if args.max_steps < 0:
-        print(f"error: --max-steps must be at least 0, got {args.max_steps}",
-              file=sys.stderr)
-        return True
-    return False
-
-
 def cmd_run(args) -> int:
     from . import snapshot  # only `run` prints states
 
-    if _negative_max_steps(args):
-        return 2
     try:
         params = _parse_params(args.params, args.param)
         with open(args.program) as fh:
@@ -130,10 +119,6 @@ def cmd_check(args) -> int:
     if args.suite not in SUITES:
         print(f"error: unknown suite {args.suite!r}; have "
               + ", ".join(sorted(SUITES)), file=sys.stderr)
-        return 2
-    if args.trials < 0:
-        print(f"error: --trials must be at least 0, got {args.trials}",
-              file=sys.stderr)
         return 2
     if args.replay:
         return _replay_bundle(args.replay, args.json)
@@ -214,22 +199,17 @@ def _replay_bundle(path: str, as_json: bool) -> int:
     return 1 if findings else 0
 
 
-def _budget_ran_out(max_steps: int) -> int:
-    print(f"step budget exhausted: a run did not halt within {max_steps} "
-          f"steps")
-    return 3
-
-
 def cmd_demo(args) -> int:
-    if _negative_max_steps(args):
-        return 2
+    prog = asm.load_bundled(args.attack)
+    ma, _ = run_ma(asm.emit_ma(prog), args.max_steps)
+    isa, _ = run_isa(asm.emit_isa(prog), args.max_steps)
+    if not (ma.halt and isa.halt):
+        print(f"step budget exhausted: a run did not halt within "
+              f"{args.max_steps} steps")
+        return 3
+
     if args.attack == "meltdown":
-        prog = asm.load_bundled("meltdown")
         secret = dict(prog.data)[4096]
-        ma, _ = run_ma(asm.emit_ma(prog), args.max_steps)
-        isa, _ = run_isa(asm.emit_isa(prog), args.max_steps)
-        if not (ma.halt and isa.halt):
-            return _budget_ran_out(args.max_steps)
         print(f"planted kernel byte:            {secret}")
         print(f"pipeline run recovered (r10):   {ma.rf[10]}"
               f"   kernel line cached (r7): {ma.rf[7]}")
@@ -241,28 +221,19 @@ def cmd_demo(args) -> int:
                                  "architecturally" if ok else "UNEXPECTED"))
         return 0 if ok else 2
 
-    if args.attack == "spectre":
-        prog = asm.load_bundled("spectre")
-        ma, _ = run_ma(asm.emit_ma(prog), args.max_steps)
-        isa, _ = run_isa(asm.emit_isa(prog), args.max_steps)
-        if not (ma.halt and isa.halt):
-            return _budget_ran_out(args.max_steps)
-        # A walk starts at cycle 0, so a finding's step is its cycle.
-        audit = [f for f in check_spectre_case(Case(prog))
-                 if f.obligation == "action-soundness"][:3]
-        for f in audit:
-            print(f"cycle {f.step}: {f.detail}")
-        print(f"pipeline cache after run:      "
-              + ", ".join(f"{a:#x}" for a in sorted(ma.cache)))
-        print(f"architectural cache after run: "
-              + (", ".join(f"{a:#x}" for a in sorted(isa.cache)) or "(empty)"))
-        ok = bool(audit) and not isa.cache
-        print("speculative fills are unauthorized under the commit-time "
-              "policy" if ok else "UNEXPECTED")
-        return 0 if ok else 2
-
-    print(f"error: unknown attack {args.attack!r}", file=sys.stderr)
-    return 2
+    # A walk starts at cycle 0, so a finding's step is its cycle.
+    audit = [f for f in check_spectre_case(Case(prog))
+             if f.obligation == "action-soundness"][:3]
+    for f in audit:
+        print(f"cycle {f.step}: {f.detail}")
+    print(f"pipeline cache after run:      "
+          + ", ".join(f"{a:#x}" for a in sorted(ma.cache)))
+    print(f"architectural cache after run: "
+          + (", ".join(f"{a:#x}" for a in sorted(isa.cache)) or "(empty)"))
+    ok = bool(audit) and not isa.cache
+    print("speculative fills are unauthorized under the commit-time "
+          "policy" if ok else "UNEXPECTED")
+    return 0 if ok else 2
 
 
 class _UsageError(Exception):
@@ -312,6 +283,12 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    for opt in ("trials", "max_steps"):  # the counts a command takes
+        n = getattr(args, opt, 0)
+        if n < 0:
+            print(f"error: --{opt.replace('_', '-')} must be at least 0, "
+                  f"got {n}", file=sys.stderr)
+            return 2
     fn = {"run": cmd_run, "check": cmd_check, "demo": cmd_demo}[args.cmd]
     try:
         return fn(args)

@@ -657,7 +657,7 @@ def _passes(best: Callable[[], Case]):
 
 
 def shrink(prop: Property, case: Case, obligation: str,
-           first: Finding | None = None) -> Case:
+           first: Finding) -> Case:
     """Reduction in rounds of passes (`_passes`), keeping each candidate
     that still fails the same obligation, until a round changes nothing
     or SHRINK_BUDGET candidates are checked or skipped.
@@ -667,7 +667,7 @@ def shrink(prop: Property, case: Case, obligation: str,
     first failed it, and its walk stops there: deleting a loop exit
     costs a few steps, not a walk to max_steps.  first is the case's
     first finding of the obligation from its full check (findings come
-    in step order); without it, a walk property's case is walked again.
+    in step order).
 
     Checks are deterministic, so a candidate already found passing under
     the same bound is skipped: a round after a success repeats the
@@ -681,8 +681,6 @@ def shrink(prop: Property, case: Case, obligation: str,
         return next((f for f in found if f.obligation == obligation), None)
 
     best, hit = case, first  # hit: a walk property's first failure on best
-    if prop.walks and hit is None:
-        hit = first_failure(case, None)
     passed: set[tuple[Case, int | None]] = set()  # (candidate, within)
     for cand in islice(_passes(lambda: best), SHRINK_BUDGET):
         key = (cand, 2 * hit.step + 8 if prop.walks else None)

@@ -15,12 +15,13 @@ which a walk reads off its own run), and a retiring transition must be
 matched by one architectural run for both maps, `run_ic`, one step per
 retired instruction.  Only a committed `in-cache` reads the cache: under
 r_ic it makes a cache choice, through `isa.isa_step`, so the
-cache-membership results agree; under r_a it takes the deterministic
-step `isa_det_step`, like every other instruction, and reads the
-pipeline's committed cache, which the barrier rule makes exact.  The
-entangled obligations likewise take the sample's transition from the
-caller when it has one recorded.  Failures come back as data (findings
-with a kind and message), never exceptions.
+cache-membership results agree (a kernel line found cached is a
+Meltdown only if the pipeline's cache holds it); under r_a it takes the
+deterministic step `isa_det_step`, like every other instruction, and
+reads the pipeline's committed cache, which the barrier rule makes
+exact.  The entangled obligations likewise take the sample's transition
+from the caller when it has one recorded.  Failures come back as data
+(findings with a kind and message), never exceptions.
 
 The cache-action audit compares each transition's actual cache delta
 against the actions a designer-supplied authorization policy admits for
@@ -37,7 +38,7 @@ hold every line the architectural run does.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Container, Iterable, NamedTuple
 
 from .isa import (
     AuthAction,
@@ -116,21 +117,25 @@ def _expected_mop(instr, faulted: bool) -> str | None:
 
 
 def run_ic(
-    w: IsaState, batch: tuple[RobLine, ...], observable: bool = False
+    w: IsaState, batch: tuple[RobLine, ...], observable: bool = False,
+    held: Container[int] = frozenset(),
 ) -> tuple[IsaState | None, Finding | None]:
     """Architectural run matching a retiring transition s -> u, from
     w = r(s): one step per retired instruction.
 
     Only a committed in-cache reads the cache.  Under r_ic (the default)
     it is stepped with a pre-step cache choice picked so its result
-    agrees with what the pipeline computed; a result no legal choice can
-    produce is the transient execution counterexample.  Under r_a
-    (observable) w holds the pipeline's committed cache, so every
-    instruction takes the deterministic step, an in-cache reads that
-    cache, and the caller compares its result.  The barrier rule makes
-    that exact: an in-cache starts only when no older memory micro-op
-    is in the ROB, and younger loads wait until it leaves the ROB, so
-    the cache cannot change between its execution and its commit.
+    agrees with what the pipeline computed.  No legal choice answers 1
+    for a kernel line: that is the transient execution counterexample
+    when held, the lines of the pipeline's cache at s (none by
+    default), holds the line, and a functional finding when it does
+    not.  Under r_a (observable) w holds the pipeline's committed cache,
+    so every instruction takes the deterministic step, an in-cache reads
+    that cache, and the caller compares its result.  The barrier rule
+    makes that exact: an in-cache starts only when no older memory
+    micro-op is in the ROB, and younger loads wait until it leaves the
+    ROB, so the cache cannot change between its execution and its
+    commit.
     """
     obligation = "wsk-a-run" if observable else "wsk-run"
     v = w
@@ -149,6 +154,12 @@ def run_ic(
         ea = w32(v.rf[instr.r1] + v.rf[instr.r2])
         if line.val == 1:
             if not v.ga.allows(ea):
+                if ea not in held:
+                    return None, Finding(
+                        "wsk-run", "functional",
+                        f"in-cache answered 1 for kernel address {ea:#x}, "
+                        f"which the pipeline's cache does not hold",
+                    )
                 return None, Finding(
                     "wsk-run", "tea-meltdown",
                     f"in-cache observed a cached kernel address "
@@ -308,7 +319,7 @@ def check_wsk_transition(
         return findings
 
     if spec is None:
-        v, fail = run_ic(r_ic(s), info.batch)
+        v, fail = run_ic(r_ic(s), info.batch, held=s.cache)
     else:
         v, fail = run_ic(r_a(s), info.batch, observable=True)
     if fail is not None:

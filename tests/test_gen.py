@@ -104,7 +104,7 @@ def test_shrink_preserves_obligation_and_reduces():
     case = Case(asm.load_bundled("spectre"))
     findings = prop.check(case)
     assert findings
-    small = shrink(prop, case, findings[0].obligation)
+    small = shrink(prop, case, findings[0].obligation, findings[0])
     after = prop.check(small)
     assert any(f.obligation == findings[0].obligation for f in after)
     assert len(small.program.instrs) <= len(case.program.instrs)
@@ -115,7 +115,7 @@ def test_shrink_meltdown_case_stays_small():
     case = Case(asm.load_bundled("meltdown"))
     findings = prop.check(case)
     assert findings and findings[0].kind == "tea-meltdown"
-    small = shrink(prop, case, findings[0].obligation)
+    small = shrink(prop, case, findings[0].obligation, findings[0])
     assert len(small.program.instrs) <= 10
     assert any(f.obligation == findings[0].obligation
                for f in prop.check(small))
@@ -125,9 +125,9 @@ def test_shrink_meltdown_case_stays_small():
 # 1,778 times; restarting the candidate list after every success, as the
 # shrinker did before it shrank in rounds of passes, stepped 301 and
 # 3,658 times, and reached programs of the same sizes.  Each bound is the
-# count plus 3%.  Walking the original case once more in the shrink
-# would add 21 and 1,172 steps, and walking again the candidates already
-# found passing 8 and 73.
+# count plus 3%.  The shrink starts from the trial's first finding, as
+# walking the original case once more would add 21 and 1,172 steps, and
+# walking again the candidates already found passing would add 8 and 73.
 BUNDLED_SHRINKS = [
     ("spectre", "spectre", 224,
      ".access 0 511\n.data 16 1\n.data 17 2\n.data 18 3\n.data 19 4\n"
@@ -156,17 +156,6 @@ def test_shrink_walks_few_steps(monkeypatch, name, bundled, max_steps, shrunk):
     report = run_property(name, GenConfig(trials=0), extra_cases=(case,))
     assert steps <= max_steps
     assert asm.render(report.failures[0].case.program) == shrunk
-
-
-@pytest.mark.parametrize("name, bundled", [b[:2] for b in BUNDLED_SHRINKS],
-                         ids=[b for _, b, _, _ in BUNDLED_SHRINKS])
-def test_shrink_from_the_first_finding_as_from_a_rewalk(name, bundled):
-    # The trial's first finding stands in for walking the case again.
-    prop = PROPERTIES[name]
-    case = Case(asm.load_bundled(bundled))
-    first = prop.check(case)[0]
-    assert (shrink(prop, case, first.obligation, first)
-            == shrink(prop, case, first.obligation))
 
 
 @pytest.mark.parametrize("name, bundled, shrunk, checked",
@@ -208,7 +197,8 @@ def test_shrink_skips_repeated_candidates_within_its_budget(monkeypatch):
 
         monkeypatch.setattr(gen, "SHRINK_BUDGET", budget)
         prop = Property("fake", gen_entangled_case, check)
-        assert shrink(prop, case, "only-original") == case
+        first = Finding("only-original", "functional", "", step=None)
+        assert shrink(prop, case, "only-original", first) == case
         assert len(calls) == checked
 
 
@@ -328,7 +318,7 @@ def test_shrink_bounds_walk_candidates(fail_at, accepted):
     cand = replace(case, program=prog._replace(instrs=prog.instrs[1:]))
     assert [f.step for f in check(cand)] == [fail_at]
     prop = Property("fake", gen_walk_case, check, walks=True)
-    small = shrink(prop, case, "late")
+    small = shrink(prop, case, "late", check(case)[0])
     assert (small != case) == accepted
 
 
@@ -341,7 +331,8 @@ def test_shrink_accepts_candidates_of_non_walk_properties():
         return [Finding("always", "functional", "")]
 
     prop = Property("fake", gen_walk_case, check)
-    assert shrink(prop, Case(prog), "always").program.instrs == ()
+    first = Finding("always", "functional", "", step=None)
+    assert shrink(prop, Case(prog), "always", first).program.instrs == ()
 
 
 @pytest.mark.parametrize("kind", ["halts", "max-steps", "until", "stall",
@@ -408,7 +399,8 @@ def test_shrink_spends_at_most_its_budget():
         return [Finding("only-original", "functional", "")] if c == case else []
 
     prop = Property("fake", gen_entangled_case, check)
-    assert shrink(prop, case, "only-original") == case
+    first = Finding("only-original", "functional", "", step=None)
+    assert shrink(prop, case, "only-original", first) == case
     assert len(checked) == 150
 
 

@@ -157,6 +157,33 @@ def test_in_cache_always_one_mutant_fails_wsk_a_match(in_cache_always_one):
     assert wsk_a_failures(IC_KILL + 1)[0] == (IC_KILL, {"wsk-a-match"})
 
 
+# Under r_ic an in-cache that answers 1 for a kernel line is a Meltdown
+# only if the pipeline's cache holds that line.  The always-1 mutant's
+# `wsk` failures at SEED in WSK_TRIALS trials are programs such as
+# `loadi r2 131 ; in-cache r0 r2 r1`, which load nothing.
+WSK_TRIALS, WSK_FAILS = 100, [-1, 64, 85, 88]
+
+
+def meltdown_failures() -> tuple:
+    cfg = gen.GenConfig(seed=SEED, trials=WSK_TRIALS)
+    bundled = gen.Case(asm.load_bundled("meltdown"))
+    return gen.run_property("wsk", cfg, extra_cases=(bundled,)).failures
+
+
+def test_unmutated_bundled_meltdown_is_tea_meltdown():
+    (fail,) = meltdown_failures()
+    assert fail.trial == -1
+    assert fail.findings[0].kind == "tea-meltdown"
+
+
+def test_in_cache_always_one_mutant_makes_no_meltdown(in_cache_always_one):
+    fails = meltdown_failures()
+    assert [f.trial for f in fails] == WSK_FAILS
+    assert {x.kind for f in fails for x in f.findings} == {"functional"}
+    detail = fails[1].findings[0].detail
+    assert detail.endswith("which the pipeline's cache does not hold")
+
+
 # A user load, then an in-cache of the line it filled, which answers 1.
 IN_CACHE_BUNDLE = {
     "property": "spectre", "forward_steps": 0, "seed_cache": [],
