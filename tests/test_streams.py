@@ -6,7 +6,9 @@ the `Case.to_dict` of the first 50 cases of each property at a fixed
 seed, drawn as `run_property` draws them.  A change to a generator that
 means to keep its random stream (the same rng calls, the same cases)
 is held to these digests.  Update them only with a change that means
-to alter the cases, and say why in that change.
+to alter the cases, and say why in that change.  Acceptance criterion
+6's probe, which cannot fail, is pinned the same way over the gate's
+own inputs.
 """
 
 import hashlib
@@ -15,6 +17,10 @@ import json
 import pytest
 
 from teasim import gen
+from teasim.gen import gen_incache_case
+
+from conftest import trial_rng
+from test_acceptance import SEED as ACC_SEED
 
 SEED, CASES = 7, 50
 SHA256 = {
@@ -24,6 +30,7 @@ SHA256 = {
     "spectre": "3ad9a315a975dbb2d4fb6aca9092403d82f96c2d62689f67a8d9e92ff1500202",
     "arch-equivalence": "8433fb406d59022478c7e362b5fb2cbf9e3e64ee4367f17b90a892af303e0965",
 }
+INCACHE_SHA256 = "f957e626500aef395128b31313c40c77d00cf985142f5245e7eb4511f955ed6c"
 
 
 def test_every_property_is_pinned():
@@ -39,3 +46,12 @@ def test_generated_cases_are_unchanged(name):
         case = prop.gen(cfg, gen._trial_rng(SEED, name, i))
         digest.update(json.dumps(case.to_dict(), sort_keys=True).encode())
     assert digest.hexdigest() == SHA256[name]
+
+
+def test_criterion_6_probes_are_unchanged():
+    cfg = gen.GenConfig(seed=ACC_SEED + 4)
+    digest = hashlib.sha256()
+    for i in range(CASES):
+        case = gen_incache_case(cfg, trial_rng("acc6", i))
+        digest.update(json.dumps(case.to_dict(), sort_keys=True).encode())
+    assert digest.hexdigest() == INCACHE_SHA256
