@@ -10,28 +10,28 @@ CPython 3.11's (tests/test_streams.py pins them).  Entangled
 cache, and running the history-carrying machine forward a bounded
 number of steps from the empty history; the entangled property checks
 that one sample.  Each entangled case's deterministic run is computed
-once: the generator's halt probe records it (`_run` keeps the last
-case's run, keyed by program and cache), and the sample's history is
-then folded over that record (`case_pair`) instead of running the
-machine again, starting at the last squash before the sample, since a
-squash's history reads nothing of the one before it (see
-`variants.next_h`); the sample's own transition is read off the record
-too, when the probe reached it.  The per-transition properties walk
-instead: from the initial state (built with its seeded cache in one
-step, `initial_state`) they follow the deterministic step once per
-cycle, so every checked state is reachable, and hand each transition
-s -> u to the obligation, with the stutter witness of s read off the
-walk's own run (which steps past the walk's last step when the next
-retirement lies beyond it), and with that run after u, in which an
-authorization policy reads ahead (see `Lookahead`).  The walk reads that
-look-ahead's deque directly: it appends each transition it steps and
-pops the one it walks.  A walk stops at halt, at 8 findings, at its step
-limit, or once its future is already checked: when it comes back, with
-no finding since, to a state it has seen, either an empty pipeline with
-the same committed state or, past the program's last instruction, the
-same state up to a shift of addresses, ROB tags and time (see `_walk`).
-Their cases carry no forward steps: the same program and cache draws,
-without the sample's.
+once: the generator's halt probe reads it ahead in a `Lookahead`, which
+records it (`_run` keeps the last case's, keyed by program and cache),
+and the sample's history is then folded over that record (`case_pair`)
+instead of running the machine again, starting at the last squash
+before the sample, since a squash's history reads nothing of the one
+before it (see `variants.next_h`); the sample's own transition is read
+off the record too, or stepped once where the record ends before it.
+The per-transition properties walk instead: from the initial state
+(built with its seeded cache in one step, `initial_state`) they follow
+the deterministic step once per cycle, so every checked state is
+reachable, and hand each transition s -> u to the obligation, with the
+stutter witness of s read off the walk's own run (which steps past the
+walk's last step when the next retirement lies beyond it), and with
+that run after u, in which an authorization policy reads ahead (another
+`Lookahead`).  The walk reads that look-ahead's deque directly: it
+appends each transition it steps and pops the one it walks.  A walk
+stops at halt, at 8 findings, at its step limit, or once its future is
+already checked: when it comes back, with no finding since, to a state
+it has seen, either an empty pipeline with the same committed state or,
+past the program's last instruction, the same state up to a shift of
+addresses, ROB tags and time (see `_walk`).  Their cases carry no
+forward steps: the same program and cache draws, without the sample's.
 
 Each registered property pairs a case generator with a checker over the
 case; `run_property` drives seeded trials (per-trial streams are split
@@ -244,30 +244,52 @@ def initial_state(case: Case) -> MaState:
                             cache=dict(case.seed_cache))
 
 
+class Lookahead:
+    """The deterministic run after a state, stepped on demand: item i is
+    its i-th transition (u, info), stepped by `step_core` the first time
+    something reads it and kept in `steps`, so all its readers share one
+    run.  Iterating it goes on without end (a halted state steps to
+    itself).  `state` is where the run starts; `_walk` moves it one
+    transition on by popping the first transition off `steps` and
+    setting `state` to its u."""
+
+    __slots__ = ("state", "steps")
+
+    def __init__(self, s: MaState) -> None:
+        self.state = s
+        self.steps: deque[tuple[MaState, StepInfo]] = deque()
+
+    def __getitem__(self, i: int) -> tuple[MaState, StepInfo]:
+        steps = self.steps
+        while len(steps) <= i:
+            steps.append(step_core(steps[-1][0] if steps else self.state))
+        return steps[i]
+
+
 @lru_cache(maxsize=1)
 def _run(program: Program, seed_cache: tuple[tuple[int, int], ...]
-         ) -> tuple[MaState, list[tuple[MaState, StepInfo]]]:
-    """The deterministic run from a case's initial state, as far as it is
-    recorded: that state, and the transitions (u, info) of `step_core`
-    in order, which only the generator's halt probe appends to.  One
-    entry, keyed by value: the probe records a case's run, and
-    `case_pair` reads it back when the case is checked.  The run is a
-    function of the step functions as well, so a test that patches `ma`
-    or `variants` clears this memo around the patch."""
-    return initial_state(Case(program, 0, seed_cache)), []
+         ) -> Lookahead:
+    """The deterministic run from a case's initial state, a `Lookahead`
+    that only the generator's halt probe reads ahead in.  One entry,
+    keyed by value: the probe records a case's run, and `case_pair` and
+    `check_entangled_case` read it back.  The run is a function of the
+    step functions as well, so a test that patches `ma` or `variants`
+    clears this memo around the patch."""
+    return Lookahead(initial_state(Case(program, 0, seed_cache)))
 
 
 def case_pair(case: Case) -> tuple[MaState, History]:
     """Deterministically rebuild the (state, history) pair of a case.
 
     The history is folded (`next_h`) over the transitions of the case's
-    run: those `_run` holds, then, past the recorded end, ones stepped
-    here and not recorded, so a case that was never probed costs what a
-    plain run with history costs.  The fold starts at the last squash
-    that `_run` holds before the sample: a squash's history reads
-    nothing of the one it is given (see `next_h`), so it is handed the
-    empty history of the state it starts from."""
-    s, steps = _run(case.program, case.seed_cache)
+    run: those `_run` has recorded, then, past the recorded end, ones
+    stepped here and not recorded, so a case that was never probed costs
+    what a plain run with history costs.  The fold starts at the last
+    squash recorded before the sample: a squash's history reads nothing
+    of the one it is given (see `next_h`), so it is handed the empty
+    history of the state it starts from."""
+    run = _run(case.program, case.seed_cache)
+    s, steps = run.state, run.steps
     k = case.forward_steps
     after = min(k, len(steps))  # one past the last recorded squash
     while after and not steps[after - 1][1].invalidated:
@@ -300,15 +322,8 @@ def gen_entangled_case(cfg: GenConfig, rng: random.Random) -> Case:
     # steps before the halting one, within the horizon.  The probe
     # records the run that the case's check reads (see _run).
     horizon = cfg.max_forward_steps
-    s, steps = _run(case.program, case.seed_cache)
-    x = steps[-1][0] if steps else s
-    while len(steps) < horizon and not x.halt:
-        x, info = step_core(x)
-        steps.append((x, info))
-    live = min(len(steps), horizon)
-    x = steps[live - 1][0] if live else s
-    if x.halt:
-        live -= 1
+    run = _run(case.program, case.seed_cache)
+    live = next((i for i in range(horizon) if run[i][0].halt), horizon)
     if live > 0 and rng.random() < 0.8:
         k = 1 + _below(rng, live)
     else:
@@ -319,14 +334,14 @@ def gen_entangled_case(cfg: GenConfig, rng: random.Random) -> Case:
 # --- property checkers over cases ---
 
 def check_entangled_case(case: Case) -> list[Finding]:
-    """The entangled-state obligations on the case's sample, handing
-    over the sample's successor when the case's recorded run (`_run`)
-    holds it.  A live sample is forward_steps transitions into the run."""
+    """The entangled-state obligations on the case's sample, handing over
+    its transition: forward_steps transitions into the case's recorded
+    run (`_run`), or stepped here where the record ends before it."""
     s, h = case_pair(case)
-    steps = _run(case.program, case.seed_cache)[1]
+    steps = _run(case.program, case.seed_cache).steps
     k = case.forward_steps
     return check_entangled_sample(
-        s, h, steps[k] if not s.halt and k < len(steps) else None)
+        s, h, steps[k] if k < len(steps) else step_core(s))
 
 
 # What a bounded walk looks for: an obligation, and the number of steps
@@ -357,28 +372,6 @@ def _tail_key(s: MaState) -> tuple:
     rs_f = tuple((rs.rs_id, rs.exec, (rs.rb_pc - s.pc) & MASK32)
                  for rs in s.rs_f if rs.busy)
     return (s.rf, s.tsx, len(s.cache), s.fetch_pc - s.pc, rob, rs_f)
-
-
-class Lookahead:
-    """The deterministic run after a state, stepped on demand: item i is
-    its i-th transition (u, info), stepped by `step_core` the first time
-    something reads it and kept in `steps`, so all its readers share one
-    run.  Iterating it goes on without end (a halted state steps to
-    itself).  `state` is where the run starts; `_walk` moves it one
-    transition on by popping the first transition off `steps` and
-    setting `state` to its u."""
-
-    __slots__ = ("state", "steps")
-
-    def __init__(self, s: MaState) -> None:
-        self.state = s
-        self.steps: deque[tuple[MaState, StepInfo]] = deque()
-
-    def __getitem__(self, i: int) -> tuple[MaState, StepInfo]:
-        steps = self.steps
-        while len(steps) <= i:
-            steps.append(step_core(steps[-1][0] if steps else self.state))
-        return steps[i]
 
 
 def _walk(case: Case, per_step, max_steps: int,

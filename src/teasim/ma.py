@@ -81,7 +81,6 @@ from .isa import (
     AccessMap,
     ChoiceError,
     Instr,
-    IsaState,
     TsxState,
     compare,
     dmem_read,
@@ -763,12 +762,6 @@ def ma_step(s: MaState) -> MaState:
 def man_step(s: MaState, choice: Choice) -> MaState:
     """Nondeterministic step under an explicit resource choice."""
     return step_core(s, choice)[0]
-
-
-def arch_project(s: MaState, keep_cache: bool) -> IsaState:
-    """Project the committed architectural state; pipeline discarded."""
-    return _new(IsaState, (s.pc, s.rf, s.tsx, s.halt, s.imem, s.dmem, s.ga,
-                           dict(s.cache) if keep_cache else {}))
 
 
 def run_ma(s: MaState, max_steps: int) -> tuple[MaState, int]:

@@ -20,8 +20,8 @@ Meltdown only if the pipeline's cache holds it); under r_a it takes the
 deterministic step `isa_det_step`, like every other instruction, and
 reads the pipeline's committed cache, which the barrier rule makes
 exact.  The entangled obligations likewise take the sample's transition
-from the caller when it has one recorded.  Failures come back as data
-(findings with a kind and message), never exceptions.
+from the caller.  Failures come back as data (findings with a kind and
+message), never exceptions.
 
 The cache-action audit compares each transition's actual cache delta
 against the actions a designer-supplied authorization policy admits for
@@ -55,22 +55,24 @@ from .ma import (
     RobLine,
     StepInfo,
     WbRec,
-    arch_project,
+    _new,
     decoded,
     retired_lines,
     step_core,
 )
-from .variants import History, is_entangled, mah_step, next_h
+from .variants import History, is_entangled, next_h
 
 
 def r_ic(s: MaState) -> IsaState:
     """Commitment map: committed architectural state, cache discarded."""
-    return arch_project(s, keep_cache=False)
+    return _new(IsaState, (s.pc, s.rf, s.tsx, s.halt, s.imem, s.dmem, s.ga,
+                           {}))
 
 
 def r_a(s: MaState) -> IsaState:
     """Commitment map with the cache observable."""
-    return arch_project(s, keep_cache=True)
+    return _new(IsaState, (s.pc, s.rf, s.tsx, s.halt, s.imem, s.dmem, s.ga,
+                           dict(s.cache)))
 
 
 class Finding(NamedTuple):
@@ -349,26 +351,22 @@ def is_initial(s: MaState) -> bool:
     )
 
 
-def check_entangled_sample(
-    s: MaState, h: History, step: tuple[MaState, StepInfo] | None = None,
-) -> list[Finding]:
+def check_entangled_sample(s: MaState, h: History,
+                           step: tuple[MaState, StepInfo]) -> list[Finding]:
     """The entangled-state obligations for one sample (s, h): the sample
     is entangled, and so is its successor under the step with history.
-    step is the transition (u, info) = step_core(s) of a live s when the
-    caller already has it (a recorded run); without it the successor is
-    stepped here, and only for an entangled sample.  The two lemmas
-    behind the definition, that the maximal choice reproduces the
-    deterministic step and that a pipeline-empty state is entangled with
-    the empty history, hold by construction and are tested, not checked
-    per sample."""
+    step is the sample's transition (u, info) = step_core(s), which the
+    caller reads off a recorded run or steps; the successor's history is
+    folded over it by `next_h`, except that a halted sample steps to
+    itself and keeps its history.  The two lemmas behind the definition,
+    that the maximal choice reproduces the deterministic step and that a
+    pipeline-empty state is entangled with the empty history, hold by
+    construction and are tested, not checked per sample."""
     if not is_entangled(s, h):
         return [Finding("entangled-sample", "functional",
                         "generated sample is not entangled")]
-    if step is None:
-        u, hu, _ = mah_step(s, h)
-    else:
-        u, info = step
-        hu = next_h(s, h, info, u)
+    u, info = step
+    hu = h if s.halt else next_h(s, h, info, u)
     if not is_entangled(u, hu):
         return [Finding("entangled-closure", "functional",
                         "successor of an entangled state is not entangled")]

@@ -465,7 +465,7 @@ def reference_entangled_case(cfg: GenConfig, rng) -> Case:
 
 
 def recorded(case: Case):
-    return gen._run(case.program, case.seed_cache)[1]
+    return gen._run(case.program, case.seed_cache).steps
 
 
 def test_case_pair_reads_the_probed_run(fresh_run):
@@ -506,7 +506,7 @@ def test_case_pair_on_a_cold_memo(fresh_run):
         case = gen_entangled_case(cfg, trial_rng("cold", i))
         gen._run.cache_clear()
         assert case_pair(case) == reference_pair(case)
-        assert recorded(case) == []
+        assert len(recorded(case)) == 0
 
 
 def test_check_after_another_case_was_generated(fresh_run):
@@ -555,7 +555,8 @@ def test_a_squash_reads_nothing_of_its_history(fresh_run):
     cfg = GenConfig(seed=50)
     for i in range(200):
         case = gen_entangled_case(cfg, trial_rng("squash", i))
-        runs.append(gen._run(case.program, case.seed_cache))
+        run = gen._run(case.program, case.seed_cache)
+        runs.append((run.state, run.steps))
     seen = 0
     for s0, steps in runs:
         for s, h, info, u in squashes(s0, steps):
@@ -579,7 +580,7 @@ def test_entangled_folds_often_start_past_step_0(monkeypatch, fresh_run):
     late = 0
     for i in range(200):
         case = gen_entangled_case(cfg, gen._trial_rng(7, "entangled", i))
-        s0 = gen._run(case.program, case.seed_cache)[0]
+        s0 = gen._run(case.program, case.seed_cache).state
         folded.clear()
         assert case_pair(case) == reference_pair(case)
         late += bool(folded) and folded[0] is not s0
@@ -606,8 +607,8 @@ def test_entangled_verdict_step_budget(monkeypatch, fresh_run, capsys):
     # checks entangled cases.  Running the case again cost 783 step_core
     # calls on this verdict, and a second such property 564.  The check
     # reads a sample's successor off that record when the probe reached
-    # it, and otherwise steps it once, only for an entangled sample: 280
-    # calls; stepping every successor again costs 18 more.
+    # it, and otherwise steps it once: 280 calls; stepping every
+    # successor again costs 18 more.
     calls = 0
     step_core = ma.step_core
 

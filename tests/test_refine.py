@@ -310,7 +310,8 @@ class TestEntangledObligations:
     def test_batch_checker_clean(self):
         samples = [case_pair(gen_entangled_case(
             GenConfig(seed=13), trial_rng("oblig", i))) for i in range(40)]
-        assert [f for s, h in samples for f in check_entangled_sample(s, h)] == []
+        assert [f for s, h in samples
+                for f in check_entangled_sample(s, h, step_core(s))] == []
 
     def test_mutated_replay_detected(self, monkeypatch, fresh_run):
         # Replay that ignores the recorded station assignments must
@@ -329,16 +330,9 @@ class TestEntangledObligations:
     def test_successor_mutant_fails_entangled_closure(self, monkeypatch,
                                                       fresh_run):
         # The successor keeps its predecessor's history: the sample is
-        # still entangled, and its successor is not.  The check steps the
-        # successor with history (mah_step) or folds the history over
-        # its recorded transition (next_h); both keep h here.
-        mah_step = refine.mah_step
-
-        def stale_history(s, h):
-            u, _, info = mah_step(s, h)
-            return u, h, info
-
-        monkeypatch.setattr(refine, "mah_step", stale_history)
+        # still entangled, and its successor is not.  The check folds the
+        # history over the sample's transition (next_h), which keeps h
+        # here.
         monkeypatch.setattr(refine, "next_h", lambda s, h, info, u: h)
         report = run_property("entangled", GenConfig(seed=14, trials=60))
         assert report.failures
