@@ -57,7 +57,7 @@ from itertools import accumulate, islice
 from typing import Callable, NamedTuple
 
 from .asm import Program, render
-from .isa import MASK32, Instr, cache_invariant_ok, run_isa
+from .isa import MASK32, Instr, cache_invariant_ok
 from .ma import MaState, StepInfo, initial_ma_state, step_core
 from .refine import (
     AUTH_SPECS,
@@ -497,36 +497,6 @@ check_wsk_case = _walk_check(_wsk_step, 2500)
 # the fills off the records the step folds into the cache, so auditing
 # with it would pass by construction; no property does.
 check_spectre_case = _walk_check(_spectre_step, 400)
-
-
-# A probe of `in-cache` on an inaccessible address, which acceptance
-# criterion 6 runs.  It is no property: the ISA's `in-cache` tests the
-# access map first and seeded caches hold only accessible lines, so it
-# cannot fail.
-
-def gen_incache_case(cfg: GenConfig, rng: random.Random) -> Case:
-    """A probe of a random inaccessible address, with a seeded cache."""
-    top = ACCESSIBLE_TOP
-    kernel = top + 1 + _below(rng, 1 << 16)
-    split = _below(rng, kernel + 1)
-    instrs = (
-        Instr("loadi", rd=1, imm=split),
-        Instr("loadi", rd=2, imm=(kernel - split) & MASK32),
-        Instr("in-cache", rd=3, r1=1, r2=2),
-        Instr("halt"),
-    )
-    data = ((_below(rng, top + 1), _below(rng, 99)),)
-    prog = Program(0, instrs, data, ((0, top),), 0)
-    return Case(prog, 0, seed_cache(prog, rng))
-
-
-def check_incache_case(case: Case) -> list[Finding]:
-    s = asm.emit_isa(case.program)._replace(cache=dict(case.seed_cache))
-    s, _ = run_isa(s, 8)
-    if s.rf[3] != 0:
-        return [Finding("incache-constraint", "functional",
-                        "in-cache returned 1 for an inaccessible address")]
-    return []
 
 
 # --- registry ---

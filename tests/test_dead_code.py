@@ -28,10 +28,6 @@ KEPT_FOR_TESTS = {
     # reproduces it (acceptance criterion 2, test_variants and
     # test_records).
     "maximal_choice",
-    # Acceptance criterion 6's probe of `in-cache` on an inaccessible
-    # address: no property runs it, since it cannot fail.
-    "gen_incache_case",
-    "check_incache_case",
     # The paper's observation label: the architectural state with the
     # cache erased (acceptance criteria 4 and 5).
     "label",

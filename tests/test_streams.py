@@ -17,10 +17,9 @@ import json
 import pytest
 
 from teasim import gen
-from teasim.gen import gen_incache_case
 
 from conftest import trial_rng
-from test_acceptance import SEED as ACC_SEED
+from test_acceptance import SEED as ACC_SEED, gen_incache_case
 
 SEED, CASES = 7, 50
 SHA256 = {
