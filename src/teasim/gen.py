@@ -509,8 +509,6 @@ class Property:
     gen: Callable[[GenConfig, random.Random], Case]
     check: Callable[..., list[Finding]]
     adjust: Callable[[GenConfig], GenConfig] = lambda c: c
-    # check(case, until) walks the run and can stop early (see _walk).
-    walks: bool = False
 
 
 def _no_ic(cfg: GenConfig) -> GenConfig:
@@ -525,13 +523,10 @@ PROPERTIES: dict[str, Property] = {
     p.name: p
     for p in [
         Property("entangled", gen_entangled_case, check_entangled_case),
-        Property("wsk", gen_walk_case, check_wsk_case, walks=True),
-        Property("wsk-safe", gen_walk_case, check_wsk_case, _no_ic,
-                 walks=True),
-        Property("spectre", gen_walk_case, check_spectre_case, _no_ic,
-                 walks=True),
-        Property("arch-equivalence", gen_walk_case, check_wsk_case, _safe,
-                 walks=True),
+        Property("wsk", gen_walk_case, check_wsk_case),
+        Property("wsk-safe", gen_walk_case, check_wsk_case, _no_ic),
+        Property("spectre", gen_walk_case, check_spectre_case, _no_ic),
+        Property("arch-equivalence", gen_walk_case, check_wsk_case, _safe),
     ]
 }
 
@@ -625,12 +620,12 @@ def shrink(prop: Property, case: Case, obligation: str,
     that still fails the same obligation, until a round changes nothing
     or SHRINK_BUDGET candidates are checked or skipped.
 
-    A walk property's candidate fails only if it fails the obligation
-    within 2c + 8 steps, c being the step at which the current best case
-    first failed it, and its walk stops there: deleting a loop exit
-    costs a few steps, not a walk to max_steps.  first is the case's
-    first finding of the obligation from its full check (findings come
-    in step order).
+    A walk's findings carry their step.  When c, the step at which the
+    current best case first failed the obligation, is known, a candidate
+    fails only if it fails the obligation within 2c + 8 steps, and its
+    walk stops there: deleting a loop exit costs a few steps, not a walk
+    to max_steps.  first is the case's first finding of the obligation
+    from its full check (findings come in step order).
 
     Checks are deterministic, so a candidate already found passing under
     the same bound is skipped: a round after a success repeats the
@@ -639,14 +634,14 @@ def shrink(prop: Property, case: Case, obligation: str,
     result is the one checking every candidate gives."""
 
     def first_failure(cand: Case, within: int | None) -> Finding | None:
-        found = (prop.check(cand, (obligation, within)) if prop.walks
-                 else prop.check(cand))
+        found = (prop.check(cand) if within is None
+                 else prop.check(cand, (obligation, within)))
         return next((f for f in found if f.obligation == obligation), None)
 
-    best, hit = case, first  # hit: a walk property's first failure on best
+    best, hit = case, first  # hit: the first failure on best
     passed: set[tuple[Case, int | None]] = set()  # (candidate, within)
     for cand in islice(_passes(lambda: best), SHRINK_BUDGET):
-        key = (cand, 2 * hit.step + 8 if prop.walks else None)
+        key = (cand, None if hit.step is None else 2 * hit.step + 8)
         if key not in passed:
             if found := first_failure(*key):
                 best, hit = cand, found

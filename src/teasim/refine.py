@@ -13,15 +13,16 @@ a retirement within the stutter bound (the step is deterministic, so
 the witness then strictly decreases; the caller supplies the witness,
 which a walk reads off its own run), and a retiring transition must be
 matched by one architectural run for both maps, `run_ic`, one step per
-retired instruction.  Only a committed `in-cache` reads the cache: under
-r_ic it makes a cache choice, through `isa.isa_step`, so the
-cache-membership results agree (a kernel line found cached is a
-Meltdown only if the pipeline's cache holds it); under r_a it takes the
-deterministic step `isa_det_step`, like every other instruction, and
-reads the pipeline's committed cache, which the barrier rule makes
-exact.  The entangled obligations likewise take the sample's transition
-from the caller.  Failures come back as data (findings with a kind and
-message), never exceptions.
+retired instruction.  Only a committed `in-cache` reads the cache, and
+one fill rule holds under both maps: an answer of 1 for a kernel line is
+a Meltdown if the pipeline's cache holds the line, and a functional
+failure if not.  Any other answer makes a cache choice under r_ic,
+through `isa.isa_step`, so the cache-membership results agree; under
+r_a it takes the deterministic step `isa_det_step` on the pipeline's
+committed cache, which the barrier rule makes exact.  The entangled
+obligations likewise take the sample's transition from the caller.
+Failures come back as data (findings with a kind and message), never
+exceptions.
 
 The cache-action audit compares each transition's actual cache delta
 against the actions a designer-supplied authorization policy admits for
@@ -38,7 +39,7 @@ hold every line the architectural run does.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Callable, Container, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .isa import (
     AuthAction,
@@ -119,28 +120,26 @@ def _expected_mop(instr, faulted: bool) -> str | None:
 
 
 def run_ic(
-    w: IsaState, batch: tuple[RobLine, ...], observable: bool = False,
-    held: Container[int] = frozenset(),
+    s: MaState, batch: tuple[RobLine, ...], observable: bool = False,
 ) -> tuple[IsaState | None, Finding | None]:
     """Architectural run matching a retiring transition s -> u, from
-    w = r(s): one step per retired instruction.
+    w = r(s), one step per retired instruction; r is r_a when observable
+    and r_ic otherwise.
 
-    Only a committed in-cache reads the cache.  Under r_ic (the default)
-    it is stepped with a pre-step cache choice picked so its result
-    agrees with what the pipeline computed.  No legal choice answers 1
-    for a kernel line: that is the transient execution counterexample
-    when held, the lines of the pipeline's cache at s (none by
-    default), holds the line, and a functional finding when it does
-    not.  Under r_a (observable) w holds the pipeline's committed cache,
-    so every instruction takes the deterministic step, an in-cache reads
-    that cache, and the caller compares its result.  The barrier rule
-    makes that exact: an in-cache starts only when no older memory
-    micro-op is in the ROB, and younger loads wait until it leaves the
-    ROB, so the cache cannot change between its execution and its
-    commit.
+    Only a committed in-cache reads the cache.  No architectural step
+    answers 1 for a kernel line: under either map that is the transient
+    execution counterexample when the pipeline's cache at s holds the
+    line, and a functional finding when it does not.  Otherwise r_ic
+    steps it with a pre-step cache choice picked so its result agrees
+    with the pipeline's, and r_a takes the deterministic step on the
+    pipeline's committed cache, as for every other instruction, and the
+    caller compares its result.  The barrier rule makes that exact: an
+    in-cache starts only when no older memory micro-op is in the ROB,
+    and younger loads wait until it leaves the ROB, so the cache cannot
+    change between its execution and its commit.
     """
     obligation = "wsk-a-run" if observable else "wsk-run"
-    v = w
+    v = r_a(s) if observable else r_ic(s)
     for line in retired_lines(batch):
         instr = fetch_instr(v.imem, v.pc)
         if line.mop != _expected_mop(instr, line.excep):
@@ -149,24 +148,25 @@ def run_ic(
                 f"pipeline committed {line.mop} where the architectural "
                 f"stream has {instr.render()!r} at {v.pc:#x}",
             )
-        if observable or line.mop != "min-cache":
+        if line.mop != "min-cache":
+            v = isa_det_step(v)
+            continue
+        ea = w32(v.rf[instr.r1] + v.rf[instr.r2])
+        if line.val == 1 and not v.ga.allows(ea):
+            if ea in s.cache:
+                return None, Finding(
+                    obligation, "tea-meltdown",
+                    f"in-cache observed a cached kernel address "
+                    f"{ea:#x}; no architectural cache choice allows it")
+            return None, Finding(
+                obligation, "functional",
+                f"in-cache answered 1 for kernel address {ea:#x}, "
+                f"which the pipeline's cache does not hold")
+        if observable:
             v = isa_det_step(v)
             continue
         pre_add = pre_rem = ()
-        ea = w32(v.rf[instr.r1] + v.rf[instr.r2])
         if line.val == 1:
-            if not v.ga.allows(ea):
-                if ea not in held:
-                    return None, Finding(
-                        "wsk-run", "functional",
-                        f"in-cache answered 1 for kernel address {ea:#x}, "
-                        f"which the pipeline's cache does not hold",
-                    )
-                return None, Finding(
-                    "wsk-run", "tea-meltdown",
-                    f"in-cache observed a cached kernel address "
-                    f"{ea:#x}; no architectural cache choice allows it",
-                )
             pre_add = ((ea, dmem_read(v.dmem, ea)),)
         elif v.ga.allows(ea) and ea in v.cache:
             pre_rem = ((ea, dmem_read(v.dmem, ea)),)
@@ -174,7 +174,8 @@ def run_ic(
     return v, None
 
 
-def _arch_mismatch(u: MaState | IsaState, v: IsaState) -> str | None:
+def _arch_mismatch(u: MaState | IsaState,
+                   v: MaState | IsaState) -> str | None:
     """How the architectural fields of u and v differ, if they do: it
     reads pc, rf, halt and tsx, which a pipeline state has too."""
     if u.pc != v.pc:
@@ -282,7 +283,7 @@ def check_wsk_transition(
     spec: AuthSpec | None = None, run: Run | None = None,
 ) -> list[Finding]:
     """All witness-skipping obligations for one transition s -> u (with
-    `u, info = step_core(s)` and `wit = stutter_wit(s)`), with w = r(s).
+    `u, info = step_core(s)` and `wit = stutter_wit(s)`).
 
     With no policy this is the cache-erased (Meltdown) refinement,
     r = r_ic; with one it is the cache-observable refinement, r = r_a,
@@ -293,8 +294,8 @@ def check_wsk_transition(
 
     A non-retiring step compares pc, rf, tsx and halt of s and u
     directly: label(r(s)) and label(r(u)) hold nothing else a step can
-    change, since both share s's memories and access map.  r(s) is
-    built only on a retiring step, for its matched run.
+    change, since both share s's memories and access map.  A retiring
+    step's matched run, `run_ic` under the same map, builds r(s).
     """
     findings: list[Finding] = []
     if spec is None:
@@ -310,8 +311,7 @@ def check_wsk_transition(
         # fills are the audit's job.  step_core is deterministic, so a
         # witness within the bound decreases by exactly one: only the
         # bound itself can fail.
-        if (u.pc != s.pc or u.rf != s.rf or u.tsx != s.tsx
-                or u.halt != s.halt):
+        if _arch_mismatch(u, s) is not None:
             findings.append(Finding(match, "functional",
                                     "architectural fields changed on a "
                                     "non-retiring step"))
@@ -320,10 +320,7 @@ def check_wsk_transition(
                                     "no commit within the stutter bound"))
         return findings
 
-    if spec is None:
-        v, fail = run_ic(r_ic(s), info.batch, held=s.cache)
-    else:
-        v, fail = run_ic(r_a(s), info.batch, observable=True)
+    v, fail = run_ic(s, info.batch, spec is not None)
     if fail is not None:
         findings.append(fail)
         return findings

@@ -140,7 +140,7 @@ def test_criterion_5_witness_well_foundedness():
                 assert d_u < d_s, "stutter witness failed to decrease"
             elif info.retired > 0 and commit < 1_000:
                 commit += 1
-                v, fail = run_ic(r_ic(s), info.batch)
+                v, fail = run_ic(s, info.batch)
                 assert fail is None, fail
                 assert label(r_ic(u)) == label(v), "matched run disagrees"
             s, h, _ = mah_step(s, h)

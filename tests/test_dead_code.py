@@ -1,12 +1,12 @@
 """No public helper, parameter default or field exists only for the tests.
 
 Every public top-level function or class in `src/teasim` must be named
-somewhere in `src/` or `scripts/` outside its own definition, every
-defaulted parameter of a function there must be set by some call in
-`src/` or `scripts/`, and every annotated field of a class there must be
-read as an attribute in `src/` or `scripts/`.  No module there imports a
-name it never reads.  A definition kept although only tests use it must
-be named by some test.
+somewhere in `src/` or `scripts/` outside its own definition and the
+package's `__init__` (a re-export is no use), every defaulted parameter
+of a function there must be set by some call in `src/` or `scripts/`,
+and every annotated field of a class there must be read as an attribute
+in `src/` or `scripts/`.  No module there imports a name it never reads.
+A definition kept although only tests use it must be named by some test.
 """
 
 import ast
@@ -31,6 +31,9 @@ KEPT_FOR_TESTS = {
     # The paper's observation label: the architectural state with the
     # cache erased (acceptance criteria 4 and 5).
     "label",
+    # The paper's step with history (acceptance criterion 2 and
+    # test_variants); gen folds next_h over a recorded run instead.
+    "mah_step",
 }
 
 
@@ -49,7 +52,8 @@ def mentions(tree: ast.AST) -> Counter:
 
 def test_every_public_definition_is_used_outside_tests():
     trees = {f: ast.parse(f.read_text()) for f in PACKAGE + SCRIPTS}
-    total = sum((mentions(t) for t in trees.values()), Counter())
+    total = sum((mentions(t) for f, t in trees.items()
+                 if f.name != "__init__.py"), Counter())
     unused = set()
     for f in PACKAGE:
         for node in trees[f].body:

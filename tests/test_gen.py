@@ -317,7 +317,7 @@ def test_shrink_bounds_walk_candidates(fail_at, accepted):
     assert [f.step for f in check(case)] == [3]
     cand = replace(case, program=prog._replace(instrs=prog.instrs[1:]))
     assert [f.step for f in check(cand)] == [fail_at]
-    prop = Property("fake", gen_walk_case, check, walks=True)
+    prop = Property("fake", gen_walk_case, check)
     small = shrink(prop, case, "late", check(case)[0])
     assert (small != case) == accepted
 

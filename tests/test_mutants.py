@@ -7,6 +7,7 @@ unmutated machine is clean on the same trials.
 """
 
 import json
+import re
 
 import pytest
 
@@ -197,3 +198,87 @@ def test_spectre_bundle_with_in_cache_replays_clean(tmp_path, capsys):
     path.write_text(json.dumps(IN_CACHE_BUNDLE))
     assert cli.main(["check", "--replay", str(path)]) == 0
     assert capsys.readouterr().out == "bundle no longer fails\n"
+
+
+# The shrunk bundled Meltdown, replayed under r_a: the audit finds the
+# speculative fill of the kernel line, and the in-cache that answers 1
+# for it is a Meltdown under r_a as under r_ic.
+MELTDOWN_BUNDLE = {
+    "property": "spectre", "forward_steps": 0, "seed_cache": [],
+    "program": ".access 0 511\n.data 4096 57\nloadi r1 4096\nloadi r2 0\n"
+               "loadi r9 0\ntsx-start 5\nldri r3 r1 0\nin-cache r7 r1 r0\n",
+}
+
+
+def test_spectre_bundle_with_kernel_in_cache_is_a_meltdown(tmp_path, capsys):
+    path = tmp_path / "meltdown.bundle"
+    path.write_text(json.dumps(MELTDOWN_BUNDLE))
+    assert cli.main(["check", "--replay", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        "[action-soundness/tea-spectre] unauthorized lines 0x1000\n"
+        "[wsk-a-run/tea-meltdown] in-cache observed a cached kernel address "
+        "0x1000; no architectural cache choice allows it\n")
+
+
+# Differential testing of the two refinement maps: r_ic (`check_wsk_case`)
+# and r_a (`check_spectre_case`) refine one specification, so on the same
+# cases they must not disagree about the machine.  CROSS_TRIALS `wsk`
+# trials at SEED, whose trial 445 is a random Meltdown, and the bundled
+# Meltdown.
+CROSS_TRIALS = 450
+HEX = re.compile(r"0x[0-9a-f]+")
+
+
+def cross_cases():
+    cfg = gen.GenConfig(seed=SEED)
+    for i in range(CROSS_TRIALS):
+        yield i, gen.gen_walk_case(cfg, gen._trial_rng(SEED, "wsk", i))
+    yield -1, gen.Case(asm.load_bundled("meltdown"))
+
+
+def test_both_maps_agree_on_the_unmutated_machine():
+    """No functional or liveness finding under either map, and every
+    r_ic Meltdown has a TEA finding under r_a on the same kernel line,
+    at the same step or earlier."""
+    random_meltdowns = 0
+    for trial, case in cross_cases():
+        ic, a = gen.check_wsk_case(case), gen.check_spectre_case(case)
+        assert {f.kind for f in ic + a} <= {"tea-meltdown", "tea-spectre"}
+        for f in ic:
+            if f.kind == "tea-meltdown":
+                random_meltdowns += trial >= 0
+                line = HEX.search(f.detail).group()
+                assert any(g.kind.startswith("tea-") and g.step <= f.step
+                           and line in HEX.findall(g.detail) for g in a)
+    assert random_meltdowns >= 1
+
+
+# Each catalogue mutant, the trial budget at SEED, and the first trial
+# at which r_ic and r_a each make a non-TEA finding.
+KILL_TRIALS = 300
+CROSS_KILLS = [("stall", 3, 3), ("stale_forwarding", 4, 4),
+               ("and_computes_or", 19, 19), ("in_cache_always_one", 64, 1),
+               ("jumps_do_not_squash", 75, 75)]
+
+
+def first_kills() -> list[int | None]:
+    """The first trial of the `wsk` stream at SEED with a non-TEA finding
+    under r_ic and under r_a; each map stops at its first."""
+    cfg = gen.GenConfig(seed=SEED)
+    first: list[int | None] = [None, None]
+    for i in range(KILL_TRIALS):
+        case = gen.gen_walk_case(cfg, gen._trial_rng(SEED, "wsk", i))
+        for k, check in enumerate((gen.check_wsk_case,
+                                   gen.check_spectre_case)):
+            if first[k] is None and any(not f.kind.startswith("tea-")
+                                        for f in check(case)):
+                first[k] = i
+        if None not in first:
+            break
+    return first
+
+
+@pytest.mark.parametrize("mutant, ic, a", CROSS_KILLS)
+def test_r_a_kills_each_mutant_no_later_than_r_ic(request, mutant, ic, a):
+    request.getfixturevalue(mutant)
+    assert first_kills() == [ic, a] and a <= ic

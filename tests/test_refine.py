@@ -146,7 +146,7 @@ class TestRunIc:
         s = prog_state(Instr("add", 1, 0, 0), Instr("halt"))
         for s, u, info in walk(s):
             if info.retired:
-                v, fail = run_ic(r_ic(s), info.batch)
+                v, fail = run_ic(s, info.batch)
                 assert fail is None
                 assert label(r_ic(u)) == label(v)
 
@@ -154,7 +154,7 @@ class TestRunIc:
         s = prog_state(Instr("ldri", 1, 0, imm=4), Instr("halt"), dmem={4: 9})
         for s, u, info in walk(s):
             if info.retired:
-                v, fail = run_ic(r_ic(s), info.batch)
+                v, fail = run_ic(s, info.batch)
                 assert fail is None and label(r_ic(u)) == label(v)
 
     def test_meltdown_probe_is_unmatchable(self):
