@@ -48,7 +48,7 @@ def costs(runs: list[tuple[str, int, int]]) -> list[dict]:
     shrink = gen.shrink
     shrinks: list[dict] = []
 
-    def measured(prop, case, obligation, first):
+    def measured(prop, case, obligation, step):
         checked = 0
 
         def check(*args):
@@ -57,7 +57,7 @@ def costs(runs: list[tuple[str, int, int]]) -> list[dict]:
             return prop.check(*args)
 
         before = steps
-        small = shrink(replace(prop, check=check), case, obligation, first)
+        small = shrink(replace(prop, check=check), case, obligation, step)
         shrinks.append({"checked": checked, "steps": steps - before,
                         "size": len(small.program.instrs)})
         return small

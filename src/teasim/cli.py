@@ -131,6 +131,13 @@ def cmd_check(args) -> int:
             print(f"error: TEA_SEED must be an integer, got {env!r}",
                   file=sys.stderr)
             return 2
+    if args.bundle_dir:
+        try:
+            os.makedirs(args.bundle_dir, exist_ok=True)
+        except OSError as e:
+            print(f"error: cannot write bundles to {args.bundle_dir}: {e}",
+                  file=sys.stderr)
+            return 2
     cfg = GenConfig(seed=seed, trials=args.trials)
     reports = suite_reports(args.suite, cfg)
     doc = report_json(reports, args.suite)
@@ -156,8 +163,7 @@ def _print_human(reports: list[Report], suite: str) -> None:
 
 def _write_bundles(reports: list[Report], outdir: str, suite: str) -> None:
     """One bundle per failing case: its report failure entry, plus the
-    property that failed."""
-    os.makedirs(outdir, exist_ok=True)
+    property that failed; outdir exists."""
     for r in reports:
         for entry in r.to_dict()["failures"]:
             path = os.path.join(outdir, f"{suite}-{r.prop}-{entry['trial']}.bundle")

@@ -24,14 +24,13 @@ reachable, and hand each transition s -> u to the obligation, with the
 stutter witness of s read off the walk's own run (which steps past the
 walk's last step when the next retirement lies beyond it), and with
 that run after u, in which an authorization policy reads ahead (another
-`Lookahead`).  The walk reads that look-ahead's deque directly: it
-appends each transition it steps and pops the one it walks.  A walk
-stops at halt, at 8 findings, at its step limit, or once its future is
-already checked: when it comes back, with no finding since, to a state
-it has seen, either an empty pipeline with the same committed state or,
-past the program's last instruction, the same state up to a shift of
-addresses, ROB tags and time (see `_walk`).  Their cases carry no
-forward steps: the same program and cache draws, without the sample's.
+`Lookahead`).  A walk stops at halt, at 8 findings, at its step limit,
+or once its future is already checked: when it comes back, with no
+finding since, to a state it has seen, either an empty pipeline with
+the same committed state or, past the program's last instruction, the
+same state up to a shift of addresses, ROB tags and time (see `_walk`).
+Their cases carry no forward steps: the same program and cache draws,
+without the sample's.
 
 Each registered property pairs a case generator with a checker over the
 case; `run_property` drives seeded trials (per-trial streams are split
@@ -51,7 +50,7 @@ import random
 import zlib
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, islice
 from typing import Callable, NamedTuple
@@ -100,10 +99,7 @@ class GenConfig(NamedTuple):
 MAX_FORWARD_STEPS = 10_000
 
 
-# A dataclass, since tests/test_acceptance.py rebuilds one with
-# dataclasses.replace (the record rule is in `ma`).
-@dataclass(frozen=True)
-class Case:
+class Case(NamedTuple):
     """Replayable input to a property check."""
 
     program: Program
@@ -249,9 +245,8 @@ class Lookahead:
     its i-th transition (u, info), stepped by `step_core` the first time
     something reads it and kept in `steps`, so all its readers share one
     run.  Iterating it goes on without end (a halted state steps to
-    itself).  `state` is where the run starts; `_walk` moves it one
-    transition on by popping the first transition off `steps` and
-    setting `state` to its u."""
+    itself).  `state` is where the run starts, and `pop` moves it one
+    transition on."""
 
     __slots__ = ("state", "steps")
 
@@ -264,6 +259,14 @@ class Lookahead:
         while len(steps) <= i:
             steps.append(step_core(steps[-1][0] if steps else self.state))
         return steps[i]
+
+    def pop(self) -> tuple[MaState, StepInfo]:
+        """The first transition (u, info), stepped if need be, which the
+        run then starts after: it is removed and `state` becomes u."""
+        step = self[0]
+        self.steps.popleft()
+        self.state = step[0]
+        return step
 
 
 @lru_cache(maxsize=1)
@@ -425,10 +428,7 @@ def _walk(case: Case, per_step, max_steps: int,
     last_found = -1
     squashed = True  # the initial state is keyed like a squashed one
     run = Lookahead(s)
-    # The look-ahead, read here directly: the transitions of the run from
-    # s stepped so far, of which the first `clear` retire nothing.
-    steps = run.steps
-    clear = 0
+    clear = 0  # the first `clear` transitions of run retire nothing
     findings: list[Finding] = []
     for step in range(limit):
         if s.halt:
@@ -443,16 +443,11 @@ def _walk(case: Case, per_step, max_steps: int,
             first = seen.setdefault(key, step)
             if last_found < first < step:
                 break
-        # Step on to the next retirement; clear <= len(steps) holds.
-        while clear <= cap:
-            if clear == len(steps):
-                steps.append(step_core(steps[-1][0] if clear else s))
-            if steps[clear][1].retired:
-                break
+        # Step on to the next retirement.
+        while clear <= cap and not run[clear][1].retired:
             clear += 1
         wit = clear if clear <= cap else None
-        u, info = steps.popleft()
-        run.state = u
+        u, info = run.pop()
         found = per_step(s, u, info, wit, run)
         if found:
             last_found = step
@@ -578,7 +573,7 @@ SHRINK_BUDGET = 150
 def _splice(case: Case, i: int, j: int, new: tuple[Instr, ...] = ()) -> Case:
     """The case with its instructions i to j - 1 replaced by new."""
     instrs = case.program.instrs
-    return replace(case, program=case.program._replace(
+    return case._replace(program=case.program._replace(
         instrs=instrs[:i] + new + instrs[j:]))
 
 
@@ -600,7 +595,7 @@ def _passes(best: Callable[[], Case]):
             k //= 2
         for j in range(3):
             while steps := best().forward_steps:
-                yield (cand := replace(best(), forward_steps=(
+                yield (cand := best()._replace(forward_steps=(
                     0, steps // 2, steps - 1)[j]))
                 if best() is not cand:
                     break
@@ -615,7 +610,7 @@ def _passes(best: Callable[[], Case]):
 
 
 def shrink(prop: Property, case: Case, obligation: str,
-           first: Finding) -> Case:
+           step: int | None) -> Case:
     """Reduction in rounds of passes (`_passes`), keeping each candidate
     that still fails the same obligation, until a round changes nothing
     or SHRINK_BUDGET candidates are checked or skipped.
@@ -624,8 +619,9 @@ def shrink(prop: Property, case: Case, obligation: str,
     current best case first failed the obligation, is known, a candidate
     fails only if it fails the obligation within 2c + 8 steps, and its
     walk stops there: deleting a loop exit costs a few steps, not a walk
-    to max_steps.  first is the case's first finding of the obligation
-    from its full check (findings come in step order).
+    to max_steps.  step is that of the case's first finding of the
+    obligation in its full check (findings come in step order), and None
+    for the entangled check, whose findings carry no step.
 
     Checks are deterministic, so a candidate already found passing under
     the same bound is skipped: a round after a success repeats the
@@ -638,13 +634,13 @@ def shrink(prop: Property, case: Case, obligation: str,
                  else prop.check(cand, (obligation, within)))
         return next((f for f in found if f.obligation == obligation), None)
 
-    best, hit = case, first  # hit: the first failure on best
+    best = case
     passed: set[tuple[Case, int | None]] = set()  # (candidate, within)
     for cand in islice(_passes(lambda: best), SHRINK_BUDGET):
-        key = (cand, None if hit.step is None else 2 * hit.step + 8)
+        key = (cand, None if step is None else 2 * step + 8)
         if key not in passed:
             if found := first_failure(*key):
-                best, hit = cand, found
+                best, step = cand, found.step
             else:
                 passed.add(key)
     return best
@@ -663,7 +659,7 @@ def run_property(
     def record(trial: int, case: Case, findings: list[Finding]) -> None:
         # The shrunk case fails the same obligation (checks are
         # deterministic), so its findings are the ones reported.
-        small = shrink(prop, case, findings[0].obligation, findings[0])
+        small = shrink(prop, case, findings[0].obligation, findings[0].step)
         failures.append(Failure(trial, tuple(prop.check(small)), small))
 
     for t, case in enumerate(extra_cases):

@@ -19,12 +19,12 @@ against 0.44-0.79 us, Python 3.11.7, 2 vCPUs), and its decorator builds
 the class's methods at every import: about 0.7 ms per class against
 0.09 ms for a NamedTuple (a 4-field record, same host).  So the plain
 value records (`MicroInstr`, `asm.Program`, `gen.GenConfig`,
-`gen.Failure`, `gen.Report`, `refine.Finding`) are NamedTuples too.
-Four dataclasses stay, each for a reason (tests/test_records.py pins
-them): `MaParams` and `isa.AccessMap` check their fields in
-`__post_init__`, tests/test_acceptance.py rebuilds a `gen.Case` with
-`dataclasses.replace`, and perfbench's tracer wraps each `gen.Property`
-with `dataclasses.replace`, skipping one that is not a dataclass.
+`gen.Case`, `gen.Failure`, `gen.Report`, `refine.Finding`) are
+NamedTuples too.  Three dataclasses stay, each for a reason
+(tests/test_records.py pins them): `MaParams` and `isa.AccessMap` check
+their fields in `__post_init__`, and perfbench's tracer wraps each
+`gen.Property` with `dataclasses.replace`, skipping one that is not a
+dataclass.
 
 `step_core` and `initial_ma_state` build the per-cycle records
 with `tuple.__new__`, which skips the generated constructor's argument

@@ -7,7 +7,6 @@ is exact (zero tolerated failures) except the throughput floors.
 
 import random
 import time
-from dataclasses import replace
 
 from teasim import asm
 from teasim.asm import Program
@@ -128,7 +127,7 @@ def test_criterion_5_witness_well_foundedness():
     while (noncommit < 10_000 or commit < 1_000) and i < 5_000:
         case = gen_entangled_case(cfg, trial_rng("acc5", i))
         i += 1
-        s, h = case_pair(replace(case, forward_steps=0))
+        s, h = case_pair(case._replace(forward_steps=0))
         for _ in range(200):
             if s.halt:
                 break

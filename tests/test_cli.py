@@ -165,6 +165,17 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "tea-meltdown" in out
 
+    @pytest.mark.parametrize("suite", ["meltdown-safe", "spectre-buggy"])
+    def test_unwritable_bundle_dir_fails_before_the_trials(
+            self, tmp_path, capsys, suite):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["check", "--suite", suite, "--trials", "1",
+                     "--bundle-dir", str(taken)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write bundles to ")
+
 
 def bundle(drop=(), **fields):
     record = {"property": "wsk", "trial": 0, "findings": [],

@@ -104,7 +104,7 @@ def test_shrink_preserves_obligation_and_reduces():
     case = Case(asm.load_bundled("spectre"))
     findings = prop.check(case)
     assert findings
-    small = shrink(prop, case, findings[0].obligation, findings[0])
+    small = shrink(prop, case, findings[0].obligation, findings[0].step)
     after = prop.check(small)
     assert any(f.obligation == findings[0].obligation for f in after)
     assert len(small.program.instrs) <= len(case.program.instrs)
@@ -115,7 +115,7 @@ def test_shrink_meltdown_case_stays_small():
     case = Case(asm.load_bundled("meltdown"))
     findings = prop.check(case)
     assert findings and findings[0].kind == "tea-meltdown"
-    small = shrink(prop, case, findings[0].obligation, findings[0])
+    small = shrink(prop, case, findings[0].obligation, findings[0].step)
     assert len(small.program.instrs) <= 10
     assert any(f.obligation == findings[0].obligation
                for f in prop.check(small))
@@ -175,7 +175,8 @@ def test_shrink_checks_each_passing_candidate_once(name, bundled, shrunk, checke
         calls.append((c, until))
         return prop.check(c, until)
 
-    small = shrink(replace(prop, check=check), case, first.obligation, first)
+    small = shrink(replace(prop, check=check), case, first.obligation,
+                   first.step)
     assert asm.render(small.program) == shrunk
     assert len(calls) == checked == len(set(calls))
 
@@ -198,7 +199,7 @@ def test_shrink_skips_repeated_candidates_within_its_budget(monkeypatch):
         monkeypatch.setattr(gen, "SHRINK_BUDGET", budget)
         prop = Property("fake", gen_entangled_case, check)
         first = Finding("only-original", "functional", "", step=None)
-        assert shrink(prop, case, "only-original", first) == case
+        assert shrink(prop, case, "only-original", first.step) == case
         assert len(calls) == checked
 
 
@@ -208,13 +209,13 @@ def one_step_candidates(case: Case):
     instrs = case.program.instrs
 
     def with_instrs(new):
-        return replace(case, program=case.program._replace(instrs=new))
+        return case._replace(program=case.program._replace(instrs=new))
 
     for i in range(len(instrs)):
         yield with_instrs(instrs[:i] + instrs[i + 1:])
     steps = case.forward_steps
     for k in (0, steps // 2, steps - 1) if steps else ():
-        yield replace(case, forward_steps=k)
+        yield case._replace(forward_steps=k)
     for i, ins in enumerate(instrs):
         if ins.imm and ins.imm < 0x1000:
             yield with_instrs(instrs[:i] + (ins._replace(imm=ins.imm // 2),)
@@ -254,7 +255,7 @@ def test_shrinks_end_one_minimal(monkeypatch, name, bundled, failure):
     case = (Case(asm.load_bundled(bundled)) if bundled
             else spectre_failures(1, 10)[failure])
     first = prop.check(case)[0]
-    small = shrink(prop, case, first.obligation, first)
+    small = shrink(prop, case, first.obligation, first.step)
     assert ended
     hit = next(f for f in prop.check(small)
                if f.obligation == first.obligation)
@@ -315,10 +316,10 @@ def test_shrink_bounds_walk_candidates(fail_at, accepted):
         return gen._walk(c, per_step, 2500, until)
 
     assert [f.step for f in check(case)] == [3]
-    cand = replace(case, program=prog._replace(instrs=prog.instrs[1:]))
+    cand = case._replace(program=prog._replace(instrs=prog.instrs[1:]))
     assert [f.step for f in check(cand)] == [fail_at]
     prop = Property("fake", gen_walk_case, check)
-    small = shrink(prop, case, "late", check(case)[0])
+    small = shrink(prop, case, "late", check(case)[0].step)
     assert (small != case) == accepted
 
 
@@ -332,7 +333,7 @@ def test_shrink_accepts_candidates_of_non_walk_properties():
 
     prop = Property("fake", gen_walk_case, check)
     first = Finding("always", "functional", "", step=None)
-    assert shrink(prop, Case(prog), "always", first).program.instrs == ()
+    assert shrink(prop, Case(prog), "always", first.step).program.instrs == ()
 
 
 @pytest.mark.parametrize("kind", ["halts", "max-steps", "until", "stall",
@@ -376,6 +377,29 @@ def test_walk_witness_is_stutter_wit(request, kind):
         assert found[-1].obligation == "wsk-run"
 
 
+def test_lookahead_pop_moves_the_run_one_transition_on(monkeypatch):
+    s = initial_state(Case(asm.load_bundled("spectre")))
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return ma.step_core(x)
+
+    monkeypatch.setattr(gen, "step_core", counting)
+    # A fresh run steps once.
+    assert gen.Lookahead(s).pop() == ma.step_core(s)
+    assert calls == [s]
+    # A recorded transition is popped without stepping.
+    run = gen.Lookahead(s)
+    third = run[3]
+    first = run[0]
+    calls.clear()
+    u, info = run.pop()
+    assert (u, info) == first and calls == []
+    assert len(run.steps) == 3 and run[2] is third
+    assert run.state is u and run[0] == ma.step_core(u)
+
+
 def test_walk_and_entangled_cases_draw_the_same():
     cfg = GenConfig(seed=37)
     for i in range(50):
@@ -400,7 +424,7 @@ def test_shrink_spends_at_most_its_budget():
 
     prop = Property("fake", gen_entangled_case, check)
     first = Finding("only-original", "functional", "", step=None)
-    assert shrink(prop, case, "only-original", first) == case
+    assert shrink(prop, case, "only-original", first.step) == case
     assert len(checked) == 150
 
 
@@ -461,7 +485,7 @@ def reference_entangled_case(cfg: GenConfig, rng) -> Case:
         k = rng.randint(1, live)
     else:
         k = rng.randint(0, cfg.max_forward_steps)
-    return replace(case, forward_steps=k)
+    return case._replace(forward_steps=k)
 
 
 def recorded(case: Case):
@@ -476,7 +500,7 @@ def test_case_pair_reads_the_probed_run(fresh_run):
         case = gen_entangled_case(cfg, trial_rng("shared-run", i))
         misses = gen._run.cache_info().misses
         for k in range(cfg.max_forward_steps + 1):
-            sample = replace(case, forward_steps=k)
+            sample = case._replace(forward_steps=k)
             assert case_pair(sample) == reference_pair(sample)
         assert gen._run.cache_info().misses == misses
 
@@ -492,7 +516,7 @@ def test_case_pair_past_the_recorded_end(fresh_run):
         n = len(steps)
         ends_halted = bool(steps) and steps[-1][0].halt
         for k in (n + 1, n + 7, 200):
-            sample = replace(case, forward_steps=k)
+            sample = case._replace(forward_steps=k)
             assert case_pair(sample) == reference_pair(sample)
         assert len(recorded(case)) == n
         past += n == cfg.max_forward_steps and not ends_halted

@@ -308,10 +308,9 @@ class TestStep:
 class TestInvariants:
     def run_scan(self, case_idx):
         from teasim.gen import GenConfig, gen_entangled_case, case_pair
-        from dataclasses import replace
         cfg = GenConfig(seed=5)
         case = gen_entangled_case(cfg, trial_rng("ma-scan", case_idx))
-        s, _ = case_pair(replace(case, forward_steps=0))
+        s, _ = case_pair(case._replace(forward_steps=0))
         for _ in range(120):
             if s.halt:
                 break

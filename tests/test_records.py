@@ -10,7 +10,7 @@ their input state, as its text snapshot shows it, as they found it, and
 the checks of an entangled case to leave the run it shares with its
 generator (`gen._run`) as they found it.
 
-Every other record is a NamedTuple too, except four dataclasses, each
+Every other record is a NamedTuple too, except three dataclasses, each
 kept for a reason (see `ma`'s module docstring).
 """
 
@@ -170,8 +170,6 @@ def test_step_records_hold_all_their_fields():
 
 # The only dataclasses in teasim, by module.
 DATACLASSES = {
-    # tests/test_acceptance.py calls dataclasses.replace on it.
-    "gen.Case",
     # perfbench's tracer wraps each property's gen and check with
     # dataclasses.replace, and skips a property that is not a dataclass.
     "gen.Property",

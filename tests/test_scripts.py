@@ -1,5 +1,5 @@
-"""The scripts run: the layer-cost tool end to end, and every other
-script as far as its `--help`."""
+"""The scripts run: the layer-cost and shrink-cost tools end to end, and
+every other script as far as its `--help`."""
 
 import os
 import pathlib
@@ -26,6 +26,16 @@ def test_scripts_run():
     assert ("differing results: step_core 0, next_h 0, derive_choice 0"
             in out.stdout.splitlines())
     for script in sorted(SCRIPTS.glob("*.py")):
-        if script.name != "step_rates.py":
+        if script.name not in ("step_rates.py", "shrink_costs.py"):
             help_ = run_script(script, "--help")
             assert help_.returncode == 0, (script.name, help_.stderr)
+
+
+def test_shrink_costs_runs():
+    # The tool wraps gen.shrink positionally.  One tree twice: the same
+    # runs, so the same totals.
+    out = run_script(SCRIPTS / "shrink_costs.py", "src", "src", "--seeds", "1",
+                     "--trials", "20")
+    assert out.returncode == 0, out.stderr
+    old, new = out.stdout.splitlines()[-2:]
+    assert old.startswith("src: checked ") and old == new

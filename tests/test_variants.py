@@ -1,6 +1,5 @@
 """Resource-choice stepping, history bookkeeping, invalidate/replay."""
 
-from dataclasses import replace
 
 import pytest
 
@@ -233,7 +232,7 @@ class TestEntangled:
     def test_closure_along_trajectories(self):
         for i in range(15):
             case = gen_entangled_case(GenConfig(seed=4), trial_rng("clos", i))
-            s, h = case_pair(replace(case, forward_steps=0))
+            s, h = case_pair(case._replace(forward_steps=0))
             for _ in range(12):
                 if s.halt:
                     break
