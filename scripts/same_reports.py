@@ -13,7 +13,9 @@ directory of its own:
   bundle B that the second tree wrote, each tree replaying its own file
   of that name;
 - `run P --machine M`, with and without `--trace`, for each bundled
-  program P (read from the second tree) on each machine M;
+  program P (read from the second tree) on each machine M, and
+  `run P --machine ma-h --max-steps 15`, which stops each P mid-flight:
+  every P halts, and a halt leaves an empty history to print;
 - `demo meltdown` and `demo spectre`, and each with a step budget
   too small for its runs to halt (`--max-steps 30` and `18`);
 - two usage errors, `check --suite nope` and `check --trials -1`.
@@ -117,6 +119,8 @@ def main() -> int:
         runs += [["run", prog, "--machine", machine] + trace
                  for prog in programs for machine in ("isa", "ma", "ma-h")
                  for trace in ([], ["--trace"])]
+        runs += [["run", prog, "--machine", "ma-h", "--max-steps", "15"]
+                 for prog in programs]
         runs += [["demo", "meltdown"], ["demo", "spectre"],
                  ["demo", "meltdown", "--max-steps", "30"],
                  ["demo", "spectre", "--max-steps", "18"],

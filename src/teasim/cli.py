@@ -20,7 +20,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import replace
 
 from . import asm
 from .gen import (Case, GenConfig, PROPERTIES, Report, check_spectre_case,
@@ -57,7 +56,6 @@ def _parse_params(path: str | None, overrides: list[str]) -> MaParams:
         if not sep:
             raise ValueError(f"{where}: expected key=value, got {item!r}")
         kv[k.strip()] = v.strip()
-    base = MaParams()
     fields = {}
     for k, v in kv.items():
         k = k.replace("-", "_")
@@ -68,7 +66,7 @@ def _parse_params(path: str | None, overrides: list[str]) -> MaParams:
             fields[k] = int(v)
         else:
             raise ValueError(f"unknown parameter {k!r}")
-    return replace(base, **fields) if fields else base
+    return MaParams(**fields)
 
 
 def cmd_run(args) -> int:

@@ -302,6 +302,7 @@ def case_pair(case: Case) -> tuple[MaState, History]:
         s = steps[start - 1][0]
     h = init_h(s)
     for i in range(start, k):
+        # next_h keeps a halted h; the break saves step_core calls.
         if s.halt:
             break
         u, info = steps[i] if i < len(steps) else step_core(s)
@@ -547,8 +548,7 @@ class Report(NamedTuple):
 
     @property
     def functional_count(self) -> int:
-        return sum(1 for f in self.failures
-                   if all(not x.kind.startswith("tea-") for x in f.findings))
+        return len(self.failures) - self.tea_count
 
     def to_dict(self) -> dict:
         return {

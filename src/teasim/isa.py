@@ -11,7 +11,7 @@ covert channel the microarchitectural model is audited against.
 
 `Instr`, `TsxState` and `IsaState` are immutable NamedTuples, by the
 record rule in `ma`'s docstring (`AccessMap`, which checks its ranges,
-is one of its four dataclasses), and an `Instr` hashes as a plain tuple
+is one of its three dataclasses), and an `Instr` hashes as a plain tuple
 when the fetch looks it up in `ma`'s decode cache.
 
 `isa_det_step` is one function with one dispatch, so a register or

@@ -354,16 +354,16 @@ def check_entangled_sample(s: MaState, h: History,
     is entangled, and so is its successor under the step with history.
     step is the sample's transition (u, info) = step_core(s), which the
     caller reads off a recorded run or steps; the successor's history is
-    folded over it by `next_h`, except that a halted sample steps to
-    itself and keeps its history.  The two lemmas behind the definition,
-    that the maximal choice reproduces the deterministic step and that a
-    pipeline-empty state is entangled with the empty history, hold by
-    construction and are tested, not checked per sample."""
+    folded over it by `next_h`, whose halt rule keeps a halted sample's
+    history.  The two lemmas behind the definition, that the maximal
+    choice reproduces the deterministic step and that a pipeline-empty
+    state is entangled with the empty history, hold by construction and
+    are tested, not checked per sample."""
     if not is_entangled(s, h):
         return [Finding("entangled-sample", "functional",
                         "generated sample is not entangled")]
     u, info = step
-    hu = h if s.halt else next_h(s, h, info, u)
+    hu = next_h(s, h, info, u)
     if not is_entangled(u, hu):
         return [Finding("entangled-closure", "functional",
                         "successor of an entangled state is not entangled")]

@@ -10,10 +10,10 @@ when that replay reproduces the state exactly — a checkable superset of
 the reachable states that every obligation checker quantifies over.
 
 The history is a fold over step records: `next_h` reads one transition
-s -> u of the plain machine, with what the cycle did, and extends the
-history by it, so `mah_step` is `step_core` plus `next_h`, and a run
-already recorded by `step_core` gets its history without stepping again
-(`gen.case_pair`).
+s -> u under any `Choice`, with what the cycle did, and extends the
+history by it (a halted s keeps its history), so `mah_step` is
+`step_core` plus `next_h`, and a run already recorded by `step_core`
+gets its history without stepping again (`gen.case_pair`).
 
 `StatusLine` and `History` are immutable NamedTuples, by the record
 rule in `ma`'s docstring.  `next_h`, `invl` and `derive_choice` build
@@ -68,88 +68,82 @@ def init_h(s: MaState) -> History:
 
 
 def next_h(s: MaState, h: History, info: StepInfo, out: MaState) -> History:
-    """The history after the transition s -> out of the plain machine,
-    `out, info = step_core(s)` from a state s that has not halted.
+    """The history after the transition s -> out, `out, info =
+    step_core(s, choice)` under any `Choice`, read off the step record:
+    a cycle commits what its batch holds, and a halted s keeps h.
 
     The squash rule: on an invalidating transition the result reads
     nothing of h.  The squash commits its batch, so comm_cy is cyc, and
     the history is History(cyc, cyc + 1, out's cache, {}, ()), whatever
     h was; `gen.case_pair` starts its fold at the last squash for this
     reason (tests/test_gen.py checks the rule on recorded runs)."""
+    if s.halt:
+        return h
     cyc = s.cyc
     if info.invalidated:
         # Squashed work leaves only its cache footprint behind.
         return _new(History, (cyc, (cyc + 1) & MASK32, dict(out.cache),
                               {}, ()))
-    will_commit = bool(s.rob) and s.rob[0].rdy
-    comm_cy = cyc if will_commit else h.comm_cy
+    batch = info.batch
+    comm_cy = cyc if batch else h.comm_cy
 
     # Committed loads move their pending lines into the committed cache;
-    # written-back loads leave theirs pending.  Each dict is copied before
-    # its first change.
+    # written-back loads, the only writebacks that insert lines, leave
+    # theirs pending.  Each dict is copied before its first change.
     comm_cache = h.comm_cache
     ch_eff = h.ch_eff
-    batch = info.batch
     if batch:
         ch_eff = dict(ch_eff)
         for line in batch:
             eff = ch_eff.pop(line.rob_id, None)
-            if eff and line.mop in MEMORY_OPS:
+            if eff:
                 if comm_cache is h.comm_cache:
                     comm_cache = dict(comm_cache)
                 comm_cache.update(eff)
     for wb in info.writebacks:
-        if wb.mop in MEMORY_OPS:
+        if wb.inserted:
             if ch_eff is h.ch_eff:
                 ch_eff = dict(ch_eff)
             ch_eff[wb.dst] = dict(wb.inserted)
 
-    # Status-line removals for this cycle's commits.  A load removes its
-    # line and its access check's; a check committing ahead of its load
-    # is retained (post-comm) until the load goes.
+    # Status-line removals for this cycle's commits: every committed line
+    # but an access check, which stays (post-comm) until its load, the
+    # next tag, commits and removes it.
     removed: set[int] = set()
-    retained: set[int] = set()
     space = s.params.rob_tag_space
-    for idx, line in enumerate(batch):
-        if line.mop in CHECK_MOPS:
-            nxt = batch[idx + 1] if idx + 1 < len(batch) else None
-            if nxt is None or nxt.mop not in MEMORY_OPS:
-                retained.add(line.rob_id)
-        elif line.mop in MEMORY_OPS:
-            removed.add(line.rob_id)
+    for line in batch:
+        if line.mop in MEMORY_OPS:
             removed.add((line.rob_id - 1) % space)
-        else:
+        if line.mop not in CHECK_MOPS:
             removed.add(line.rob_id)
 
-    # Each kept line's ROB readiness and busy station, looked up by tag
-    # in maps built at the first line that needs them.
+    # Each kept line's readiness in the ROB the commits leave (absent:
+    # post-comm) and busy station, looked up by tag in maps built at the
+    # first line that needs them.
     rdy_by_tag = station_by_dst = None
     new_lines: list[StatusLine] = []
     for sl in h.lines:
         tag = sl.rob_id
         if tag in removed:
             continue
-        if tag in retained:
+        if rdy_by_tag is None:
+            rdy_by_tag = {l.rob_id: l.rdy for l in s.rob[len(batch):]}
+            station_by_dst = {rs.dst: rs for rs in s.rs_f if rs.busy}
+        rdy = rdy_by_tag.get(tag)
+        if rdy is None:
             st: Status = ("post-comm",)
+        elif rdy:
+            st = ("delay",)
         else:
-            if rdy_by_tag is None:
-                rdy_by_tag = {l.rob_id: l.rdy for l in s.rob}
-                station_by_dst = {rs.dst: rs for rs in s.rs_f if rs.busy}
-            rdy = rdy_by_tag.get(tag)
-            if rdy is None:
-                st = ("post-comm",)
-            elif rdy:
+            rs = station_by_dst.get(tag)
+            if rs is None:
                 st = ("delay",)
+            elif rs.exec and rs.cpc == cyc:
+                st = ("wr-b", s.cache)
+            elif rs.exec or rs.rs_id in info.started:
+                st = ("exec",)
             else:
-                rs = station_by_dst.get(tag)
-                if rs is None:
-                    st = ("delay",)
-                elif rs.exec and rs.cpc == cyc:
-                    st = ("wr-b", s.cache)
-                elif rs.exec or rs.rs_id in info.started:
-                    st = ("exec",)
-                else:
-                    st = ("delay",)
+                st = ("delay",)
         new_lines.append(_new(StatusLine, (tag, sl.pc, sl.statuses + (st,))))
     for rec in info.issued:
         new_lines.append(_new(StatusLine, (
@@ -167,10 +161,9 @@ def next_h(s: MaState, h: History, info: StepInfo, out: MaState) -> History:
 def mah_step(s: MaState, h: History) -> tuple[MaState, History, StepInfo]:
     """Deterministic step with history, and what the cycle did: the
     plain machine's step, `step_core`, with the history folded over its
-    record by `next_h`; a halted state stays as it is."""
+    record by `next_h` (a halted state steps to itself, and `next_h`
+    leaves its history as it is)."""
     out, info = step_core(s)
-    if s.halt:
-        return s, h, info
     return out, next_h(s, h, info, out), info
 
 

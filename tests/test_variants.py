@@ -51,8 +51,8 @@ def prog_state(*instrs, dmem=None, ga=GA):
 
 
 # The folded histories of the programs below, every step: neither replay
-# nor the obligations read comm_cy or the kind of a line's status, so
-# this digest is what holds them.  Update it only with a change that
+# nor the obligations read comm_cy or tell a `wr-b` status from `delay`,
+# so this digest is what holds them.  Update it only with a change that
 # means to alter histories, and say why in that change.
 HISTORY_SHA256 = "dca84f4c85753d24dbda8d73148213ed5562730d7765857fff43ba180778f27d"
 
@@ -280,6 +280,33 @@ class TestEntangled:
                     break
                 s, h, _ = mah_step(s, h)
                 assert is_entangled(s, h)
+
+    def test_fold_over_choice_driven_runs(self):
+        """next_h folds steps under any resource choice: every state of
+        a run whose commits, starts and fetch widths are drawn at random
+        is entangled with its history, and comm_cy is the cycle of the
+        last step that committed anything."""
+        cfg = GenConfig(seed=7)
+        for i in range(200):
+            rng = _trial_rng(7, "choice-fold", i)
+            s = initial_state(gen_walk_case(cfg, rng))
+            h = init_h(s)
+            last_commit = s.cyc
+            for _ in range(40):
+                if s.halt:
+                    break
+                choice = Choice(
+                    rng.randint(0, max_fetch_n(s)),
+                    frozenset(t for t in all_tags(s) if rng.random() < 0.7),
+                    frozenset(r for r in all_rs(s) if rng.random() < 0.7),
+                    frozenset())
+                u, info = step_core(s, choice)
+                if info.batch:
+                    last_commit = s.cyc
+                h = next_h(s, h, info, u)
+                s = u
+                assert is_entangled(s, h)
+                assert h.comm_cy == last_commit
 
     def test_corrupted_state_rejected(self):
         s = prog_state(Instr("mul", 1, 1, 1), Instr("halt"))
