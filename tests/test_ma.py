@@ -345,6 +345,58 @@ class TestInvariants:
             assert label(r_ic(ma)) == label(isa)
 
 
+class TestMachineFamily:
+    """The lines each prefetch policy deposits, and the bundled programs
+    on non-default machines."""
+
+    @pytest.mark.parametrize("policy, at5, at0", [
+        (("next", 2), (6, 7), (1, 2)),
+        (("next", 0), (), ()),
+        (("stride", 3, 2), (8, 11), (3, 6)),
+        # below 0 the lines wrap to 0xFFFFFFFF.., which are not accessible
+        (("stride", -1, 2), (4, 3), ()),
+        (("none",), (), ()),
+    ])
+    def test_prefetch_addrs(self, policy, at5, at0):
+        p = MaParams(prefetch=policy)
+        assert p.prefetch_addrs(GA, 5) == at5
+        assert p.prefetch_addrs(GA, 0) == at0
+
+    MACHINES = {
+        "narrow": MaParams(fetch_num=1, rs_count=2, max_rob=4),
+        "stride": MaParams(prefetch=("stride", 2, 2)),
+        "none": MaParams(prefetch=("none",)),
+        "smallest": MaParams(max_rob=2, rs_count=2),
+        "wide": MaParams(fetch_num=4, rs_count=8, max_rob=8,
+                         prefetch=("stride", 3, 2)),
+    }
+    CACHES = {
+        ("primality", "narrow"): {8, 9},
+        ("primality", "stride"): {8, 10, 12},
+        ("primality", "none"): {8},
+        ("primality", "smallest"): {8, 9},
+        ("primality", "wide"): {8, 11, 14},
+        ("spectre", "narrow"): set(),
+        ("spectre", "stride"): {0x16, 0x18, 0x1a, 0x14d, 0x14f, 0x151},
+        ("spectre", "none"): {0x16, 0x14d},
+        ("spectre", "smallest"): set(),
+        ("spectre", "wide"): {0x16, 0x19, 0x1c, 0x14d, 0x150, 0x153},
+    }
+
+    @pytest.mark.parametrize("name, machine", sorted(CACHES))
+    def test_bundled_programs_agree_with_the_isa(self, name, machine):
+        prog = asm.load_bundled(name)
+        s, _ = run_ma(asm.emit_ma(prog, self.MACHINES[machine]), 50_000)
+        isa = asm.emit_isa(prog)
+        for _ in range(50_000):
+            if isa.halt:
+                break
+            isa = isa_det_step(isa)
+        assert s.halt and isa.halt
+        assert label(r_ic(s)) == label(isa)
+        assert set(s.cache) == self.CACHES[name, machine]
+
+
 def runs_for_writebacks():
     """Deterministic runs: the bundled programs and 50 random walks."""
     for name in ("meltdown", "spectre", "primality"):
