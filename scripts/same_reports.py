@@ -16,6 +16,10 @@ directory of its own:
   program P (read from the second tree) on each machine M, and
   `run P --machine ma-h --max-steps 15`, which stops each P mid-flight:
   every P halts, and a halt leaves an empty history to print;
+- `run P --machine ma-h --trace` on three non-default machines (a
+  one-wide fetch with two stations and a 4-line ROB, a `stride 2 2`
+  prefetcher, no prefetcher), so that the stride and none prefetch
+  rules, a full ROB and a two-station machine are compared too;
 - `demo meltdown` and `demo spectre`, and each with a step budget
   too small for its runs to halt (`--max-steps 30` and `18`);
 - two usage errors, `check --suite nope` and `check --trials -1`.
@@ -121,6 +125,11 @@ def main() -> int:
                  for trace in ([], ["--trace"])]
         runs += [["run", prog, "--machine", "ma-h", "--max-steps", "15"]
                  for prog in programs]
+        machines = (["fetch-num=1", "rs-count=2", "max-rob=4"],
+                    ["prefetch=stride 2 2"], ["prefetch=none"])
+        runs += [["run", prog, "--machine", "ma-h", "--trace"]
+                 + [x for param in machine for x in ("--param", param)]
+                 for prog in programs for machine in machines]
         runs += [["demo", "meltdown"], ["demo", "spectre"],
                  ["demo", "meltdown", "--max-steps", "30"],
                  ["demo", "spectre", "--max-steps", "18"],

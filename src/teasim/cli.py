@@ -62,7 +62,7 @@ def _parse_params(path: str | None, overrides: list[str]) -> MaParams:
         if k == "prefetch":
             toks = v.split()
             fields["prefetch"] = tuple(toks[:1] + [int(x) for x in toks[1:]])
-        elif k in ("fetch_num", "max_rob", "rs_count", "reg_count"):
+        elif k in MaParams.__dataclass_fields__:
             fields[k] = int(v)
         else:
             raise ValueError(f"unknown parameter {k!r}")

@@ -4,7 +4,8 @@ Tomasulo-style core over the architectural model in `isa`: multi-issue
 fetch/decode, reservation stations with operand forwarding, a reorder
 buffer with in-order commit, memory barriers for the cache-membership
 query, TSX rollback via pipeline invalidation, and an insert-only cache
-fed at load writeback together with a configurable prefetcher.
+fed at load writeback together with a stride prefetcher, one rule
+(`MaParams.prefetch_addrs`) of which `next N` is the stride 1 case.
 
 The step function is written against an explicit resource `Choice`
 (fetch count, stations removed from issue, commits allowed, execution
@@ -230,9 +231,9 @@ def id_set(n: int) -> frozenset[int]:
 # than one; every other one takes one.
 MOP_TIMES = {"mmul": 3, "mldri": 2, "mldr": 2}
 
-# Prefetch policies: ("next", n) caches a+1..a+n, ("stride", step, count)
-# caches a+step, a+2*step, ..; ("none",) disables prefetching.  Policies
-# only ever name accessible addresses.
+# Prefetch policies: ("stride", step, count) caches the accessible lines
+# a+step, a+2*step, .., a+count*step; ("next", n) is ("stride", 1, n) and
+# ("none",) disables prefetching.
 PrefetchSpec = tuple
 PREFETCH_ARITY = {"none": 0, "next": 1, "stride": 2}
 
@@ -255,26 +256,21 @@ class MaParams:
     prefetch: PrefetchSpec = ("next", 1)
 
     def __post_init__(self) -> None:
-        if self.fetch_num < 1:
-            raise ValueError("fetch_num must be at least 1")
-        if self.max_rob < MAX_DECODE:
-            raise ValueError("max_rob must be at least the decode width")
-        if self.rs_count < 1:
-            raise ValueError("need at least one reservation station")
-        if self.reg_count < 1:
-            raise ValueError("reg_count must be at least 1")
         kind, args = self.prefetch[:1], self.prefetch[1:]
         if (not kind or PREFETCH_ARITY.get(kind[0]) != len(args)
                 or not all(isinstance(a, int) for a in args)):
             shown = " ".join(map(str, self.prefetch))
             raise ValueError("prefetch must be 'none', 'next N' or "
                              f"'stride S K', got {shown!r}")
-        sizes = {"fetch_num": self.fetch_num, "max_rob": self.max_rob,
-                 "rs_count": self.rs_count, "reg_count": self.reg_count,
-                 "prefetch count": args[-1] if args else 0}
-        for name, n in sizes.items():
-            if n > MAX_SIZE:
-                raise ValueError(f"{name} must be at most {MAX_SIZE}, got {n}")
+        # A load takes MAX_DECODE ROB lines and stations in one cycle.
+        for name, n, least in (("fetch_num", self.fetch_num, 1),
+                               ("max_rob", self.max_rob, MAX_DECODE),
+                               ("rs_count", self.rs_count, MAX_DECODE),
+                               ("reg_count", self.reg_count, 1),
+                               ("prefetch count", args[-1] if args else 0, 0)):
+            if not least <= n <= MAX_SIZE:
+                raise ValueError(
+                    f"{name} must be from {least} to {MAX_SIZE}, got {n}")
 
     @property
     def rob_tag_space(self) -> int:
@@ -287,16 +283,13 @@ class MaParams:
         return self.max_rob * longest + 2 * self.fetch_num + 8
 
     def prefetch_addrs(self, ga: AccessMap, a: int) -> tuple[int, ...]:
-        kind = self.prefetch[0]
-        if kind == "none":
+        """The accessible lines a + step * i, i = 1..count."""
+        p = self.prefetch
+        if p[0] == "none":
             return ()
-        if kind == "next":
-            n = self.prefetch[1]
-            cand = [w32(a + i) for i in range(1, n + 1)]
-        else:
-            step, count = self.prefetch[1], self.prefetch[2]
-            cand = [w32(a + step * i) for i in range(1, count + 1)]
-        return tuple(p for p in cand if ga.allows(p))
+        step, count = (1, *p[1:])[-2:]  # ("next", n) is ("stride", 1, n)
+        return tuple([q for i in range(1, count + 1)
+                      if ga.allows(q := w32(a + step * i))])
 
 
 _DEFAULT_PARAMS = MaParams()

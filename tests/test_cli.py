@@ -261,6 +261,13 @@ USAGE_ERRORS = {
     "prefetch-count-oversized": (
         ["run", "{tmp}/p.asm", "--param", "prefetch=next 100000000"],
         {"p.asm": "ldri r1 r0 4\nhalt\n"}),
+    "prefetch-count-negative": (
+        ["run", "{tmp}/p.asm", "--param", "prefetch=next -3"],
+        {"p.asm": "ldri r1 r0 4\nhalt\n"}),
+    # a load takes two stations in one cycle, so with one it never issues
+    "rs-count-below-decode-width": (
+        ["run", "{tmp}/p.asm", "--param", "rs-count=1"],
+        {"p.asm": "ldri r1 r0 4\nhalt\n"}),
     # usage errors that the argument parser detects
     "run-without-program": (["run"], {}),
     "trials-not-an-integer": (["check", "--trials", "x"], {}),

@@ -362,6 +362,19 @@ class TestMachineFamily:
         assert p.prefetch_addrs(GA, 5) == at5
         assert p.prefetch_addrs(GA, 0) == at0
 
+    @pytest.mark.parametrize("field, least", [
+        ("fetch_num", 1), ("max_rob", ma.MAX_DECODE),
+        ("rs_count", ma.MAX_DECODE), ("reg_count", 1), ("prefetch", 0)])
+    def test_sizes_lie_between_their_least_and_max_size(self, field, least):
+        def params(n):
+            return MaParams(**{field: ("next", n) if field == "prefetch" else n})
+
+        for n in (least, ma.MAX_SIZE):
+            params(n)
+        for n in (least - 1, ma.MAX_SIZE + 1):
+            with pytest.raises(ValueError, match=f"from {least} to 256, got {n}"):
+                params(n)
+
     MACHINES = {
         "narrow": MaParams(fetch_num=1, rs_count=2, max_rob=4),
         "stride": MaParams(prefetch=("stride", 2, 2)),

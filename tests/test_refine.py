@@ -3,6 +3,7 @@
 from teasim import asm, refine, variants
 from teasim.isa import AccessMap, Instr, IsaState, label
 from teasim.ma import (
+    MaParams,
     RobLine,
     initial_ma_state,
     ma_step,
@@ -26,6 +27,7 @@ from teasim.gen import (
     GenConfig,
     Lookahead,
     _spectre_step,
+    _trial_rng,
     _walk,
     case_pair,
     gen_entangled_case,
@@ -178,6 +180,31 @@ class TestRunIc:
                 count += 1
                 if count > 120:
                     break
+
+    def test_small_machines_walk_clean(self):
+        # No generated walk fills the default 19-line ROB; the first and
+        # last of these machines fill theirs (the second, with two
+        # stations, holds at most four lines in these walks).
+        cfg = PROPERTIES["wsk-safe"].adjust(GenConfig(seed=1))
+        full = 0
+        for params in (MaParams(max_rob=4, rs_count=8),
+                       MaParams(fetch_num=1, rs_count=2, max_rob=6),
+                       MaParams(fetch_num=4, rs_count=8, max_rob=8,
+                                prefetch=("stride", 3, 2))):
+            for i in range(100):
+                case = gen_walk_case(cfg, _trial_rng(1, "family", i))
+                p = case.program
+                s = initial_ma_state(p.imem, p.dmem, p.ga, p.entry,
+                                     params=params, cache=dict(case.seed_cache))
+                for _ in range(400):
+                    if s.halt:
+                        break
+                    u, info = step_core(s)
+                    wit = 0 if info.retired else stutter_wit(s)
+                    assert check_wsk_transition(s, u, info, wit) == []
+                    full += len(s.rob) == params.max_rob
+                    s = u
+        assert full > 0
 
 
 class TestActions:
