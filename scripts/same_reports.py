@@ -16,6 +16,9 @@ directory of its own:
   program P (read from the second tree) on each machine M, and
   `run P --machine ma-h --max-steps 15`, which stops each P mid-flight:
   every P halts, and a halt leaves an empty history to print;
+- `run P --machine ma-h --max-steps 20` on a one-wide fetch with two
+  stations and a 2-line ROB, whose pipeline also empties without a
+  squash, so that the window of such a history is printed too;
 - `run P --machine ma-h --trace` on three non-default machines (a
   one-wide fetch with two stations and a 4-line ROB, a `stride 2 2`
   prefetcher, no prefetcher), so that the stride and none prefetch
@@ -125,6 +128,9 @@ def main() -> int:
                  for trace in ([], ["--trace"])]
         runs += [["run", prog, "--machine", "ma-h", "--max-steps", "15"]
                  for prog in programs]
+        runs += [["run", prog, "--machine", "ma-h", "--param", "fetch-num=1",
+                  "--param", "rs-count=2", "--param", "max-rob=2",
+                  "--max-steps", "20"] for prog in programs]
         machines = (["fetch-num=1", "rs-count=2", "max-rob=4"],
                     ["prefetch=stride 2 2"], ["prefetch=none"])
         runs += [["run", prog, "--machine", "ma-h", "--trace"]

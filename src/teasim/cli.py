@@ -145,8 +145,7 @@ def cmd_check(args) -> int:
         _print_human(reports, args.suite)
     if args.bundle_dir:
         _write_bundles(reports, args.bundle_dir, args.suite)
-    found = any(r.failures for r in reports)
-    return 1 if found else 0
+    return 1 if any(r.failures for r in reports) else 0
 
 
 def _print_human(reports: list[Report], suite: str) -> None:
@@ -175,6 +174,8 @@ def _replay_bundle(path: str, as_json: bool) -> int:
     try:
         with open(path) as fh:
             record = json.load(fh)
+        if type(record) is not dict:
+            raise ValueError(f"a bundle is a JSON object, got {type(record).__name__}")
         prop_name = record["property"]
         case = Case.from_dict(record)
     except KeyError as e:

@@ -63,9 +63,8 @@ from .refine import (
     Finding,
     check_entangled_sample,
     check_wsk_transition,
-    is_initial,
 )
-from .variants import History, init_h, next_h
+from .variants import History, init_h, is_initial, next_h
 from . import asm
 
 FULL_ACCESS = ((0, MASK32),)
@@ -121,10 +120,13 @@ class Case(NamedTuple):
         if type(steps) is not int or not 0 <= steps <= MAX_FORWARD_STEPS:
             raise ValueError(f"forward_steps must be an integer from 0 to "
                              f"{MAX_FORWARD_STEPS}, got {steps!r}")
-        cache = tuple(tuple(pair) for pair in d["seed_cache"])
-        if not all(len(p) == 2 and all(type(x) is int for x in p) for p in cache):
+        pairs = d["seed_cache"]
+        if type(pairs) is not list or not all(
+                type(p) is list and len(p) == 2 and all(type(x) is int for x in p)
+                for p in pairs):
             raise ValueError(f"seed_cache must hold [address, value] integer "
-                             f"pairs, got {d['seed_cache']!r}")
+                             f"pairs, got {pairs!r}")
+        cache = tuple(map(tuple, pairs))
         if type(d["program"]) is not str:
             raise ValueError(f"program must be text, got {d['program']!r}")
         program = asm.parse(d["program"])
@@ -353,7 +355,7 @@ def check_entangled_case(case: Case) -> list[Finding]:
 Until = tuple[str, int | None]
 
 
-def _squash_key(s: MaState) -> tuple:
+def _empty_key(s: MaState) -> tuple:
     """A pipeline-empty state's key: its future depends on nothing else
     but cyc, which only shifts times, and stale fields of idle stations,
     which the machine overwrites before reading them.  The cache is
@@ -395,9 +397,8 @@ def _walk(case: Case, per_step, max_steps: int,
     step from which on nothing was found.  The deterministic run from
     the later state then repeats the one from the earlier, shifted, and
     so finds nothing either.  Two kinds of state have keys:
-      - a pipeline-empty state, the initial one or one right after an
-        invalidating step, keyed by `_squash_key`: (pc, rf, tsx, the
-        cache's size);
+      - a pipeline-empty state (`variants.is_initial`), however it was
+        reached, keyed by `_empty_key`: (pc, rf, tsx, the cache's size);
       - a state past the program's end (pc above every instruction, and
         fetch_pc unable to wrap before the walk's look-ahead ends),
         keyed by `_tail_key`: every instruction in flight or yet to be
@@ -427,15 +428,14 @@ def _walk(case: Case, per_step, max_steps: int,
     # found something.
     seen: dict[tuple, int] = {}
     last_found = -1
-    squashed = True  # the initial state is keyed like a squashed one
     run = Lookahead(s)
     clear = 0  # the first `clear` transitions of run retire nothing
     findings: list[Finding] = []
     for step in range(limit):
         if s.halt:
             break
-        if squashed and is_initial(s):
-            key = _squash_key(s)
+        if is_initial(s):
+            key = _empty_key(s)
         elif top < s.pc <= s.fetch_pc <= tail_end:
             key = _tail_key(s)
         else:
@@ -449,13 +449,11 @@ def _walk(case: Case, per_step, max_steps: int,
             clear += 1
         wit = clear if clear <= cap else None
         u, info = run.pop()
-        found = per_step(s, u, info, wit, run)
-        if found:
+        if found := per_step(s, u, info, wit, run):
             last_found = step
             findings.extend(f._replace(step=step) for f in found)
             if len(findings) >= 8 or any(f.obligation == target for f in found):
                 break
-        squashed = info.invalidated
         if clear:
             clear -= 1
         s = u
@@ -663,15 +661,13 @@ def run_property(
         failures.append(Failure(trial, tuple(prop.check(small)), small))
 
     for t, case in enumerate(extra_cases):
-        findings = prop.check(case)
-        if findings:
+        if findings := prop.check(case):
             record(-1 - t, case, findings)
     ran = pcfg.trials
     for i in range(pcfg.trials):
         rng = _trial_rng(pcfg.seed, name, i)
         case = prop.gen(pcfg, rng)
-        findings = prop.check(case)
-        if findings:
+        if findings := prop.check(case):
             record(i, case, findings)
             if len(failures) >= pcfg.max_failures:
                 ran = i + 1

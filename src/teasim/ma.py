@@ -349,9 +349,10 @@ class Choice(NamedTuple):
 
 
 def maximal_choice(s: MaState) -> Choice:
+    """All commits and starts, and the widest fetch group that fits."""
     p = s.params
     return Choice(
-        n=max_fetch_n(s),
+        n=_fetch_group(s, sum(not rs.busy for rs in s.rs_f))[0],
         allow_commit=id_set(p.rob_tag_space),
         allow_start=id_set(p.rs_count),
         busy_rs=_NONE,
@@ -413,12 +414,6 @@ def _fetch_group(
         uops += group
         ipcs += [ipc] * k
     return params.fetch_num, uops, ipcs
-
-
-def max_fetch_n(s: MaState) -> int:
-    """Largest n (up to the fetch width) whose decoded fetch group fits
-    the free stations and ROB lines."""
-    return _fetch_group(s, sum(not rs.busy for rs in s.rs_f))[0]
 
 
 def rob_ids(

@@ -20,7 +20,8 @@ failure if not.  Any other answer makes a cache choice under r_ic,
 through `isa.isa_step`, so the cache-membership results agree; under
 r_a it takes the deterministic step `isa_det_step` on the pipeline's
 committed cache, which the barrier rule makes exact.  The entangled
-obligations likewise take the sample's transition from the caller.
+obligations likewise take the sample's transition from the caller (and
+rest on `variants.is_initial`, the pipeline-empty predicate).
 Failures come back as data (findings with a kind and message), never
 exceptions.
 
@@ -338,15 +339,6 @@ def check_wsk_transition(
 
 
 # --- entangled-state obligations ---
-
-def is_initial(s: MaState) -> bool:
-    return (
-        s.fetch_pc == s.pc
-        and not s.rob
-        and not s.reg_st
-        and all(not rs.busy and not rs.exec for rs in s.rs_f)
-    )
-
 
 def check_entangled_sample(s: MaState, h: History,
                            step: tuple[MaState, StepInfo]) -> list[Finding]:

@@ -8,6 +8,9 @@ the last commit and the pending cache effects of written-back loads.
 history and replays forward.  A (state, history) pair is *entangled*
 when that replay reproduces the state exactly — a checkable superset of
 the reachable states that every obligation checker quantifies over.
+However it was reached, a pipeline-empty state (`is_initial`) is
+entangled with `init_h`'s empty history; each window starts where `invl`
+rewinds to (`History.start_cy`), the state's own cycle if it is empty.
 
 The history is a fold over step records: `next_h` reads one transition
 s -> u under any `Choice`, with what the cycle did, and extends the
@@ -59,6 +62,16 @@ class History(NamedTuple):
     comm_cache: dict[int, int]
     ch_eff: dict[int, dict[int, int]]  # tag -> lines to commit to comm_cache
     lines: tuple[StatusLine, ...]  # oldest first, one status per live cycle
+
+
+def is_initial(s: MaState) -> bool:
+    """Whether s is pipeline-empty: nothing in flight, fetch at pc."""
+    return (
+        s.fetch_pc == s.pc
+        and not s.rob
+        and not s.reg_st
+        and all(not rs.busy and not rs.exec for rs in s.rs_f)
+    )
 
 
 def init_h(s: MaState) -> History:
@@ -149,11 +162,9 @@ def next_h(s: MaState, h: History, info: StepInfo, out: MaState) -> History:
         new_lines.append(_new(StatusLine, (
             rec.tag, rec.ipc, (("fetch", rec.ipc, rec.rs_id),))))
 
-    if new_lines:
-        # One status per live cycle: the oldest line anchors the window.
-        start_cy = (cyc + 1 - len(new_lines[0].statuses)) & MASK32
-    else:
-        start_cy = 0
+    # One status per live cycle: the oldest line, if any, starts the window.
+    start_cy = (cyc + 1 - (len(new_lines[0].statuses) if new_lines else 0)
+                ) & MASK32
     return _new(History, (comm_cy, start_cy, comm_cache, ch_eff,
                           tuple(new_lines)))
 
@@ -167,22 +178,19 @@ def mah_step(s: MaState, h: History) -> tuple[MaState, History, StepInfo]:
     return out, next_h(s, h, info, out), info
 
 
-def comp_start_cyc(s: MaState, h: History) -> int:
-    return s.cyc if not h.lines else h.start_cy
-
-
 def invl(s: MaState, h: History) -> MaState:
     """Rewind to the last commit point: empty pipeline, committed cache,
     fetch redirected to the architectural pc, cycle counter rolled back
-    to the oldest in-flight issue."""
+    to h.start_cy, the oldest in-flight issue (s's own cycle when
+    nothing is in flight)."""
     return _new(MaState, (
         s.pc, s.rf, s.tsx, s.halt, s.imem, s.dmem, s.ga, dict(h.comm_cache),
-        (), reset_rs_f(s.rs_f), {}, comp_start_cyc(s, h), s.pc, s.params,
+        (), reset_rs_f(s.rs_f), {}, h.start_cy, s.pc, s.params,
     ))
 
 
 def steps_to_take(s: MaState, h: History) -> int:
-    return 0 if not h.lines else w32(s.cyc - h.start_cy)
+    return w32(s.cyc - h.start_cy)
 
 
 def get_h(h: History, cyc: int) -> list[tuple[int, int, Status]]:

@@ -21,6 +21,16 @@ def cfg():
     return GenConfig(seed=0xBEEF)
 
 
+# A one-wide fetch, two stations and a 2-line ROB: unlike the default
+# machine's, its pipeline also empties without a squash.
+SMALL = ma.MaParams(fetch_num=1, rs_count=2, max_rob=2)
+
+
+def on_small_machine(s: ma.MaState) -> ma.MaState:
+    """The initial state s, built on the SMALL machine instead."""
+    return ma.initial_ma_state(s.imem, s.dmem, s.ga, s.pc, SMALL, s.cache)
+
+
 def reference_walk(case: gen.Case, max_steps: int, spec) -> list:
     """The walk of `gen._walk` with the witness-skipping obligations,
     run to halt, max_steps or 8 findings and never stopped early, taking

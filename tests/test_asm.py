@@ -6,7 +6,7 @@ from teasim import asm
 from teasim.asm import AsmError, parse, render
 from teasim.isa import Instr
 from teasim.ma import MaParams
-from teasim.refine import is_initial
+from teasim.variants import is_initial
 from teasim.variants import init_h, is_entangled
 
 from conftest import trial_rng

@@ -195,6 +195,10 @@ USAGE_ERRORS = {
                                  {"b.bundle": bundle(forward_steps="x")}),
     "replay-bad-seed-cache": (["check", "--replay", "{tmp}/b.bundle"],
                               {"b.bundle": bundle(seed_cache=[[4]])}),
+    "replay-seed-cache-not-a-pair": (["check", "--replay", "{tmp}/b.bundle"],
+                                     {"b.bundle": bundle(seed_cache=[[1, 0], 5])}),
+    "replay-bundle-not-an-object": (["check", "--replay", "{tmp}/b.bundle"],
+                                    {"b.bundle": "[1, 2]"}),
     # a kernel line in the seeded cache: it would replay as a false
     # tea-meltdown report
     "replay-seed-cache-kernel-line": (
@@ -288,6 +292,18 @@ def test_usage_error_exits_two(tmp_path, capsys, argv, files):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "a bundle is a JSON object, got list"),
+    (bundle(seed_cache=[[1, 0], 5]), "seed_cache must hold [address, value] "
+                                     "integer pairs, got [[1, 0], 5]"),
+])
+def test_malformed_bundle_is_named(tmp_path, capsys, text, message):
+    path = tmp_path / "b.bundle"
+    path.write_text(text)
+    assert main(["check", "--replay", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: cannot replay {path}: {message}\n"
 
 
 # Program lines, well-formed and malformed, for the exit-code contract.

@@ -4,7 +4,8 @@ The walk that stops must return what the walk that never stops returns,
 findings and their steps included, and each of its two keys must stand
 for the future it claims: a pipeline-empty state's key fixes the next
 steps up to time, and a key past the program's end fixes them up to a
-shift of addresses, ROB tags and time.
+shift of addresses, ROB tags and time.  The first two also hold on a
+small machine, whose pipeline empties without a squash too.
 """
 
 import pytest
@@ -13,8 +14,9 @@ from teasim import asm, gen, ma, refine
 from teasim.gen import Case, PROPERTIES
 from teasim.isa import MASK32
 from teasim.refine import AUTH_SPECS, r_a
+from teasim.variants import is_initial
 
-from conftest import reference_walk
+from conftest import on_small_machine, reference_walk
 
 SEED, CASES = 3, 200
 BUNDLED = [Case(asm.load_bundled(name)) for name in ("meltdown", "spectre")]
@@ -82,15 +84,12 @@ def equal_key_pairs(name: str, max_steps: int, keyed) -> list:
     return pairs
 
 
-def squash_key(top, states, infos, k):
+def empty_key(top, states, infos, k):
     s = states[k]
-    if (k == 0 or infos[k - 1].invalidated) and refine.is_initial(s):
-        return gen._squash_key(s)
-    return None
+    return gen._empty_key(s) if is_initial(s) else None
 
 
-def test_equal_squash_keys_fix_the_next_steps():
-    pairs = equal_key_pairs("wsk", 400, squash_key)
+def assert_keys_fix_the_next_steps(pairs):
     assert len(pairs) >= 50
     for states, i, j in pairs:
         x, y = states[i], states[j]
@@ -98,6 +97,44 @@ def test_equal_squash_keys_fix_the_next_steps():
             x, xi = ma.step_core(x)
             y, yi = ma.step_core(y)
             assert xi == yi and r_a(x) == r_a(y)
+
+
+def test_equal_squash_keys_fix_the_next_steps():
+    assert_keys_fix_the_next_steps(equal_key_pairs("wsk", 400, empty_key))
+
+
+@pytest.fixture
+def small_machine(monkeypatch, fresh_run):
+    """gen.initial_state builds on the SMALL machine, whose pipeline
+    also empties without a squash."""
+    initial_state = gen.initial_state
+    monkeypatch.setattr(gen, "initial_state",
+                        lambda case: on_small_machine(initial_state(case)))
+
+
+def test_equal_empty_keys_fix_the_next_steps_on_a_small_machine(
+        small_machine):
+    unsquashed = 0  # keyed states that no squash led to
+
+    def keyed(top, states, infos, k):
+        nonlocal unsquashed
+        key = empty_key(top, states, infos, k)
+        unsquashed += key is not None and k > 0 and not infos[k - 1].invalidated
+        return key
+
+    assert_keys_fix_the_next_steps(equal_key_pairs("wsk", 400, keyed))
+    assert unsquashed >= 100
+
+
+@pytest.mark.parametrize("name, max_steps, spec, per_step", [
+    ("wsk-safe", 2500, None, gen._wsk_step),
+    ("spectre", 400, AUTH_SPECS["commit"], gen._spectre_step),
+])
+def test_walk_on_a_small_machine_returns_what_the_full_walk_returns(
+        small_machine, name, max_steps, spec, per_step):
+    for case in cases(name, 100):
+        assert (gen._walk(case, per_step, max_steps)
+                == reference_walk(case, max_steps, spec))
 
 
 def tail_key(top, states, infos, k):

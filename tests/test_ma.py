@@ -26,7 +26,7 @@ from teasim.ma import (
     decode_one,
     initial_ma_state,
     ma_step,
-    max_fetch_n,
+    maximal_choice,
     rob_before,
     rob_ids,
     run_ma,
@@ -161,7 +161,7 @@ class TestMaxFetch:
     def test_empty_pipeline_full_width(self):
         s = prog_state(Instr("add", 1, 1, 1), Instr("add", 2, 2, 2),
                        Instr("add", 3, 3, 3))
-        assert max_fetch_n(s) == 3
+        assert maximal_choice(s).n == 3
 
     def test_rs_shortage(self):
         s = prog_state(Instr("add", 1, 1, 1), Instr("add", 2, 2, 2),
@@ -170,21 +170,21 @@ class TestMaxFetch:
             ResStation(rs.rs_id, "madd", None, None, 0, 0, 0, True, False, 0, 0)
             for rs in s.rs_f[:3])
         s = s._replace(rs_f=busy + s.rs_f[3:])
-        assert max_fetch_n(s) == 1
+        assert maximal_choice(s).n == 1
 
     def test_full_rob_zero(self):
         s = prog_state(Instr("add", 1, 1, 1))
         full = tuple(RobLine(i, "mnoop", None, False, 0, False)
                      for i in range(s.params.max_rob))
         s = s._replace(rob=full)
-        assert max_fetch_n(s) == 0
+        assert maximal_choice(s).n == 0
 
     def test_one_slot_but_load_needs_two(self):
         s = prog_state(Instr("ldr", 1, 2, 3))
         nearly = tuple(RobLine(i, "mnoop", None, False, 0, False)
                        for i in range(s.params.max_rob - 1))
         s = s._replace(rob=nearly)
-        assert max_fetch_n(s) == 0
+        assert maximal_choice(s).n == 0
 
 
 class TestIssueDependencies:

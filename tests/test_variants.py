@@ -14,7 +14,6 @@ from teasim.ma import (
     initial_ma_state,
     ma_step,
     man_step,
-    max_fetch_n,
     maximal_choice,
     run_ma,
     step_core,
@@ -26,6 +25,7 @@ from teasim.variants import (
     init_h,
     invl,
     is_entangled,
+    is_initial,
     mah_step,
     next_h,
     step_using_h,
@@ -40,7 +40,7 @@ from teasim.gen import (
     initial_state,
 )
 
-from conftest import trial_rng
+from conftest import on_small_machine, trial_rng
 
 GA = AccessMap(((0, 0xFF),))
 
@@ -67,6 +67,41 @@ def pinned_programs():
         yield asm.emit_ma(asm.load_bundled(name))
 
 
+def deterministic_run(s, steps: int):
+    """s and its first transitions (s, info, u), up to halt."""
+    run, x = [], s
+    for _ in range(steps):
+        if x.halt:
+            break
+        u, info = step_core(x)
+        run.append((x, info, u))
+        x = u
+    return s, run
+
+
+def choice_driven_runs():
+    """200 walk cases at seed 7, each with up to 40 transitions (s, info,
+    u) under resource choices drawn at random: commits, starts and
+    fetch widths."""
+    cfg = GenConfig(seed=7)
+    for i in range(200):
+        rng = _trial_rng(7, "choice-fold", i)
+        s = x = initial_state(gen_walk_case(cfg, rng))
+        run = []
+        for _ in range(40):
+            if x.halt:
+                break
+            choice = Choice(
+                rng.randint(0, maximal_choice(x).n),
+                frozenset(t for t in all_tags(x) if rng.random() < 0.7),
+                frozenset(r for r in all_rs(x) if rng.random() < 0.7),
+                frozenset())
+            u, info = step_core(x, choice)
+            run.append((x, info, u))
+            x = u
+        yield s, run
+
+
 def all_tags(s):
     return frozenset(range(s.params.rob_tag_space))
 
@@ -85,7 +120,7 @@ class TestChoices:
     def test_empty_allow_commit_freezes_architecture(self):
         s = prog_state(Instr("loadi", 1, imm=7), Instr("halt"))
         for _ in range(6):
-            s = man_step(s, Choice(max_fetch_n(s), frozenset(),
+            s = man_step(s, Choice(maximal_choice(s).n, frozenset(),
                                    all_rs(s), frozenset()))
         assert (s.pc, s.rf[1], s.halt) == (0, 0, False)
         assert s.rob  # work piled up, nothing retired
@@ -100,7 +135,7 @@ class TestChoices:
     def test_empty_allow_start_stalls_execution(self):
         s = prog_state(Instr("add", 1, 1, 1), Instr("halt"))
         for _ in range(8):
-            s = man_step(s, Choice(max_fetch_n(s), all_tags(s),
+            s = man_step(s, Choice(maximal_choice(s).n, all_tags(s),
                                    frozenset(), frozenset()))
         assert not s.halt
         assert any(rs.busy and not rs.exec for rs in s.rs_f)
@@ -286,27 +321,39 @@ class TestEntangled:
         a run whose commits, starts and fetch widths are drawn at random
         is entangled with its history, and comm_cy is the cycle of the
         last step that committed anything."""
-        cfg = GenConfig(seed=7)
-        for i in range(200):
-            rng = _trial_rng(7, "choice-fold", i)
-            s = initial_state(gen_walk_case(cfg, rng))
+        for s, run in choice_driven_runs():
             h = init_h(s)
             last_commit = s.cyc
-            for _ in range(40):
-                if s.halt:
-                    break
-                choice = Choice(
-                    rng.randint(0, max_fetch_n(s)),
-                    frozenset(t for t in all_tags(s) if rng.random() < 0.7),
-                    frozenset(r for r in all_rs(s) if rng.random() < 0.7),
-                    frozenset())
-                u, info = step_core(s, choice)
+            for s, info, u in run:
                 if info.batch:
                     last_commit = s.cyc
                 h = next_h(s, h, info, u)
-                s = u
-                assert is_entangled(s, h)
+                assert is_entangled(u, h)
                 assert h.comm_cy == last_commit
+
+    def test_window_starts_where_invl_rewinds(self):
+        """A history's window starts at the cycle `invl` rewinds to: its
+        state's cycle less the oldest line's status count, or its
+        state's own cycle when nothing is in flight, however the
+        pipeline emptied.  And a pipeline-empty state is entangled with
+        the empty history (the paper's lemma).  The small machine's
+        pipeline also empties without a squash, as do runs under drawn
+        choices."""
+        runs = [deterministic_run(build(s), 200)
+                for s in pinned_programs()
+                for build in (lambda s: s, on_small_machine)]
+        empty = 0
+        for s, run in runs + list(choice_driven_runs()):
+            h = init_h(s)
+            for s, info, u in run:
+                h = next_h(s, h, info, u)
+                live = len(h.lines[0].statuses) if h.lines else 0
+                assert h.start_cy == w32(u.cyc - live)
+                assert invl(u, h).cyc == h.start_cy
+                if is_initial(u):
+                    empty += 1
+                    assert is_entangled(u, init_h(u))
+        assert empty >= 1000
 
     def test_corrupted_state_rejected(self):
         s = prog_state(Instr("mul", 1, 1, 1), Instr("halt"))
