@@ -6,22 +6,28 @@ tests/test_acceptance.py::test_criterion_7_throughput times one pass of
 200,000 `isa_det_step` and 20,000 `ma_step` steps over the bundled
 primality program, and asks for an ISA/pipeline ratio of at least 10x.
 That loop does not predict what the benchmark's verdicts spend in the
-pipeline, so the first source tree also runs the suites of
+pipeline, so every source tree also runs the suites of
 `check --suite S --trials N --seed K` for each verdict below and each
 seed, recording the arguments and result of every call of
-`ma.step_core`, `variants.next_h` and `variants.derive_choice`.
+`ma.step_core`, `variants.next_h` and `variants.derive_choice`.  Each
+tree records its own calls, since a record pickled in one tree does
+not unpickle in a tree whose records have other fields.
 
 Then, in N rounds, every tree is measured in a fresh process, the trees
 in alternating order.  The process keeps the best of k passes of
 criterion 7's two loops, the ISA and pipeline passes interleaved, then
-the best of k passes over each layer's recorded inputs, with the
-collector off.  A replayed result unlike the recorded one is counted,
-and the script exits 1 if any is.  It prints each round's rates and µs
-per call, then per tree their medians and the lowest round's ratio, and
-for each tree after the first its speed-ups over the first, each the
-median over the rounds of the round's speed-up, and how the median
-ratio moved.  A change keeps criterion 7's margin when its ISA speed-up
-is at least its pipeline speed-up.
+the best of k passes over each layer's inputs as the tree recorded
+them, with the collector off.  A replayed result unlike the recorded
+one is counted: each tree replays its own record, and each tree after
+the first the first tree's too, where that record unpickles in it.  The
+script exits 1 if any result differs.  It prints each round's rates
+and µs per call, then per tree their medians, the lowest round's ratio
+and its call counts, and for each tree after the first its speed-ups
+over the first, each the median over the rounds of the round's
+speed-up, how the median ratio moved, and whether the first tree's
+record replayed in it.  A change keeps criterion 7's margin when its
+ISA speed-up is at least its pipeline speed-up; a change that alters
+the calls (their count or arguments) is compared per call.
 
     python scripts/step_rates.py                    # this checkout's src
     python scripts/step_rates.py OLD/src src -n 8   # two trees, interleaved
@@ -96,10 +102,20 @@ def record(path: str, seeds: list[int]) -> None:
         pickle.dump(calls, fh, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def measure_here(path: str, k: int) -> dict:
+def replay_differ(calls: dict) -> dict[str, int]:
+    """Per layer, the recorded calls whose result this tree's function
+    gives differently."""
+    return {layer: sum(getattr(importlib.import_module(mod), name)(*args)
+                       != want for args, want in calls[layer])
+            for layer, (mod, name) in LAYERS.items()}
+
+
+def measure_here(path: str, k: int, against: str | None) -> dict:
     """In this process: {"isa", "ma": best steps/s over k interleaved
     passes of each loop, "layers": {layer: {"us": best µs per call over
-    k passes, "calls": n, "differ": results unlike the recorded ones}}}."""
+    k passes, "calls": n, "differ": results unlike the recorded ones}},
+    "against": results unlike those of the record at `against` per
+    layer, or why it does not unpickle here (None without one)}."""
     from teasim import asm
     from teasim.isa import isa_det_step
     from teasim.ma import ma_step
@@ -126,10 +142,21 @@ def measure_here(path: str, k: int) -> dict:
             for args in inputs:
                 fn(*args)
             best = min(best, time.perf_counter() - t0)
-        differ = sum(fn(*args) != want for args, want in calls[layer])
         layers[layer] = {"us": best / max(len(inputs), 1) * 1e6,
-                         "calls": len(inputs), "differ": differ}
-    return {"isa": isa, "ma": ma, "layers": layers}
+                         "calls": len(inputs)}
+    for layer, n in replay_differ(calls).items():
+        layers[layer]["differ"] = n
+    other = None
+    if against is not None:
+        try:
+            with open(against, "rb") as fh:
+                theirs = pickle.load(fh)
+        except (AttributeError, ImportError, TypeError) as e:
+            # A record class with other fields, or none of that name.
+            other = f"{type(e).__name__}: {e}"
+        else:
+            other = replay_differ(theirs)
+    return {"isa": isa, "ma": ma, "layers": layers, "against": other}
 
 
 def child(src: str, *argv: str) -> str:
@@ -150,24 +177,29 @@ def main() -> int:
     ap.add_argument("--seeds", nargs="+", type=int, default=list(range(1, 17)))
     ap.add_argument("--record", metavar="PATH", help=argparse.SUPPRESS)
     ap.add_argument("--one", metavar="PATH", help=argparse.SUPPRESS)
+    ap.add_argument("--against", metavar="PATH", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.record:
         record(args.record, args.seeds)
         return 0
     if args.one:
-        print(json.dumps(measure_here(args.one, args.best_of)))
+        print(json.dumps(measure_here(args.one, args.best_of, args.against)))
         return 0
     if args.rounds < 1 or args.best_of < 1:
         ap.error("--rounds and --best-of must be at least 1")
 
+    first, *rest = args.src
     runs: dict[str, list[dict]] = {src: [] for src in args.src}
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "calls.pickle")
-        child(args.src[0], "--record", path, "--seeds", *map(str, args.seeds))
+        paths = {src: os.path.join(tmp, f"calls-{i}.pickle")
+                 for i, src in enumerate(args.src)}
+        for src, path in paths.items():
+            child(src, "--record", path, "--seeds", *map(str, args.seeds))
         for i in range(args.rounds):
             order = args.src if i % 2 == 0 else args.src[::-1]
             for src in order:
-                r = json.loads(child(src, "--one", path,
+                against = () if src == first else ("--against", paths[first])
+                r = json.loads(child(src, "--one", paths[src], *against,
                                      "--best-of", str(args.best_of)))
                 runs[src].append(r)
                 print(f"round {i + 1} {src}: ISA {r['isa']:,.0f}/s, "
@@ -176,10 +208,7 @@ def main() -> int:
                           f"{layer} {v['us']:.2f} µs"
                           for layer, v in r["layers"].items()), flush=True)
 
-    first, *rest = args.src
-    calls = {layer: v["calls"] for layer, v in runs[first][0]["layers"].items()}
-    print(f"\nmedians over {args.rounds} rounds, best of {args.best_of}; "
-          "calls: " + ", ".join(f"{layer} {n:,}" for layer, n in calls.items()))
+    print(f"\nmedians over {args.rounds} rounds, best of {args.best_of}")
     for src, rs in runs.items():
         ratios = [r["isa"] / r["ma"] for r in rs]
         print(f"{src}: ISA {statistics.median(r['isa'] for r in rs):,.0f}/s, "
@@ -188,7 +217,9 @@ def main() -> int:
               f"(lowest {min(ratios):.1f}x); " + ", ".join(
                   f"{layer} "
                   f"{statistics.median(r['layers'][layer]['us'] for r in rs):.2f}"
-                  f" µs" for layer in LAYERS))
+                  f" µs" for layer in LAYERS) + "; calls: " + ", ".join(
+                  f"{layer} {v['calls']:,}"
+                  for layer, v in rs[0]["layers"].items()))
     base = runs[first]
     for src in rest:
         pairs = list(zip(runs[src], base))
@@ -206,6 +237,18 @@ def main() -> int:
     differ = {layer: max(r["layers"][layer]["differ"]
                          for rs in runs.values() for r in rs)
               for layer in LAYERS}
+    for src in rest:
+        if src == first:  # one tree named twice
+            continue
+        cross = [r["against"] for r in runs[src]]
+        if isinstance(cross[0], str):
+            print(f"{src}: {first}'s record does not unpickle here "
+                  f"({cross[0]}); each tree replayed only its own")
+            continue
+        worst = {layer: max(c[layer] for c in cross) for layer in LAYERS}
+        print(f"{src} on {first}'s record: differing results: " + ", ".join(
+            f"{layer} {n}" for layer, n in worst.items()))
+        differ = {layer: max(differ[layer], worst[layer]) for layer in LAYERS}
     print("differing results: " + ", ".join(
         f"{layer} {n}" for layer, n in differ.items()))
     return 1 if any(differ.values()) else 0

@@ -622,10 +622,12 @@ def shrink(prop: Property, case: Case, obligation: str,
     for the entangled check, whose findings carry no step.
 
     Checks are deterministic, so a candidate already found passing under
-    the same bound is skipped: a round after a success repeats the
-    deletions of the one before, and deleting any of several identical
-    instructions gives one program.  A skip still uses budget, so the
-    result is the one checking every candidate gives."""
+    a bound at least as large is skipped: a round after a success repeats
+    the deletions of the one before, and deleting any of several
+    identical instructions gives one program.  A bounded walk's findings
+    are a prefix of a longer walk's (see `_walk`), so passing under a
+    bound means passing under any smaller one.  A skip still uses
+    budget, so the result is the one checking every candidate gives."""
 
     def first_failure(cand: Case, within: int | None) -> Finding | None:
         found = (prop.check(cand) if within is None
@@ -633,14 +635,17 @@ def shrink(prop: Property, case: Case, obligation: str,
         return next((f for f in found if f.obligation == obligation), None)
 
     best = case
-    passed: set[tuple[Case, int | None]] = set()  # (candidate, within)
+    # candidate -> the largest bound it passed under; without a step
+    # every check is unbounded, and every bound None
+    passed: dict[Case, int | None] = {}
     for cand in islice(_passes(lambda: best), SHRINK_BUDGET):
-        key = (cand, None if step is None else 2 * step + 8)
-        if key not in passed:
-            if found := first_failure(*key):
-                best, step = cand, found.step
-            else:
-                passed.add(key)
+        within = None if step is None else 2 * step + 8
+        if cand in passed and (within is None or within <= passed[cand]):
+            continue
+        if found := first_failure(cand, within):
+            best, step = cand, found.step
+        else:
+            passed[cand] = within
     return best
 
 

@@ -367,7 +367,6 @@ class IssueRec(NamedTuple):
 
 
 class WbRec(NamedTuple):
-    rs_id: int
     dst: int
     mop: str
     val: int
@@ -670,8 +669,7 @@ def step_core(s: MaState, choice: Choice | None = None) -> tuple[MaState, StepIn
                     val if other.qk == dst else other.vk,
                     other.cpc, other.busy, other.exec, other.dst, other.rb_pc,
                 ))
-        writebacks.append(_new(WbRec, (rs.rs_id, dst, mop, val, exc,
-                                       inserted)))
+        writebacks.append(_new(WbRec, (dst, mop, val, exc, inserted)))
 
     # Reorder buffer update: drop the committed prefix, apply writebacks,
     # append the issue group.

@@ -77,14 +77,11 @@ def _status_to_text(st: Status) -> str:
     if st[0] == "fetch":
         rsi = "-" if st[2] is None else str(st[2])
         return f"fetch:{st[1]:#x}:{rsi}"
-    if st[0] == "wr-b":
-        return "wr-b:{" + ",".join(f"{a:#x}:{v:#x}" for a, v in sorted(st[1].items())) + "}"
     return st[0]
 
 
 def history_to_text(h: History) -> str:
     out = ["%teasim-history"]
-    out.append(f"comm-cy {h.comm_cy:#x}")
     out.append(f"start-cy {h.start_cy:#x}")
     out.append(f"comm-cache {_pairs(h.comm_cache)}".rstrip())
     for tag in sorted(h.ch_eff):

@@ -8,6 +8,10 @@ the last commit and the pending cache effects of written-back loads.
 history and replays forward.  A (state, history) pair is *entangled*
 when that replay reproduces the state exactly — a checkable superset of
 the reachable states that every obligation checker quantifies over.
+A history holds only what that definition reads: each field and status
+kind is either the commit point `invl` rewinds to or a choice or check
+of the replay (`History` names the reader of each), so a fold that
+records any of them wrongly leaves a state that does not replay.
 However it was reached, a pipeline-empty state (`is_initial`) is
 entangled with `init_h`'s empty history; each window starts where `invl`
 rewinds to (`History.start_cy`), the state's own cycle if it is empty.
@@ -45,8 +49,8 @@ from .ma import (
     step_core,
 )
 
-# Status forms: ("fetch", pc, rs_id|None) | ("exec",) | ("wr-b", cache)
-# | ("delay",) | ("post-comm",)
+# Status forms: ("fetch", pc, rs_id|None) | ("exec",) | ("wr-b",)
+# | ("delay",) | ("post-comm",); `History` says what each means.
 Status = tuple
 
 
@@ -57,7 +61,37 @@ class StatusLine(NamedTuple):
 
 
 class History(NamedTuple):
-    comm_cy: int
+    """What invalidate-and-replay reads, field by field.
+
+    The commit point that `invl` rewinds to:
+    - start_cy: the cycle of the oldest in-flight issue (the state's
+      own cycle when nothing is in flight).  `invl` sets the cycle to
+      it, `steps_to_take` counts the replay from it, and `get_h` dates
+      every line's statuses by it.
+    - comm_cache: the cache as of the last commit, which `invl`
+      restores.
+    - ch_eff: per written-back load's tag, the lines it filled, which
+      `next_h` moves into comm_cache when the load commits.
+
+    The replay's choices and checks:
+    - lines: one line per in-flight micro-instruction, oldest first,
+      with one status per live cycle.  `derive_choice` reads the
+      statuses of each replayed cycle:
+      - ("fetch", pc, rs_id|None): issued in the cycle, into that
+        station (None: it takes none).  They give the fetch count, the
+        tags in order and the stations issue may take.
+      - ("exec",): started or executing.  Only these stations may
+        start.
+      - ("wr-b",): writes back in the cycle.  These must be exactly
+        the tags of the replayed stations that write back in it, or
+        the history does not replay.
+      - ("delay",): in flight and waiting, to start, write back or
+        commit.  Like every in-flight status, it bars its tag from
+        committing in the cycle.
+      - ("post-comm",): an access check already committed, kept until
+        its load commits.  It is not in flight.
+    """
+
     start_cy: int
     comm_cache: dict[int, int]
     ch_eff: dict[int, dict[int, int]]  # tag -> lines to commit to comm_cache
@@ -77,7 +111,7 @@ def is_initial(s: MaState) -> bool:
 def init_h(s: MaState) -> History:
     """Empty history for a pipeline-empty state; it commits to the
     state's cache."""
-    return History(s.cyc, s.cyc, dict(s.cache), {}, ())
+    return History(s.cyc, dict(s.cache), {}, ())
 
 
 def next_h(s: MaState, h: History, info: StepInfo, out: MaState) -> History:
@@ -86,19 +120,17 @@ def next_h(s: MaState, h: History, info: StepInfo, out: MaState) -> History:
     a cycle commits what its batch holds, and a halted s keeps h.
 
     The squash rule: on an invalidating transition the result reads
-    nothing of h.  The squash commits its batch, so comm_cy is cyc, and
-    the history is History(cyc, cyc + 1, out's cache, {}, ()), whatever
-    h was; `gen.case_pair` starts its fold at the last squash for this
-    reason (tests/test_gen.py checks the rule on recorded runs)."""
+    nothing of h: the history is History(cyc + 1, out's cache, {}, ()),
+    whatever h was; `gen.case_pair` starts its fold at the last squash
+    for this reason (tests/test_gen.py checks the rule on recorded
+    runs)."""
     if s.halt:
         return h
     cyc = s.cyc
     if info.invalidated:
         # Squashed work leaves only its cache footprint behind.
-        return _new(History, (cyc, (cyc + 1) & MASK32, dict(out.cache),
-                              {}, ()))
+        return _new(History, ((cyc + 1) & MASK32, dict(out.cache), {}, ()))
     batch = info.batch
-    comm_cy = cyc if batch else h.comm_cy
 
     # Committed loads move their pending lines into the committed cache;
     # written-back loads, the only writebacks that insert lines, leave
@@ -152,7 +184,7 @@ def next_h(s: MaState, h: History, info: StepInfo, out: MaState) -> History:
             if rs is None:
                 st = ("delay",)
             elif rs.exec and rs.cpc == cyc:
-                st = ("wr-b", s.cache)
+                st = ("wr-b",)
             elif rs.exec or rs.rs_id in info.started:
                 st = ("exec",)
             else:
@@ -165,8 +197,7 @@ def next_h(s: MaState, h: History, info: StepInfo, out: MaState) -> History:
     # One status per live cycle: the oldest line, if any, starts the window.
     start_cy = (cyc + 1 - (len(new_lines[0].statuses) if new_lines else 0)
                 ) & MASK32
-    return _new(History, (comm_cy, start_cy, comm_cache, ch_eff,
-                          tuple(new_lines)))
+    return _new(History, (start_cy, comm_cache, ch_eff, tuple(new_lines)))
 
 
 def mah_step(s: MaState, h: History) -> tuple[MaState, History, StepInfo]:
@@ -213,13 +244,19 @@ def get_h(h: History, cyc: int) -> list[tuple[int, int, Status]]:
 
 def derive_choice(s: MaState, h: History) -> Choice:
     """Resource choices that make the nondeterministic machine repeat, at
-    this replay cycle, what the recorded execution did."""
+    this replay cycle, what the recorded execution did.
+
+    Raises ChoiceError when the cycle's `wr-b` tags are not those of the
+    stations that write back in it: only a station executing with
+    cpc == cyc writes back (see `ma`), whatever the choice."""
     tags: list[int] = []  # issued this cycle, in order
     pcs: set[int] = set()  # their instructions
     used_rs: set[int] = set()  # the stations they took
     exec_tags: set[int] = set()
+    wb_tags: set[int] = set()
     active: set[int] = set()  # not yet committed
-    for tag, pc, st in get_h(h, s.cyc):
+    cyc = s.cyc
+    for tag, pc, st in get_h(h, cyc):
         kind = st[0]
         if kind == "post-comm":
             continue
@@ -231,6 +268,10 @@ def derive_choice(s: MaState, h: History) -> Choice:
                 used_rs.add(st[2])
         elif kind == "exec":
             exec_tags.add(tag)
+        elif kind == "wr-b":
+            wb_tags.add(tag)
+    if wb_tags != {rs.dst for rs in s.rs_f if rs.exec and rs.cpc == cyc}:
+        raise ChoiceError("the history's writebacks are not the replay's")
     p = s.params
     return _new(Choice, (
         len(pcs),

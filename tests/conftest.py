@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from teasim import gen, ma
+from teasim import cli, gen, ma, refine, variants
 from teasim.gen import GenConfig, _trial_rng
 from teasim.refine import check_wsk_transition, stutter_wit
 
@@ -127,3 +127,20 @@ def in_cache_always_one(monkeypatch, fresh_run):
         return comp_val(rs, s)
 
     monkeypatch.setattr(ma, "comp_val", always_one)
+
+
+@pytest.fixture
+def writeback_as_delay(monkeypatch, fresh_run):
+    """`next_h` records a writeback as a wait: each `wr-b` status it
+    writes is `delay` instead."""
+    fold = variants.next_h
+    wait = ("delay",)
+
+    def mutant(s, h, info, out):
+        h = fold(s, h, info, out)
+        return h._replace(lines=tuple(
+            sl._replace(statuses=sl.statuses[:-1] + (wait,))
+            if sl.statuses[-1] == ("wr-b",) else sl for sl in h.lines))
+
+    for module in (variants, gen, refine, cli):  # every binding of next_h
+        monkeypatch.setattr(module, "next_h", mutant)

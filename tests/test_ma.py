@@ -464,14 +464,15 @@ def writeback_transitions():
 def test_only_stations_finishing_in_the_pre_state_write_back():
     # step_core finds its writebacks in its start pass: a station writes
     # back only if it was executing with cpc == cyc before the cycle, so
-    # none started or issued in the cycle writes back in it.
+    # none started or issued in the cycle writes back in it.  The station
+    # that writes back is the one busy station whose tag it writes.
     seen = {"maximal": 0, "replay": 0}
     for kind, s, info in writeback_transitions():
         fresh = set(info.started)
         fresh |= {rec.rs_id for rec in info.issued if rec.rs_id is not None}
         for wb in info.writebacks:
-            assert wb.rs_id not in fresh
-            rs = next(rs for rs in s.rs_f if rs.rs_id == wb.rs_id)
-            assert rs.busy and rs.exec and rs.cpc == s.cyc
+            (rs,) = [rs for rs in s.rs_f if rs.busy and rs.dst == wb.dst]
+            assert rs.rs_id not in fresh
+            assert rs.exec and rs.cpc == s.cyc
             seen[kind] += 1
     assert seen["maximal"] >= 1000 and seen["replay"] >= 1000, seen

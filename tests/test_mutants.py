@@ -1,9 +1,10 @@
-"""Seeded pipeline mutants that a clean verdict must not survive.
+"""Seeded pipeline and history mutants that a clean verdict must not
+survive.
 
 Each mutant is a fixture (in conftest.py) that monkeypatches one
-function or table of `teasim.ma`, and its test names the suite or
-property that must report it within a fixed trial budget and seed; the
-unmutated machine is clean on the same trials.
+function or table of `teasim.ma`, or `variants.next_h`, and its test
+names the suite or property that must report it within a fixed trial
+budget and seed; the unmutated machine is clean on the same trials.
 """
 
 import json
@@ -83,6 +84,26 @@ def test_arch_equivalence_kills_mutant(request, mutant, trial, obligations):
     (fail,) = arch_failures(1)
     assert fail.trial == trial
     assert {f.obligation for f in fail.findings} == obligations
+
+
+# entangled's trial budget at SEED, and the trial of its first failure
+# under the history mutant, which replay's check of the `wr-b` tags kills.
+ENTANGLED_TRIALS = 300
+
+
+def entangled_failures() -> tuple:
+    cfg = gen.GenConfig(seed=SEED, trials=ENTANGLED_TRIALS, max_failures=1)
+    return gen.run_property("entangled", cfg).failures
+
+
+def test_unmutated_machine_passes_entangled():
+    assert entangled_failures() == ()
+
+
+def test_entangled_kills_writeback_as_delay(writeback_as_delay):
+    (fail,) = entangled_failures()
+    assert fail.trial == 0
+    assert {f.obligation for f in fail.findings} == {"entangled-sample"}
 
 
 # A kernel-free loop that never halts: comparing the two machines' end

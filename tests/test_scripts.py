@@ -3,6 +3,7 @@ every other script as far as its `--help`."""
 
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -29,6 +30,20 @@ def test_scripts_run():
         if script.name not in ("step_rates.py", "shrink_costs.py"):
             help_ = run_script(script, "--help")
             assert help_.returncode == 0, (script.name, help_.stderr)
+
+
+def test_step_rates_replays_the_first_trees_record(tmp_path):
+    # Each tree records its own calls and replays them, and a second
+    # tree whose records unpickle replays the first tree's too.
+    shutil.copytree(ROOT / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    out = run_script(SCRIPTS / "step_rates.py", "src", str(tmp_path / "src"),
+                     "-n", "1", "-k", "1", "--seeds", "1")
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert (f"{tmp_path / 'src'} on src's record: differing results: "
+            "step_core 0, next_h 0, derive_choice 0") in lines
+    assert "differing results: step_core 0, next_h 0, derive_choice 0" in lines
 
 
 def test_shrink_costs_runs():

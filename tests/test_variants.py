@@ -50,11 +50,13 @@ def prog_state(*instrs, dmem=None, ga=GA):
                             dmem or {}, ga)
 
 
-# The folded histories of the programs below, every step: neither replay
-# nor the obligations read comm_cy or tell a `wr-b` status from `delay`,
-# so this digest is what holds them.  Update it only with a change that
-# means to alter histories, and say why in that change.
-HISTORY_SHA256 = "dca84f4c85753d24dbda8d73148213ed5562730d7765857fff43ba180778f27d"
+# The folded histories of the programs below, every step.  Replay reads
+# every field and status kind, `wr-b` tags included, so a wrong history
+# mostly fails to replay; this digest also holds what only a later
+# state's replay reads, such as the lines a load in flight will commit
+# (`ch_eff`).  Update it only with a change that means to alter
+# histories, and say why in that change.
+HISTORY_SHA256 = "8b9622ab65f9a730d259d0737a19af6c2e71a3d1c582c451108ef4c2921c1d46"
 
 
 def pinned_programs():
@@ -150,7 +152,7 @@ class TestHistory:
     def test_init_h_shape(self):
         s = prog_state()
         s = s._replace(cyc=42)
-        assert init_h(s) == History(42, 42, {}, {}, ())
+        assert init_h(s) == History(42, {}, {}, ())
 
     def test_first_issue_sets_start_cy(self):
         s = prog_state(Instr("loadi", 1, imm=7), Instr("halt"))
@@ -213,7 +215,7 @@ class TestHistory:
 class TestInvalidate:
     def test_empty_pipeline_only_cache_changes(self):
         s = prog_state()
-        h = History(0, 0, {3: 0}, {}, ())
+        h = History(0, {3: 0}, {}, ())
         s = s._replace(cache={3: 0, 7: 0})
         x = invl(s, h)
         assert x.cache == {3: 0}
@@ -240,13 +242,13 @@ class TestInvalidate:
         x = invl(s, h)
         # invalidating again with a history that commits to the same
         # cache is the identity
-        x2 = invl(x, History(x.cyc, x.cyc, dict(x.cache), {}, ()))
+        x2 = invl(x, History(x.cyc, dict(x.cache), {}, ()))
         assert x2 == x
 
     def test_steps_to_take(self):
         s = prog_state()
         assert steps_to_take(s, init_h(s)) == 0
-        h = History(0, 7, {}, {}, (init_h(s),))  # nonempty lines marker
+        h = History(7, {}, {}, (init_h(s),))  # nonempty lines marker
         s10 = s._replace(cyc=10)
         h = h._replace(lines=(("dummy"),))
         assert steps_to_take(s10, h) == 3
@@ -319,17 +321,35 @@ class TestEntangled:
     def test_fold_over_choice_driven_runs(self):
         """next_h folds steps under any resource choice: every state of
         a run whose commits, starts and fetch widths are drawn at random
-        is entangled with its history, and comm_cy is the cycle of the
-        last step that committed anything."""
+        is entangled with its history."""
         for s, run in choice_driven_runs():
             h = init_h(s)
-            last_commit = s.cyc
             for s, info, u in run:
-                if info.batch:
-                    last_commit = s.cyc
                 h = next_h(s, h, info, u)
                 assert is_entangled(u, h)
-                assert h.comm_cy == last_commit
+
+    def test_moved_writeback_does_not_replay(self):
+        """Replay checks the `wr-b` tags: a history with one `wr-b` mark
+        moved by one cycle, swapped with the status before or after it
+        (never the issue), is not entangled with the state."""
+        moved = 0
+        for i in range(60):
+            s, h = case_pair(gen_entangled_case(
+                GenConfig(seed=3), trial_rng("replay", i)))
+            for n, sl in enumerate(h.lines):
+                sts = list(sl.statuses)
+                if ("wr-b",) not in sts:
+                    continue
+                k = sts.index(("wr-b",))
+                for j in (k - 1, k + 1):
+                    if 0 < j < len(sts):
+                        swapped = list(sts)
+                        swapped[j], swapped[k] = sts[k], sts[j]
+                        line = sl._replace(statuses=tuple(swapped))
+                        lines = h.lines[:n] + (line,) + h.lines[n + 1:]
+                        assert not is_entangled(s, h._replace(lines=lines))
+                        moved += 1
+        assert moved >= 50, moved
 
     def test_window_starts_where_invl_rewinds(self):
         """A history's window starts at the cycle `invl` rewinds to: its
