@@ -11,7 +11,10 @@ directory of its own:
   to D (their names and bytes) as well as the output;
 - `check --replay B` and `check --replay B --json` for each distinct
   bundle B that the second tree wrote, each tree replaying its own file
-  of that name;
+  of that name, and for two fixed `entangled` bundles written into each
+  tree's working directory, whose samples lie 10,000 steps into the
+  run (no check writes one, since that property finds nothing): one of
+  a program that loops, one of a program that halts within 10 steps;
 - `run P --machine M`, with and without `--trace`, for each bundled
   program P (read from the second tree) on each machine M, and
   `run P --machine ma-h --max-steps 15`, which stops each P mid-flight:
@@ -40,6 +43,7 @@ from __future__ import annotations
 import argparse
 import glob
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -72,6 +76,21 @@ def files_digest(files: dict[str, bytes]) -> str:
     return h.hexdigest()
 
 
+# Fixed `entangled` bundles -> program text: a sample far past the
+# halt-probe's horizon on a run that never halts, and on one that does.
+ENTANGLED_BUNDLES = {
+    "entangled-loop.bundle": "loadi r1 2\naddi r2 r2 1\njg r1 -1\nhalt\n",
+    "entangled-halt.bundle": "loadi r1 2\naddi r2 r1 1\nhalt\n",
+}
+
+
+def write_entangled_bundles(cwd: str) -> None:
+    for name, program in ENTANGLED_BUNDLES.items():
+        with open(os.path.join(cwd, name), "w") as fh:
+            json.dump({"property": "entangled", "program": program,
+                       "forward_steps": 10_000, "seed_cache": []}, fh)
+
+
 def suite_names(src: str) -> list[str]:
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     out = subprocess.run(
@@ -102,6 +121,7 @@ def main() -> int:
         cwds = [os.path.join(tmp, str(i)) for i in range(2)]
         for cwd in cwds:
             os.mkdir(cwd)
+            write_entangled_bundles(cwd)
         # Each distinct bundle the second tree wrote -> its first path,
         # relative to each tree's working directory.
         replays: dict[bytes, str] = {}
@@ -120,7 +140,8 @@ def main() -> int:
                     replays.setdefault(data, os.path.join(out, name))
 
         runs = [["check", "--replay", path] + as_json
-                for path in replays.values() for as_json in ([], ["--json"])]
+                for path in [*replays.values(), *ENTANGLED_BUNDLES]
+                for as_json in ([], ["--json"])]
         programs = sorted(glob.glob(os.path.join(
             os.path.abspath(args.src[1]), "teasim", "programs", "*.asm")))
         runs += [["run", prog, "--machine", machine] + trace

@@ -26,7 +26,7 @@ from .gen import (Case, GenConfig, PROPERTIES, Report, check_spectre_case,
                   report_json, run_property)
 from .isa import run_isa
 from .ma import MaParams, run_ma, step_core
-from .variants import init_h, next_h
+from .variants import init_h, mah_step
 
 SUITES: dict[str, list[str]] = {
     "entangled": ["entangled"],
@@ -90,9 +90,10 @@ def cmd_run(args) -> int:
     for _ in range(args.max_steps):
         if s.halt:
             break
-        nxt, info = step_core(s)
-        if h is not None:
-            h = next_h(s, h, info, nxt)
+        if h is None:
+            nxt, info = step_core(s)
+        else:
+            nxt, h, info = mah_step(s, h)
         if args.trace:
             delta = {a: v for a, v in nxt.cache.items() if s.cache.get(a) != v}
             print(snapshot.trace_record(s.cyc, info, delta))
@@ -138,9 +139,8 @@ def cmd_check(args) -> int:
             return 2
     cfg = GenConfig(seed=seed, trials=args.trials)
     reports = suite_reports(args.suite, cfg)
-    doc = report_json(reports, args.suite)
     if args.json:
-        print(doc)
+        print(report_json(reports, args.suite))
     else:
         _print_human(reports, args.suite)
     if args.bundle_dir:

@@ -11,12 +11,12 @@ cache, and running the history-carrying machine forward a bounded
 number of steps from the empty history; the entangled property checks
 that one sample.  Each entangled case's deterministic run is computed
 once: the generator's halt probe reads it ahead in a `Lookahead`, which
-records it (`_run` keeps the last case's, keyed by program and cache),
-and the sample's history is then folded over that record (`case_pair`)
-instead of running the machine again, starting at the last squash
-before the sample, since a squash's history reads nothing of the one
-before it (see `variants.next_h`); the sample's own transition is read
-off the record too, or stepped once where the record ends before it.
+records it up to its halt (`_run` keeps the last case's, keyed by the
+case), and the sample's history is then folded over that record
+(`case_pair`) instead of running the machine again, starting at the
+last squash before the sample, since a squash's history reads nothing
+of the one before it (see `variants.next_h`); the sample's own
+transition is read off the record too, which a sample past it extends.
 The per-transition properties walk instead: from the initial state
 (built with its seeded cache in one step, `initial_state`) they follow
 the deterministic step once per cycle, so every checked state is
@@ -245,10 +245,10 @@ def initial_state(case: Case) -> MaState:
 class Lookahead:
     """The deterministic run after a state, stepped on demand: item i is
     its i-th transition (u, info), stepped by `step_core` the first time
-    something reads it and kept in `steps`, so all its readers share one
-    run.  Iterating it goes on without end (a halted state steps to
-    itself).  `state` is where the run starts, and `pop` moves it one
-    transition on."""
+    something reads it and kept in `steps`, up to a halt, so all its
+    readers share one run.  A halted state steps to itself, unkept, so
+    iterating goes on without end.  `state` is where the run starts, and
+    `pop` moves it one transition on."""
 
     __slots__ = ("state", "steps")
 
@@ -259,12 +259,16 @@ class Lookahead:
     def __getitem__(self, i: int) -> tuple[MaState, StepInfo]:
         steps = self.steps
         while len(steps) <= i:
-            steps.append(step_core(steps[-1][0] if steps else self.state))
+            s = steps[-1][0] if steps else self.state
+            if s.halt:
+                return step_core(s)
+            steps.append(step_core(s))
         return steps[i]
 
     def pop(self) -> tuple[MaState, StepInfo]:
-        """The first transition (u, info), stepped if need be, which the
-        run then starts after: it is removed and `state` becomes u."""
+        """The first transition (u, info) of a run not halted (`_walk`
+        stops at a halt), which the run then starts after: it is removed
+        and `state` becomes u."""
         step = self[0]
         self.steps.popleft()
         self.state = step[0]
@@ -272,42 +276,37 @@ class Lookahead:
 
 
 @lru_cache(maxsize=1)
-def _run(program: Program, seed_cache: tuple[tuple[int, int], ...]
-         ) -> Lookahead:
-    """The deterministic run from a case's initial state, a `Lookahead`
-    that only the generator's halt probe reads ahead in.  One entry,
-    keyed by value: the probe records a case's run, and `case_pair` and
-    `check_entangled_case` read it back.  The run is a function of the
-    step functions as well, so a test that patches `ma` or `variants`
-    clears this memo around the patch."""
-    return Lookahead(initial_state(Case(program, 0, seed_cache)))
+def _run(start: Case) -> Lookahead:
+    """The deterministic run from the initial state of start, a case
+    with no forward steps.  One entry: the generator's halt probe
+    records it, and the case's samples read and extend it.  The run is a
+    function of the step functions as well, so a test that patches `ma`
+    or `variants` clears this memo around the patch."""
+    return Lookahead(initial_state(start))
 
 
 def case_pair(case: Case) -> tuple[MaState, History]:
     """Deterministically rebuild the (state, history) pair of a case.
 
     The history is folded (`next_h`) over the transitions of the case's
-    run: those `_run` has recorded, then, past the recorded end, ones
-    stepped here and not recorded, so a case that was never probed costs
-    what a plain run with history costs.  The fold starts at the last
-    squash recorded before the sample: a squash's history reads nothing
-    of the one it is given (see `next_h`), so it is handed the empty
-    history of the state it starts from."""
-    run = _run(case.program, case.seed_cache)
-    s, steps = run.state, run.steps
-    k = case.forward_steps
-    after = min(k, len(steps))  # one past the last recorded squash
-    while after and not steps[after - 1][1].invalidated:
-        after -= 1
-    start = max(after - 1, 0)
-    if start:
-        s = steps[start - 1][0]
+    run (`_run`), up to the sample or to a halt, from the last squash
+    before the sample: a squash's history reads nothing of the one it is
+    given (see `next_h`), so it is handed the empty history of the state
+    it starts from."""
+    run = _run(case._replace(forward_steps=0))
+    s, start, k = run.state, 0, case.forward_steps
+    for i in range(k):
+        # next_h keeps a halted h; stopping here saves step_core calls.
+        if s.halt:
+            k = i
+            break
+        s, info = run[i]
+        if info.invalidated:
+            start = i
+    s = run[start - 1][0] if start else run.state
     h = init_h(s)
     for i in range(start, k):
-        # next_h keeps a halted h; the break saves step_core calls.
-        if s.halt:
-            break
-        u, info = steps[i] if i < len(steps) else step_core(s)
+        u, info = run[i]
         h = next_h(s, h, info, u)
         s = u
     return s, h
@@ -328,26 +327,23 @@ def gen_entangled_case(cfg: GenConfig, rng: random.Random) -> Case:
     # steps before the halting one, within the horizon.  The probe
     # records the run that the case's check reads (see _run).
     horizon = cfg.max_forward_steps
-    run = _run(case.program, case.seed_cache)
+    run = _run(case)
     live = next((i for i in range(horizon) if run[i][0].halt), horizon)
     if live > 0 and rng.random() < 0.8:
         k = 1 + _below(rng, live)
     else:
         k = _below(rng, cfg.max_forward_steps + 1)
-    return Case(case.program, k, case.seed_cache)
+    return case._replace(forward_steps=k)
 
 
 # --- property checkers over cases ---
 
 def check_entangled_case(case: Case) -> list[Finding]:
     """The entangled-state obligations on the case's sample, handing over
-    its transition: forward_steps transitions into the case's recorded
-    run (`_run`), or stepped here where the record ends before it."""
+    its transition, forward_steps transitions into the case's run."""
     s, h = case_pair(case)
-    steps = _run(case.program, case.seed_cache).steps
-    k = case.forward_steps
-    return check_entangled_sample(
-        s, h, steps[k] if k < len(steps) else step_core(s))
+    run = _run(case._replace(forward_steps=0))
+    return check_entangled_sample(s, h, run[case.forward_steps])
 
 
 # What a bounded walk looks for: an obligation, and the number of steps

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from teasim import cli, gen, ma, refine, variants
+from teasim import gen, ma, refine, variants
 from teasim.gen import GenConfig, _trial_rng
 from teasim.refine import check_wsk_transition, stutter_wit
 
@@ -142,5 +142,5 @@ def writeback_as_delay(monkeypatch, fresh_run):
             sl._replace(statuses=sl.statuses[:-1] + (wait,))
             if sl.statuses[-1] == ("wr-b",) else sl for sl in h.lines))
 
-    for module in (variants, gen, refine, cli):  # every binding of next_h
+    for module in (variants, gen, refine):  # every binding of next_h
         monkeypatch.setattr(module, "next_h", mutant)

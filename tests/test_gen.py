@@ -493,7 +493,7 @@ def reference_entangled_case(cfg: GenConfig, rng) -> Case:
 
 
 def recorded(case: Case):
-    return gen._run(case.program, case.seed_cache).steps
+    return gen._run(case._replace(forward_steps=0)).steps
 
 
 def test_case_pair_reads_the_probed_run(fresh_run):
@@ -509,9 +509,16 @@ def test_case_pair_reads_the_probed_run(fresh_run):
         assert gen._run.cache_info().misses == misses
 
 
+def recorded_to_halt(case: Case):
+    """The case's recorded run, checked to hold no step past a halt."""
+    steps = recorded(case)
+    assert not any(u.halt for u, _ in list(steps)[:-1])
+    return steps
+
+
 def test_case_pair_past_the_recorded_end(fresh_run):
     # Beyond the horizon, and beyond a halt, the machine steps on and
-    # the recorded run does not grow.
+    # the recorded run grows with the read, up to its halt.
     cfg = GenConfig(seed=41, max_forward_steps=12)
     past = halted = 0
     for i in range(30):
@@ -522,7 +529,8 @@ def test_case_pair_past_the_recorded_end(fresh_run):
         for k in (n + 1, n + 7, 200):
             sample = case._replace(forward_steps=k)
             assert case_pair(sample) == reference_pair(sample)
-        assert len(recorded(case)) == n
+            steps = recorded_to_halt(case)
+            assert len(steps) >= k or steps[-1][0].halt
         past += n == cfg.max_forward_steps and not ends_halted
         halted += ends_halted
     assert past >= 5 and halted >= 5
@@ -534,7 +542,27 @@ def test_case_pair_on_a_cold_memo(fresh_run):
         case = gen_entangled_case(cfg, trial_rng("cold", i))
         gen._run.cache_clear()
         assert case_pair(case) == reference_pair(case)
-        assert len(recorded(case)) == 0
+        steps, k = recorded_to_halt(case), case.forward_steps
+        assert len(steps) == k or steps[-1][0].halt and len(steps) < k
+
+
+def test_a_halted_run_is_recorded_to_its_halt(fresh_run):
+    # Reading past a halt returns the halted state's step and keeps
+    # nothing.
+    cfg = GenConfig(seed=47)
+    halted = 0
+    for i in range(30):
+        case = gen_entangled_case(cfg, trial_rng("halted", i))
+        run = gen._run(case._replace(forward_steps=0))
+        live = len(run.steps) - 1
+        if not run.steps[-1][0].halt:
+            continue
+        halted += 1
+        stop = run.steps[-1][0]
+        assert run[live + 5] == ma.step_core(stop)
+        assert run[live + 5][0] is stop
+        assert len(run.steps) == live + 1
+    assert halted >= 10
 
 
 def test_check_after_another_case_was_generated(fresh_run):
@@ -583,7 +611,7 @@ def test_a_squash_reads_nothing_of_its_history(fresh_run):
     cfg = GenConfig(seed=50)
     for i in range(200):
         case = gen_entangled_case(cfg, trial_rng("squash", i))
-        run = gen._run(case.program, case.seed_cache)
+        run = gen._run(case._replace(forward_steps=0))
         runs.append((run.state, run.steps))
     seen = 0
     for s0, steps in runs:
@@ -608,7 +636,7 @@ def test_entangled_folds_often_start_past_step_0(monkeypatch, fresh_run):
     late = 0
     for i in range(200):
         case = gen_entangled_case(cfg, gen._trial_rng(7, "entangled", i))
-        s0 = gen._run(case.program, case.seed_cache).state
+        s0 = gen._run(case._replace(forward_steps=0)).state
         folded.clear()
         assert case_pair(case) == reference_pair(case)
         late += bool(folded) and folded[0] is not s0
