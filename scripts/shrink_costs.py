@@ -6,8 +6,10 @@ each buggy suite S: once with `--trials 0`, which checks and shrinks the
 bundled attack alone, and once per seed with `--trials N`, whose failures
 of random trials it reads (the bundled one repeats there and is left
 out).  For each failure it prints the candidates the shrink checked, the
-`step_core` calls the shrink made and the shrunk case's instructions,
-then a total per tree.
+transitions it checked in full (calls of `gen.check_wsk_transition`; a
+walk that checks one obligation alone makes none), the `step_core`
+calls the shrink made and the shrunk case's instructions, then a total
+per tree.
 
 It exits 1 if the trees differ in a run's exit code, failing trials,
 first obligation and kind per failure, or tea/functional counts, or if
@@ -37,7 +39,7 @@ def costs(runs: list[tuple[str, int, int]]) -> list[dict]:
     cost of each of its shrinks."""
     from teasim import cli, gen, refine
 
-    steps = 0
+    steps = full = 0
     for module in (gen, refine):
         def counting(s, step_core=module.step_core):
             nonlocal steps
@@ -45,6 +47,14 @@ def costs(runs: list[tuple[str, int, int]]) -> list[dict]:
             return step_core(s)
 
         module.step_core = counting
+    check_wsk_transition = gen.check_wsk_transition
+
+    def checked_in_full(*args):
+        nonlocal full
+        full += 1
+        return check_wsk_transition(*args)
+
+    gen.check_wsk_transition = checked_in_full
     shrink = gen.shrink
     shrinks: list[dict] = []
 
@@ -56,9 +66,10 @@ def costs(runs: list[tuple[str, int, int]]) -> list[dict]:
             checked += 1
             return prop.check(*args)
 
-        before = steps
+        before, full_before = steps, full
         small = shrink(replace(prop, check=check), case, obligation, step)
-        shrinks.append({"checked": checked, "steps": steps - before,
+        shrinks.append({"checked": checked, "full": full - full_before,
+                        "steps": steps - before,
                         "size": len(small.program.instrs)})
         return small
 
@@ -111,7 +122,7 @@ def main() -> int:
     got = [measure(src, runs) for src in args.src]
     print(f"per failure: {args.src[0]} | {args.src[1]}")
     differ = 0
-    totals = [[0, 0, 0] for _ in args.src]  # checked, steps, size
+    totals = [[0, 0, 0, 0] for _ in args.src]  # checked, full, steps, size
     for i, (suite, seed, trials) in enumerate(runs):
         old, new = (g[i] for g in got)
         name = (f"{suite} bundled" if trials == 0
@@ -128,20 +139,20 @@ def main() -> int:
             if trials and fo["trial"] < 0:
                 continue  # the bundled case, shown by its own run
             print(f"  trial {fo['trial']:>4} {fo['first'][0]:<18}"
-                  + "".join(f" | checked {f['checked']:>3} steps "
-                            f"{f['steps']:>6} size {f['size']:>2}"
+                  + "".join(f" | checked {f['checked']:>3} full "
+                            f"{f['full']:>5} steps {f['steps']:>6} "
+                            f"size {f['size']:>2}"
                             for f in (fo, fn)))
             for total, f in zip(totals, (fo, fn)):
-                total[0] += f["checked"]
-                total[1] += f["steps"]
-                total[2] += f["size"]
-    for src, (checked, steps, size) in zip(args.src, totals):
-        print(f"{src}: checked {checked:,}, step_core {steps:,}, "
-              f"shrunk instructions {size}")
-    larger = totals[1][2] > totals[0][2]
+                for k, key in enumerate(("checked", "full", "steps", "size")):
+                    total[k] += f[key]
+    for src, (checked, full, steps, size) in zip(args.src, totals):
+        print(f"{src}: checked {checked:,}, in full {full:,}, "
+              f"step_core {steps:,}, shrunk instructions {size}")
+    larger = totals[1][3] > totals[0][3]
     if differ or larger:
         print(f"{differ} runs differ; shrunk instructions "
-              f"{totals[0][2]} -> {totals[1][2]}")
+              f"{totals[0][3]} -> {totals[1][3]}")
         return 1
     return 0
 

@@ -39,7 +39,12 @@ failing case is shrunk (`shrink`) in rounds of passes that delete blocks
 of instructions, rewind the forward steps and halve immediates, each
 pass going on from a candidate that still fails the same obligation
 (for a walk, within a step bound), until a round changes nothing or the
-budget is spent.  The report holds the shrunk case and its findings,
+budget is spent.  A candidate of an unauthorized fill
+(`action-soundness`) is walked with the action audit alone, which reads
+nothing the other obligations compute and is read by none of them, so
+it fails there exactly when the full walk finds it failing, unless 8
+findings of the other obligations stop the full walk first (see
+`_walk`).  The report holds the shrunk case and its findings,
 re-checked by the full, unbounded check.
 """
 
@@ -61,6 +66,7 @@ from .ma import MaState, StepInfo, initial_ma_state, step_core
 from .refine import (
     AUTH_SPECS,
     Finding,
+    check_cache_action,
     check_entangled_sample,
     check_wsk_transition,
 )
@@ -410,7 +416,20 @@ def _walk(case: Case, per_step, max_steps: int,
     until = (obligation, within) also stops the walk after `within`
     steps and after the first step that fails the obligation.  Its
     findings are then a prefix of the full walk's, so an obligation it
-    finds failing, the full walk finds failing too."""
+    finds failing, the full walk finds failing too.
+
+    Such a walk may check the obligation alone, as `check_spectre_case`
+    does for `action-soundness` with the audit alone (`_audit_step`).
+    That is exact when the obligation reads nothing the other
+    obligations compute and none of them reads it, as the audit, the
+    matched run and the witness obligations stand: each step then finds
+    the obligation failing alone if and only if it does in the full
+    check, and the keys still close the walk, since the audit reads the
+    step only as check_wsk_transition does and so meets the contract
+    above too.  So the narrowed walk's first failure of the obligation
+    is the full walk's, but for one case: the full walk also stops at 8
+    findings of the other obligations, and so misses a failure that
+    comes later, which the narrowed walk finds."""
     target, within = until or (None, None)
     limit = max_steps if within is None else min(max_steps, within)
     s = initial_state(case)
@@ -456,11 +475,15 @@ def _walk(case: Case, per_step, max_steps: int,
     return findings
 
 
-def _walk_check(per_step, max_steps: int):
-    """The check of a walk property, check(case, until=None): see _walk."""
+def _walk_check(per_step, max_steps: int, alone: dict | None = None):
+    """The check of a walk property, check(case, until=None): see _walk.
+    alone maps an obligation to a per-step check of it alone, which a
+    walk until the obligation fails takes instead of per_step."""
+    alone = alone or {}
 
     def check(case: Case, until: Until | None = None) -> list[Finding]:
-        return _walk(case, per_step, max_steps, until)
+        step = per_step if until is None else alone.get(until[0], per_step)
+        return _walk(case, step, max_steps, until)
 
     return check
 
@@ -477,6 +500,11 @@ def _spectre_step(s, u, info, wit, run):
     return check_wsk_transition(s, u, info, wit, AUTH_SPECS["commit"], run)
 
 
+def _audit_step(s, u, info, wit, run):
+    cex = check_cache_action(s, info, u, AUTH_SPECS["commit"], run)
+    return [] if cex is None else [cex]
+
+
 # Witness obligations (cache-erased map) along the whole run.  On
 # programs without kernel data or `in-cache` (arch-equivalence) they are
 # the functional equivalence of the pipeline and the ISA.
@@ -485,8 +513,12 @@ check_wsk_case = _walk_check(_wsk_step, 2500)
 # designer-intent (commit-time) authorization policy: the one check of
 # every cache fill.  The as-built policy (AUTH_SPECS["writeback"]) reads
 # the fills off the records the step folds into the cache, so auditing
-# with it would pass by construction; no property does.
-check_spectre_case = _walk_check(_spectre_step, 400)
+# with it would pass by construction; no property does.  A walk until an
+# unauthorized fill runs the audit alone: it finds the full walk's first
+# `action-soundness` failure without the matched runs and witness
+# obligations, which the audit reads nothing of (see `_walk`).
+check_spectre_case = _walk_check(_spectre_step, 400,
+                                 {"action-soundness": _audit_step})
 
 
 # --- registry ---

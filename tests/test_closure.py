@@ -5,7 +5,9 @@ findings and their steps included, and each of its two keys must stand
 for the future it claims: a pipeline-empty state's key fixes the next
 steps up to time, and a key past the program's end fixes them up to a
 shift of addresses, ROB tags and time.  The first two also hold on a
-small machine, whose pipeline empties without a squash too.
+small machine, whose pipeline empties without a squash too.  A walk
+that checks the action audit alone must find the first unauthorized
+fill that an audit never stopped early finds.
 """
 
 import pytest
@@ -51,6 +53,45 @@ def test_walk_returns_what_the_full_walk_returns(name, max_steps, spec,
         _, full = ma.run_ma(gen.initial_state(case), max_steps)
         closed += checked < full and len(found) < 8
     assert closed >= 5
+
+
+def first_audit_failure(case: Case, max_steps: int) -> list:
+    """The first unauthorized fill of the case's run within max_steps,
+    found by the commit policy's audit alone, never stopped early, each
+    policy handed a fresh run from u."""
+    s = gen.initial_state(case)
+    for step in range(max_steps):
+        if s.halt:
+            break
+        u, info = ma.step_core(s)
+        cex = refine.check_cache_action(s, info, u, AUTH_SPECS["commit"],
+                                        gen.Lookahead(u))
+        if cex is not None:
+            return [cex._replace(step=step)]
+        s = u
+    return []
+
+
+def test_audit_alone_returns_what_its_full_walk_returns():
+    # The keys close a walk that checks the audit alone as well, which
+    # closes sooner than the full walk: only an audit finding keeps a
+    # key's future open.  The audit reads any program, `in-cache` too.
+    found_any = closed = 0
+    until = ("action-soundness", None)
+    for case in cases("spectre") + cases("wsk"):
+        checked = 0
+
+        def counted(s, u, info, wit, run):
+            nonlocal checked
+            checked += 1
+            return gen._audit_step(s, u, info, wit, run)
+
+        found = gen._walk(case, counted, 400, until)
+        assert found == first_audit_failure(case, 400)
+        _, full = ma.run_ma(gen.initial_state(case), 400)
+        found_any += bool(found)
+        closed += checked < full and not found
+    assert found_any >= 100 and closed >= 5
 
 
 def runs(name: str, max_steps: int):

@@ -3,7 +3,6 @@
 import random
 from dataclasses import replace
 from functools import lru_cache
-from itertools import count, islice
 
 import pytest
 
@@ -227,13 +226,14 @@ def one_step_candidates(case: Case):
 
 
 @lru_cache(maxsize=None)
-def spectre_failures(seed: int, n: int) -> tuple[Case, ...]:
-    """The cases of the first n failing `spectre` trials at a seed."""
+def spectre_failures(seed: int) -> tuple[Case, ...]:
+    """The cases of the failing `spectre` trials among the first 300 at
+    a seed."""
     prop = PROPERTIES["spectre"]
     cfg = prop.adjust(GenConfig(seed=seed))
     cases = (prop.gen(cfg, gen._trial_rng(seed, "spectre", i))
-             for i in count())
-    return tuple(islice((c for c in cases if prop.check(c)), n))
+             for i in range(300))
+    return tuple(c for c in cases if prop.check(c))
 
 
 MINIMAL_SHRINKS = ([("spectre", "spectre", None), ("wsk", "meltdown", None)]
@@ -257,7 +257,7 @@ def test_shrinks_end_one_minimal(monkeypatch, name, bundled, failure):
     monkeypatch.setattr(gen, "_passes", watched)
     prop = PROPERTIES[name]
     case = (Case(asm.load_bundled(bundled)) if bundled
-            else spectre_failures(1, 10)[failure])
+            else spectre_failures(1)[failure])
     first = prop.check(case)[0]
     small = shrink(prop, case, first.obligation, first.step)
     assert ended
@@ -267,6 +267,56 @@ def test_shrinks_end_one_minimal(monkeypatch, name, bundled, failure):
     for cand in one_step_candidates(small):
         assert all(f.obligation != first.obligation
                    for f in prop.check(cand, until)), cand
+
+
+def full_spectre_check(case: Case, until=None):
+    """The `spectre` check that walks every obligation, also when a
+    bounded walk looks for one."""
+    return gen._walk(case, gen._spectre_step, 400, until)
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3],
+                         ids=["bundled", "seed-1", "seed-2", "seed-3"])
+def test_audit_alone_shrinks_as_the_full_walk(monkeypatch, seed):
+    # An unauthorized fill's candidates are walked with the audit alone,
+    # which checks no transition in full, and each shrink ends where the
+    # full walk's does: the bundled case, then every failing trial in
+    # 300 at each seed.
+    prop = PROPERTIES["spectre"]
+    full = replace(prop, check=full_spectre_check)
+    cases = ((Case(asm.load_bundled("spectre")),) if seed is None
+             else spectre_failures(seed))
+    assert len(cases) >= (1 if seed is None else 90)
+    check_wsk_transition = gen.check_wsk_transition
+    in_full = 0
+
+    def counted(*args):
+        nonlocal in_full
+        in_full += 1
+        return check_wsk_transition(*args)
+
+    monkeypatch.setattr(gen, "check_wsk_transition", counted)
+    for case in cases:
+        first = prop.check(case)[0]
+        assert first.obligation == "action-soundness"
+        before = in_full
+        small = shrink(prop, case, first.obligation, first.step)
+        assert in_full == before
+        assert shrink(full, case, first.obligation, first.step) == small
+
+
+def test_audit_alone_finds_a_fill_past_8_other_findings(stall):
+    # A mul never retires, so from step 7 on every step of the bundled
+    # Spectre case fails the stutter bound.  The full walk stops at 8
+    # such findings; the audit alone goes on to the unauthorized fill.
+    case = Case(asm.load_bundled("spectre"))
+    until = ("action-soundness", 42)
+    found = gen._walk(case, gen._spectre_step, 400, until)
+    assert [(f.obligation, f.kind, f.step) for f in found] == [
+        ("wsk-a-match", "liveness", step) for step in range(7, 15)]
+    [audit] = check_spectre_case(case, until)
+    assert (audit.obligation, audit.kind, audit.step) == (
+        "action-soundness", "tea-spectre", 17)
 
 
 # The shrinks of `spectre`'s 103 failures at seed 1 in 300 trials step

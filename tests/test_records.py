@@ -7,8 +7,8 @@ checked to hold all its fields.  The records hold dicts (`cache`,
 `reg_st`, `dmem`, a history's `comm_cache` and `ch_eff`) that the type
 cannot freeze, so the steps are also checked to leave every part of
 their input state, as its text snapshot shows it, as they found it, and
-the checks of an entangled case to leave the run it shares with its
-generator (`gen._run`) as they found it.
+the checks of an entangled case to leave what its generator recorded of
+the run they share (`gen._run`) as they found it.
 
 Every other record is a NamedTuple too, except three dataclasses, each
 kept for a reason (see `ma`'s module docstring).
@@ -119,8 +119,12 @@ def test_isa_step_leaves_its_input_unchanged(name):
 
 
 def test_entangled_checks_leave_the_shared_run_unchanged(fresh_run):
+    # A check may extend the record by the sample's successor: case 899
+    # has a 40-step probe record and forward_steps 40, and its check
+    # grows the record to 41 transitions.  What the probe recorded stays.
     cfg = gen.GenConfig(seed=45)
-    for i in range(20):
+    grown = 0
+    for i in [*range(20), 899]:
         case = gen.gen_entangled_case(cfg, trial_rng("shared-run", i))
         run = gen._run(case._replace(forward_steps=0))
         s, steps = run.state, run.steps
@@ -128,7 +132,10 @@ def test_entangled_checks_leave_the_shared_run_unchanged(fresh_run):
         runs = [gen.check_entangled_case(case) for _ in range(2)]
         assert runs[0] == runs[1]
         assert gen._run(case._replace(forward_steps=0)).steps is steps
-        assert [ma_to_text(x) for x in [s, *(u for u, _ in steps)]] == before
+        after = [ma_to_text(x) for x in [s, *(u for u, _ in steps)]]
+        assert after[:len(before)] == before
+        grown += len(after) > len(before)
+    assert grown == 1
 
 
 def test_step_records_hold_all_their_fields():
