@@ -6,10 +6,10 @@ each buggy suite S: once with `--trials 0`, which checks and shrinks the
 bundled attack alone, and once per seed with `--trials N`, whose failures
 of random trials it reads (the bundled one repeats there and is left
 out).  For each failure it prints the candidates the shrink checked, the
-transitions it checked in full (calls of `gen.check_wsk_transition`; a
-walk that checks one obligation alone makes none), the `step_core`
-calls the shrink made and the shrunk case's instructions, then a total
-per tree.
+transitions it checked in full, counted as refinement checks (calls of
+`gen.check_wsk_transition`; the walk that runs the action audit alone
+makes none), the `step_core` calls the shrink made and the shrunk
+case's instructions, then a total per tree.
 
 It exits 1 if the trees differ in a run's exit code, failing trials,
 first obligation and kind per failure, or tea/functional counts, or if

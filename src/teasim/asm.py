@@ -145,6 +145,10 @@ def parse(text: str, reg_count: int = REG_COUNT) -> Program:
             lo, hi = _int_lit(toks[1], line_no), _int_lit(toks[2], line_no)
             if lo > hi:
                 raise AsmError(line_no, f"empty range {lo:#x}-{hi:#x}")
+            for l, h in access:
+                if l <= hi and lo <= h and (l, h) != (lo, hi):
+                    raise AsmError(line_no, f"range {lo:#x}-{hi:#x} "
+                                            f"overlaps {l:#x}-{h:#x}")
             access.append((lo, hi))
         elif toks[0] == ".entry":
             if len(toks) != 2:

@@ -408,9 +408,9 @@ def _walk(case: Case, per_step, max_steps: int,
         else but the shifts that key takes out.
     So per_step's contract: whether it finds anything may depend on the
     transition only up to these shifts, and not on the fields the keys
-    leave out; in particular it never reads cyc.  check_wsk_transition
-    meets it.  Its commit policy reads the run after u only on a fill,
-    and past the program's end nothing in flight is a load, so no
+    leave out; in particular it never reads cyc.  The checkers in
+    `refine` meet it: the commit policy reads the run after u only on a
+    fill, and past the program's end nothing in flight is a load, so no
     look-ahead from a tail state reaches past the walk's own.
 
     until = (obligation, within) also stops the walk after `within`
@@ -424,12 +424,11 @@ def _walk(case: Case, per_step, max_steps: int,
     obligations compute and none of them reads it, as the audit, the
     matched run and the witness obligations stand: each step then finds
     the obligation failing alone if and only if it does in the full
-    check, and the keys still close the walk, since the audit reads the
-    step only as check_wsk_transition does and so meets the contract
-    above too.  So the narrowed walk's first failure of the obligation
-    is the full walk's, but for one case: the full walk also stops at 8
-    findings of the other obligations, and so misses a failure that
-    comes later, which the narrowed walk finds."""
+    check, and the keys still close the walk, since the audit meets the
+    contract above on its own.  So the narrowed walk's first failure of
+    the obligation is the full walk's, but for one case: the full walk
+    also stops at 8 findings of the other obligations, and so misses a
+    failure that comes later, which the narrowed walk finds."""
     target, within = until or (None, None)
     limit = max_steps if within is None else min(max_steps, within)
     s = initial_state(case)
@@ -497,7 +496,9 @@ def _wsk_step(s, u, info, wit, run):
 
 
 def _spectre_step(s, u, info, wit, run):
-    return check_wsk_transition(s, u, info, wit, AUTH_SPECS["commit"], run)
+    cex = check_cache_action(s, info, u, AUTH_SPECS["commit"], run)
+    found = check_wsk_transition(s, u, info, wit, True)
+    return found if cex is None else [cex, *found]
 
 
 def _audit_step(s, u, info, wit, run):
@@ -509,14 +510,12 @@ def _audit_step(s, u, info, wit, run):
 # programs without kernel data or `in-cache` (arch-equivalence) they are
 # the functional equivalence of the pipeline and the ISA.
 check_wsk_case = _walk_check(_wsk_step, 2500)
-# Cache-observable witness obligations plus the action audit under the
-# designer-intent (commit-time) authorization policy: the one check of
-# every cache fill.  The as-built policy (AUTH_SPECS["writeback"]) reads
-# the fills off the records the step folds into the cache, so auditing
-# with it would pass by construction; no property does.  A walk until an
-# unauthorized fill runs the audit alone: it finds the full walk's first
-# `action-soundness` failure without the matched runs and witness
-# obligations, which the audit reads nothing of (see `_walk`).
+# The action audit under the designer-intent (commit-time) policy, the
+# one check of every cache fill, then the cache-observable witness
+# obligations.  The as-built policy (AUTH_SPECS["writeback"]) reads the
+# fills off the records the step folds into the cache, so auditing with
+# it would pass by construction; no property does.  A walk until an
+# unauthorized fill runs the audit alone (see `_walk`).
 check_spectre_case = _walk_check(_spectre_step, 400,
                                  {"action-soundness": _audit_step})
 

@@ -2,7 +2,7 @@
 
 The committed work of a pipeline state maps to an architectural state by
 discarding everything in flight (`r_ic`, cache erased) or by keeping the
-cache observable (`r_a`, used for the prefetch/eviction audit).
+cache observable (`r_a`).
 
 The obligations are one-transition properties.  Each takes a pipeline
 step s -> u together with what the cycle did (`u, info = step_core(s)`,
@@ -32,9 +32,10 @@ after it):
 `writeback` authorizes exactly what this machine does (including
 speculative fills), `commit` authorizes only the effects of retired
 loads — the intent policy that the speculative machine violates.  The
-audit is the one check of every fill: the cache-observable refinement
-runs it first, and its matched run then only asks that the pipeline
-hold every line the architectural run does.
+audit is the one check of every fill, and the only code here that calls
+a policy: the refinement takes its map and no policy, so its
+cache-observable matched run only asks that the pipeline hold every
+line the architectural run does.
 """
 
 from __future__ import annotations
@@ -281,61 +282,49 @@ def check_cache_action(
 
 def check_wsk_transition(
     s: MaState, u: MaState, info: StepInfo, wit: int | None,
-    spec: AuthSpec | None = None, run: Run | None = None,
+    observable: bool = False,
 ) -> list[Finding]:
     """All witness-skipping obligations for one transition s -> u (with
-    `u, info = step_core(s)` and `wit = stutter_wit(s)`).
+    `u, info = step_core(s)` and `wit = stutter_wit(s)`) under r = r_a
+    when observable and r = r_ic otherwise.
 
-    With no policy this is the cache-erased (Meltdown) refinement,
-    r = r_ic; with one it is the cache-observable refinement, r = r_a,
-    and the policy's action audit, which reads run, the run after u (see
-    Run), comes first.  The audit judges the lines the pipeline added,
-    so a retiring transition's matched run only needs every line it
-    holds to be in the pipeline's cache too.
+    No policy is read: the action audit (`check_cache_action`) judges
+    the lines the pipeline added, and a caller checks it apart.  So
+    under r_a a retiring transition's matched run only needs every line
+    it holds to be in the pipeline's cache too.
 
     A non-retiring step compares pc, rf, tsx and halt of s and u
     directly: label(r(s)) and label(r(u)) hold nothing else a step can
     change, since both share s's memories and access map.  A retiring
     step's matched run, `run_ic` under the same map, builds r(s).
     """
-    findings: list[Finding] = []
-    if spec is None:
-        match = "wsk-match"
-    else:
-        match = "wsk-a-match"
-        cex = check_cache_action(s, info, u, spec, run)
-        if cex is not None:
-            findings.append(cex)
-
+    match = "wsk-a-match" if observable else "wsk-match"
     if info.retired == 0:
         # This constrains only the architectural fields; unauthorized
         # fills are the audit's job.  step_core is deterministic, so a
         # witness within the bound decreases by exactly one: only the
         # bound itself can fail.
         if _arch_mismatch(u, s) is not None:
-            findings.append(Finding(match, "functional",
-                                    "architectural fields changed on a "
-                                    "non-retiring step"))
-        elif wit is None:
-            findings.append(Finding(match, "liveness",
-                                    "no commit within the stutter bound"))
-        return findings
+            return [Finding(match, "functional",
+                            "architectural fields changed on a "
+                            "non-retiring step")]
+        if wit is None:
+            return [Finding(match, "liveness",
+                            "no commit within the stutter bound")]
+        return []
 
-    v, fail = run_ic(s, info.batch, spec is not None)
+    v, fail = run_ic(s, info.batch, observable)
     if fail is not None:
-        findings.append(fail)
-        return findings
+        return [fail]
     diff = _arch_mismatch(u, v)
-    if (diff is None and spec is not None
+    if (diff is None and observable
             and not v.cache.keys() <= u.cache.keys()):
         diff = "cache contents differ"
-    if diff is not None:
-        findings.append(Finding(
-            match, "functional",
-            f"retired {info.retired} instruction(s) but the matched "
-            f"architectural run disagrees: {diff}",
-        ))
-    return findings
+    if diff is None:
+        return []
+    return [Finding(match, "functional",
+                    f"retired {info.retired} instruction(s) but the matched "
+                    f"architectural run disagrees: {diff}")]
 
 
 # --- entangled-state obligations ---

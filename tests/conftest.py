@@ -4,7 +4,7 @@ import pytest
 
 from teasim import gen, ma, refine, variants
 from teasim.gen import GenConfig, _trial_rng
-from teasim.refine import check_wsk_transition, stutter_wit
+from teasim.refine import check_cache_action, check_wsk_transition, stutter_wit
 
 
 @pytest.fixture
@@ -31,11 +31,14 @@ def on_small_machine(s: ma.MaState) -> ma.MaState:
     return ma.initial_ma_state(s.imem, s.dmem, s.ga, s.pc, SMALL, s.cache)
 
 
-def reference_walk(case: gen.Case, max_steps: int, spec) -> list:
-    """The walk of `gen._walk` with the witness-skipping obligations,
-    run to halt, max_steps or 8 findings and never stopped early, taking
-    each non-retiring transition's stutter witness by a forward run of
-    its own, `stutter_wit(s)`, and handing a policy a fresh run from u."""
+def reference_walk(case: gen.Case, max_steps: int, observable: bool,
+                   spec) -> list:
+    """The walk of `gen._walk` with the action audit under the policy
+    spec, if one is given, and then the witness-skipping obligations
+    under r_a when observable and r_ic otherwise, run to halt,
+    max_steps or 8 findings and never stopped early, taking each
+    non-retiring transition's stutter witness by a forward run of its
+    own, `stutter_wit(s)`, and handing the policy a fresh run from u."""
     s = gen.initial_state(case)
     findings = []
     for step in range(max_steps):
@@ -43,8 +46,10 @@ def reference_walk(case: gen.Case, max_steps: int, spec) -> list:
             break
         u, info = ma.step_core(s)
         wit = 0 if info.retired else stutter_wit(s)
-        found = check_wsk_transition(s, u, info, wit, spec,
-                                     gen.Lookahead(u))
+        cex = None if spec is None else check_cache_action(
+            s, info, u, spec, gen.Lookahead(u))
+        found = check_wsk_transition(s, u, info, wit, observable)
+        found = found if cex is None else [cex] + found
         findings += [f._replace(step=step) for f in found]
         if len(findings) >= 8:
             break

@@ -59,6 +59,14 @@ class TestParse:
         with pytest.raises(AsmError, match="line 3"):
             parse("noop\nnoop\nbogus r1\n")
 
+    def test_overlapping_access_ranges_name_their_line(self):
+        with pytest.raises(AsmError,
+                           match="^line 3: range 0x10-0x30 overlaps 0x0-0x1f$"):
+            parse(".access 0 31\n.access 64 127\n.access 16 48\nhalt\n")
+        # A repeated range is one range; adjacent ranges do not overlap.
+        p = parse(".access 0 31\n.access 0 31\n.access 32 63\nhalt\n")
+        assert p.access == ((0, 31), (32, 63))
+
 
 class TestRoundTrip:
     def test_render_parse_identity(self):

@@ -32,13 +32,20 @@ def cases(name: str, n: int = CASES) -> list[Case]:
             for i in range(n)] + BUNDLED
 
 
-@pytest.mark.parametrize("name, max_steps, spec, per_step", [
-    ("wsk", 2500, None, gen._wsk_step),
-    ("wsk-safe", 2500, None, gen._wsk_step),
-    ("spectre", 400, AUTH_SPECS["commit"], gen._spectre_step),
-])
-def test_walk_returns_what_the_full_walk_returns(name, max_steps, spec,
-                                                 per_step):
+# Each walk's id names its property, step limit, policy and per-step check.
+WSK = pytest.param("wsk", 2500, False, None, gen._wsk_step,
+                   id="wsk-2500-None-_wsk_step")
+WSK_SAFE = pytest.param("wsk-safe", 2500, False, None, gen._wsk_step,
+                        id="wsk-safe-2500-None-_wsk_step")
+SPECTRE = pytest.param("spectre", 400, True, AUTH_SPECS["commit"],
+                       gen._spectre_step,
+                       id="spectre-400-auth_commit-_spectre_step")
+
+
+@pytest.mark.parametrize("name, max_steps, observable, spec, per_step",
+                         [WSK, WSK_SAFE, SPECTRE])
+def test_walk_returns_what_the_full_walk_returns(name, max_steps, observable,
+                                                 spec, per_step):
     closed = 0
     for case in cases(name):
         checked = 0
@@ -49,7 +56,7 @@ def test_walk_returns_what_the_full_walk_returns(name, max_steps, spec,
             return per_step(s, u, info, wit, run)
 
         found = gen._walk(case, counted, max_steps)
-        assert found == reference_walk(case, max_steps, spec)
+        assert found == reference_walk(case, max_steps, observable, spec)
         _, full = ma.run_ma(gen.initial_state(case), max_steps)
         closed += checked < full and len(found) < 8
     assert closed >= 5
@@ -167,15 +174,13 @@ def test_equal_empty_keys_fix_the_next_steps_on_a_small_machine(
     assert unsquashed >= 100
 
 
-@pytest.mark.parametrize("name, max_steps, spec, per_step", [
-    ("wsk-safe", 2500, None, gen._wsk_step),
-    ("spectre", 400, AUTH_SPECS["commit"], gen._spectre_step),
-])
+@pytest.mark.parametrize("name, max_steps, observable, spec, per_step",
+                         [WSK_SAFE, SPECTRE])
 def test_walk_on_a_small_machine_returns_what_the_full_walk_returns(
-        small_machine, name, max_steps, spec, per_step):
+        small_machine, name, max_steps, observable, spec, per_step):
     for case in cases(name, 100):
         assert (gen._walk(case, per_step, max_steps)
-                == reference_walk(case, max_steps, spec))
+                == reference_walk(case, max_steps, observable, spec))
 
 
 def tail_key(top, states, infos, k):

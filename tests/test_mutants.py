@@ -14,7 +14,7 @@ import pytest
 
 from teasim import asm, cli, gen
 from teasim.isa import run_isa
-from teasim.refine import AUTH_SPECS
+from teasim.refine import AUTH_SPECS, check_wsk_transition
 
 from conftest import reference_walk
 
@@ -122,7 +122,8 @@ def test_arch_equivalence_checks_a_run_that_never_halts(request):
     assert {f.obligation for f in found} == {"wsk-match"}
 
 
-def walk_kinds(name: str, max_steps: int, spec) -> list[str]:
+def walk_kinds(name: str, max_steps: int, observable: bool,
+               spec) -> list[str]:
     """The kinds of the findings of the property's walks on its trials,
     which must be the reference walk's."""
     prop = gen.PROPERTIES[name]
@@ -131,41 +132,49 @@ def walk_kinds(name: str, max_steps: int, spec) -> list[str]:
     for i in range(TRIALS):
         case = prop.gen(cfg, gen._trial_rng(SEED, name, i))
         found = prop.check(case)
-        assert found == reference_walk(case, max_steps, spec)
+        assert found == reference_walk(case, max_steps, observable, spec)
         out += [f.kind for f in found]
     return out
 
 
-WALKS = [("wsk-safe", 2500, None), ("spectre", 400, AUTH_SPECS["commit"])]
+# Each walk's id names its property, step limit and policy.
+WALKS = [pytest.param("wsk-safe", 2500, False, None, id="wsk-safe-2500-None"),
+         pytest.param("spectre", 400, True, AUTH_SPECS["commit"],
+                      id="spectre-400-auth_commit")]
 
 
-@pytest.mark.parametrize("name, max_steps, spec", WALKS)
-def test_stall_mutant_walks_match_reference(stall, name, max_steps, spec):
-    assert "liveness" in walk_kinds(name, max_steps, spec)
+@pytest.mark.parametrize("name, max_steps, observable, spec", WALKS)
+def test_stall_mutant_walks_match_reference(stall, name, max_steps,
+                                            observable, spec):
+    assert "liveness" in walk_kinds(name, max_steps, observable, spec)
 
 
-@pytest.mark.parametrize("name, max_steps, spec", WALKS)
+@pytest.mark.parametrize("name, max_steps, observable, spec", WALKS)
 def test_stale_forwarding_mutant_walks_match_reference(
-        stale_forwarding, name, max_steps, spec):
-    assert "functional" in walk_kinds(name, max_steps, spec)
+        stale_forwarding, name, max_steps, observable, spec):
+    assert "functional" in walk_kinds(name, max_steps, observable, spec)
 
 
-# Kernel-free programs that draw `in-cache`, checked under r_a: the
-# matched run steps each committed in-cache deterministically on the
-# pipeline's cache, so its answer is checked, not rejected.  The trial
-# budget, and the trial at which the always-1 mutant is first found.
+# Kernel-free programs that draw `in-cache`, walked under r_a without an
+# audit: the matched run steps each committed in-cache deterministically
+# on the pipeline's cache, so its answer is checked, not rejected.  The
+# trial budget, and the trial at which the always-1 mutant is first
+# found.
 IC_TRIALS, IC_KILL = 300, 4
+
+
+def wsk_a_step(s, u, info, wit, run):
+    return check_wsk_transition(s, u, info, wit, True)
 
 
 def wsk_a_failures(trials: int) -> list[tuple[int, set[str]]]:
     """(trial, obligations) of each of the first `trials` kernel-free
-    in-cache walks with a `wsk-a-*` finding."""
+    in-cache walks under r_a with a finding."""
     cfg = gen.GenConfig(seed=SEED, include_kernel=False)
     out = []
     for i in range(trials):
         case = gen.gen_walk_case(cfg, gen._trial_rng(SEED, "spectre", i))
-        found = {f.obligation for f in gen.check_spectre_case(case)
-                 if f.obligation.startswith("wsk-a-")}
+        found = {f.obligation for f in gen._walk(case, wsk_a_step, 400)}
         if found:
             out.append((i, found))
     return out

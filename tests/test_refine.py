@@ -263,11 +263,9 @@ class TestActions:
 
     def test_spectre_wsk_a_transitions(self):
         s = asm.emit_ma(asm.load_bundled("spectre"))
-        spec = AUTH_SPECS["commit"]
         kinds = set()
         for s, u, info in walk(s):
-            for f in check_wsk_transition(s, u, info, stutter_wit(s), spec,
-                                          Lookahead(u)):
+            for f in _spectre_step(s, u, info, stutter_wit(s), Lookahead(u)):
                 kinds.add((f.obligation, f.kind))
         assert ("action-soundness", "tea-spectre") in kinds
         assert not any(k == "functional" for _, k in kinds)
@@ -277,12 +275,11 @@ class TestActions:
         # pipeline's lines all hold their memory values); the audit
         # reports each one on its own transition, so the cache-observable
         # refinement needs no check of its own.
-        spec = AUTH_SPECS["commit"]
         kernel_fills = 0
 
         def per_step(s, u, info, wit, run):
             nonlocal kernel_fills
-            found = check_wsk_transition(s, u, info, wit, spec, run)
+            found = _spectre_step(s, u, info, wit, run)
             assert all(u.dmem.get(a, 0) == d for a, d in u.cache.items())
             if any(not s.ga.allows(a) for a in u.cache.keys() - s.cache.keys()):
                 kernel_fills += 1
@@ -326,8 +323,7 @@ class TestActions:
                           if any(l.mop == "mldri" for l in info.batch))
         assert 4 in s.cache
         found = check_wsk_transition(s, u._replace(cache={}), info,
-                                     stutter_wit(s), AUTH_SPECS["writeback"],
-                                     ())
+                                     stutter_wit(s), observable=True)
         assert ("wsk-a-match", "functional") in {(f.obligation, f.kind)
                                                  for f in found}
         assert any("cache contents differ" in f.detail for f in found)
