@@ -11,10 +11,14 @@ directory of its own:
   to D (their names and bytes) as well as the output;
 - `check --replay B` and `check --replay B --json` for each distinct
   bundle B that the second tree wrote, each tree replaying its own file
-  of that name, and for two fixed `entangled` bundles written into each
-  tree's working directory, whose samples lie 10,000 steps into the
-  run (no check writes one, since that property finds nothing): one of
-  a program that loops, one of a program that halts within 10 steps;
+  of that name, and for four fixed bundles written into each tree's
+  working directory: two `entangled` ones, whose samples lie 10,000
+  steps into the run (no check writes one, since that property finds
+  nothing), one of a program that loops, one of a program that halts
+  within 10 steps; and two `spectre` ones whose committed `in-cache`
+  the matched run under r_a checks (no suite reaches that branch), a
+  clean one and one whose probe of a kernel line is a `wsk-a-run`
+  Meltdown;
 - `run P --machine M`, with and without `--trace`, for each bundled
   program P (read from the second tree) on each machine M, and
   `run P --machine ma-h --max-steps 15`, which stops each P mid-flight:
@@ -76,19 +80,32 @@ def files_digest(files: dict[str, bytes]) -> str:
     return h.hexdigest()
 
 
-# Fixed `entangled` bundles -> program text: a sample far past the
-# halt-probe's horizon on a run that never halts, and on one that does.
-ENTANGLED_BUNDLES = {
-    "entangled-loop.bundle": "loadi r1 2\naddi r2 r2 1\njg r1 -1\nhalt\n",
-    "entangled-halt.bundle": "loadi r1 2\naddi r2 r1 1\nhalt\n",
+# Fixed bundles -> (property, forward steps, program text).  The
+# `entangled` samples lie far past the halt-probe's horizon on a run that
+# never halts, and on one that does.  The `spectre` runs each commit an
+# `in-cache` that r_a's matched run reads: of a user line a load filled
+# (clean), and of a kernel line before a rolled-back transaction's load
+# fills it (a Meltdown under r_a's kernel-line rule).
+FIXED_BUNDLES = {
+    "entangled-loop.bundle":
+        ("entangled", 10_000, "loadi r1 2\naddi r2 r2 1\njg r1 -1\nhalt\n"),
+    "entangled-halt.bundle":
+        ("entangled", 10_000, "loadi r1 2\naddi r2 r1 1\nhalt\n"),
+    "spectre-in-cache.bundle":
+        ("spectre", 0, ".access 0 127\n.data 4 9\nloadi r1 4\nldri r2 r1 0\n"
+                       "in-cache r3 r1 r0\nhalt\n"),
+    "spectre-kernel-in-cache.bundle":
+        ("spectre", 0, ".org 1\n.access 0 127\n.data 128 57\n.entry 1\n"
+                       "in-cache r0 r1 r3\nloadi r1 128\ntsx-start 0\n"
+                       "ldri r0 r1 0\nhalt\n"),
 }
 
 
-def write_entangled_bundles(cwd: str) -> None:
-    for name, program in ENTANGLED_BUNDLES.items():
+def write_fixed_bundles(cwd: str) -> None:
+    for name, (prop, forward_steps, program) in FIXED_BUNDLES.items():
         with open(os.path.join(cwd, name), "w") as fh:
-            json.dump({"property": "entangled", "program": program,
-                       "forward_steps": 10_000, "seed_cache": []}, fh)
+            json.dump({"property": prop, "program": program,
+                       "forward_steps": forward_steps, "seed_cache": []}, fh)
 
 
 def suite_names(src: str) -> list[str]:
@@ -121,7 +138,7 @@ def main() -> int:
         cwds = [os.path.join(tmp, str(i)) for i in range(2)]
         for cwd in cwds:
             os.mkdir(cwd)
-            write_entangled_bundles(cwd)
+            write_fixed_bundles(cwd)
         # Each distinct bundle the second tree wrote -> its first path,
         # relative to each tree's working directory.
         replays: dict[bytes, str] = {}
@@ -140,7 +157,7 @@ def main() -> int:
                     replays.setdefault(data, os.path.join(out, name))
 
         runs = [["check", "--replay", path] + as_json
-                for path in [*replays.values(), *ENTANGLED_BUNDLES]
+                for path in [*replays.values(), *FIXED_BUNDLES]
                 for as_json in ([], ["--json"])]
         programs = sorted(glob.glob(os.path.join(
             os.path.abspath(args.src[1]), "teasim", "programs", "*.asm")))

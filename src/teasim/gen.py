@@ -496,13 +496,13 @@ def _wsk_step(s, u, info, wit, run):
 
 
 def _spectre_step(s, u, info, wit, run):
-    cex = check_cache_action(s, info, u, AUTH_SPECS["commit"], run)
+    cex = check_cache_action(s, u, info, AUTH_SPECS["commit"], run)
     found = check_wsk_transition(s, u, info, wit, True)
     return found if cex is None else [cex, *found]
 
 
 def _audit_step(s, u, info, wit, run):
-    cex = check_cache_action(s, info, u, AUTH_SPECS["commit"], run)
+    cex = check_cache_action(s, u, info, AUTH_SPECS["commit"], run)
     return [] if cex is None else [cex]
 
 

@@ -95,10 +95,6 @@ class Instr(NamedTuple):
 
 NOOP = Instr("noop")
 
-# Actions authorizing cache inserts: ("cache", addr) or ("prefetch", addr).
-AuthAction = tuple[tuple[str, int], ...]
-
-
 class TsxState(NamedTuple):
     active: bool
     rf: tuple[int, ...]
@@ -281,26 +277,6 @@ def run_isa(s: IsaState, max_steps: int) -> tuple[IsaState, int]:
             return s, i
         s = isa_det_step(s)
     return s, max_steps
-
-
-def apply_prefetches(
-    action: AuthAction,
-    dmem: dict[int, int],
-    cache: dict[int, int],
-    ga: AccessMap,
-) -> dict[int, int]:
-    """Fold cache/prefetch actions into the cache, left to right.
-
-    Actions on inaccessible addresses are ignored: the environment cannot
-    authorize caching of kernel memory.
-    """
-    out = dict(cache)
-    for kind, a in action:
-        if kind not in ("cache", "prefetch"):
-            raise ValueError(f"bad action kind {kind!r}")
-        if ga.allows(a):
-            out[a] = dmem_read(dmem, a)
-    return out
 
 
 def label(s: IsaState) -> IsaState:

@@ -26,11 +26,11 @@ Failures come back as data (findings with a kind and message), never
 exceptions.
 
 The cache-action audit compares each transition's actual cache delta
-against the actions a designer-supplied authorization policy admits for
-it (a policy sees the step's record, its successor state and the run
+against the lines a designer-supplied authorization policy admits for
+it (a policy sees its successor state, the step's record and the run
 after it):
-`writeback` authorizes exactly what this machine does (including
-speculative fills), `commit` authorizes only the effects of retired
+`writeback` authorizes exactly the lines this machine fills (including
+speculative fills), `commit` authorizes only the lines of retired
 loads — the intent policy that the speculative machine violates.  The
 audit is the one check of every fill, and the only code here that calls
 a policy: the refinement takes its map and no policy, so its
@@ -44,9 +44,7 @@ from itertools import islice
 from typing import Callable, Iterable, NamedTuple
 
 from .isa import (
-    AuthAction,
     IsaState,
-    apply_prefetches,
     dmem_read,
     fetch_instr,
     isa_det_step,
@@ -57,7 +55,6 @@ from .ma import (
     MaState,
     RobLine,
     StepInfo,
-    WbRec,
     _new,
     decoded,
     retired_lines,
@@ -202,24 +199,16 @@ def _arch_mismatch(u: MaState | IsaState,
 # the run stepped from u.
 Run = Iterable[tuple[MaState, StepInfo]]
 
-# An authorization policy maps one transition s -> u, given by what the
-# cycle did, where it went and the run after u, to its admitted actions.
-AuthSpec = Callable[[StepInfo, MaState, Run], AuthAction]
+# An authorization policy maps one transition s -> u, given by where it
+# went, what the cycle did and the run after u, to the line addresses it
+# admits: each filling load's own line, then its prefetch set.
+AuthSpec = Callable[[MaState, StepInfo, Run], tuple[int, ...]]
 
 
-def _fill_actions(wb: WbRec) -> AuthAction:
-    """A load writeback that filled the cache deposits its line, then
-    its prefetch set; any other writeback inserts nothing."""
-    if not wb.inserted:
-        return ()
-    return (("cache", wb.inserted[0][0]),) + tuple(
-        ("prefetch", a) for a, _ in wb.inserted[1:])
-
-
-def auth_writeback(info: StepInfo, u: MaState, run: Run) -> AuthAction:
+def auth_writeback(u: MaState, info: StepInfo, run: Run) -> tuple[int, ...]:
     """Authorize exactly the fills this machine performs: every load
     writeback deposits its line and its prefetch set."""
-    return tuple(act for wb in info.writebacks for act in _fill_actions(wb))
+    return tuple(a for wb in info.writebacks for a, _ in wb.inserted)
 
 
 def _line_commits(u: MaState, tag: int, run: Run) -> bool:
@@ -235,21 +224,21 @@ def _line_commits(u: MaState, tag: int, run: Run) -> bool:
     return False
 
 
-def auth_commit(info: StepInfo, u: MaState, run: Run) -> AuthAction:
+def auth_commit(u: MaState, info: StepInfo, run: Run) -> tuple[int, ...]:
     """Designer-intent policy: loads fill the cache at writeback only if
-    they retire; squashed (transient) loads emit no actions at all.  A
+    they retire; squashed (transient) loads are authorized no line.  A
     line written back in a cycle is commit-visible only in the next, so
     it never retires in this cycle's batch: the look-ahead starts at u.
     It is also younger than the batch, so when the batch squashes, the
     line goes with it (a later line reusing its ROB tag is not it)."""
     if info.invalidated:
         return ()
-    acts: list[tuple[str, int]] = []
+    lines: list[int] = []
     for wb in info.writebacks:
-        fill = _fill_actions(wb)
-        if fill and _line_commits(u, wb.dst, run):
-            acts.extend(fill)
-    return tuple(acts)
+        if wb.inserted and _line_commits(u, wb.dst, run):
+            for a, _ in wb.inserted:
+                lines.append(a)
+    return tuple(lines)
 
 
 AUTH_SPECS: dict[str, AuthSpec] = {
@@ -259,15 +248,19 @@ AUTH_SPECS: dict[str, AuthSpec] = {
 
 
 def check_cache_action(
-    s: MaState, info: StepInfo, u: MaState, spec: AuthSpec, run: Run
+    s: MaState, u: MaState, info: StepInfo, spec: AuthSpec, run: Run
 ) -> Finding | None:
-    """cache_u must equal the cache after applying the authorized
-    actions of the transition s -> u; kernel addresses cannot be
-    authorized and are ignored.  run is the run after u (see Run)."""
-    acts = spec(info, u, run)
-    if not acts and u.cache is s.cache:
+    """cache_u must equal cache_s with the lines that spec authorizes
+    for the transition s -> u added, each holding its memory value;
+    kernel lines cannot be authorized and are ignored.  run is the run
+    after u (see Run)."""
+    lines = spec(u, info, run)
+    if not lines and u.cache is s.cache:
         return None  # step_core builds a new cache only when it fills one
-    want = apply_prefetches(acts, s.dmem, s.cache, s.ga)
+    want = dict(s.cache)
+    for a in lines:
+        if s.ga.allows(a):
+            want[a] = dmem_read(s.dmem, a)
     if want == u.cache:
         return None
     extra = sorted(a for a, d in u.cache.items() if want.get(a) != d)

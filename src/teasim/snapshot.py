@@ -73,10 +73,10 @@ def ma_to_text(s: MaState) -> str:
     return "\n".join(out) + "\n"
 
 
-def _status_to_text(st: Status) -> str:
+def _status_to_text(pc: int, st: Status) -> str:
     if st[0] == "fetch":
-        rsi = "-" if st[2] is None else str(st[2])
-        return f"fetch:{st[1]:#x}:{rsi}"
+        rsi = "-" if st[1] is None else str(st[1])
+        return f"fetch:{pc:#x}:{rsi}"
     return st[0]
 
 
@@ -87,7 +87,7 @@ def history_to_text(h: History) -> str:
     for tag in sorted(h.ch_eff):
         out.append(f"ch-eff {tag:#x} {_pairs(h.ch_eff[tag])}".rstrip())
     for sl in h.lines:
-        sts = " ".join(_status_to_text(st) for st in sl.statuses)
+        sts = " ".join(_status_to_text(sl.pc, st) for st in sl.statuses)
         out.append(f"histline {sl.rob_id:#x} {sl.pc:#x} {sts}")
     return "\n".join(out) + "\n"
 

@@ -49,7 +49,7 @@ from .ma import (
     step_core,
 )
 
-# Status forms: ("fetch", pc, rs_id|None) | ("exec",) | ("wr-b",)
+# Status forms: ("fetch", rs_id|None) | ("exec",) | ("wr-b",)
 # | ("delay",) | ("post-comm",); `History` says what each means.
 Status = tuple
 
@@ -77,9 +77,9 @@ class History(NamedTuple):
     - lines: one line per in-flight micro-instruction, oldest first,
       with one status per live cycle.  `derive_choice` reads the
       statuses of each replayed cycle:
-      - ("fetch", pc, rs_id|None): issued in the cycle, into that
-        station (None: it takes none).  They give the fetch count, the
-        tags in order and the stations issue may take.
+      - ("fetch", rs_id|None): issued in the cycle, into that station
+        (None: it takes none).  With their lines' pcs they give the
+        fetch count, the tags in order and the stations issue may take.
       - ("exec",): started or executing.  Only these stations may
         start.
       - ("wr-b",): writes back in the cycle.  These must be exactly
@@ -192,7 +192,7 @@ def next_h(s: MaState, h: History, info: StepInfo, out: MaState) -> History:
         new_lines.append(_new(StatusLine, (tag, sl.pc, sl.statuses + (st,))))
     for rec in info.issued:
         new_lines.append(_new(StatusLine, (
-            rec.tag, rec.ipc, (("fetch", rec.ipc, rec.rs_id),))))
+            rec.tag, rec.ipc, (("fetch", rec.rs_id),))))
 
     # One status per live cycle: the oldest line, if any, starts the window.
     start_cy = (cyc + 1 - (len(new_lines[0].statuses) if new_lines else 0)
@@ -264,8 +264,8 @@ def derive_choice(s: MaState, h: History) -> Choice:
         if kind == "fetch":
             tags.append(tag)
             pcs.add(pc)
-            if st[2] is not None:
-                used_rs.add(st[2])
+            if st[1] is not None:
+                used_rs.add(st[1])
         elif kind == "exec":
             exec_tags.add(tag)
         elif kind == "wr-b":

@@ -47,7 +47,7 @@ def reference_walk(case: gen.Case, max_steps: int, observable: bool,
         u, info = ma.step_core(s)
         wit = 0 if info.retired else stutter_wit(s)
         cex = None if spec is None else check_cache_action(
-            s, info, u, spec, gen.Lookahead(u))
+            s, u, info, spec, gen.Lookahead(u))
         found = check_wsk_transition(s, u, info, wit, observable)
         found = found if cex is None else [cex] + found
         findings += [f._replace(step=step) for f in found]

@@ -71,7 +71,7 @@ def first_audit_failure(case: Case, max_steps: int) -> list:
         if s.halt:
             break
         u, info = ma.step_core(s)
-        cex = refine.check_cache_action(s, info, u, AUTH_SPECS["commit"],
+        cex = refine.check_cache_action(s, u, info, AUTH_SPECS["commit"],
                                         gen.Lookahead(u))
         if cex is not None:
             return [cex._replace(step=step)]

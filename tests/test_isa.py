@@ -11,7 +11,6 @@ from teasim.isa import (
     IsaState,
     NOOP,
     TsxState,
-    apply_prefetches,
     cache_invariant_ok,
     compare,
     dmem_read,
@@ -214,23 +213,6 @@ class TestFullStep:
         s2 = isa_step(s, pre_add=((4, 7),))
         assert s2.cache == {4: 7}
         assert (s2.pc, s2.rf, s2.halt) == (s.pc, s.rf, True)
-
-
-class TestActions:
-    def test_empty_action(self):
-        assert apply_prefetches((), {}, {1: 0}, GA) == {1: 0}
-
-    def test_prefetch_inserts(self):
-        out = apply_prefetches((("prefetch", 4),), {4: 9}, {}, GA)
-        assert out == {4: 9}
-
-    def test_same_address_idempotent(self):
-        out = apply_prefetches((("cache", 4), ("prefetch", 4)), {4: 9}, {}, GA)
-        assert out == {4: 9}
-
-    def test_inaccessible_ignored(self):
-        out = apply_prefetches((("cache", 0x300),), {0x300: 5}, {}, GA)
-        assert out == {}
 
 
 # --- fuzzed invariants ---

@@ -54,9 +54,9 @@ def walk(s):
         s = u
 
 
-def audit(s, info, u, spec):
+def audit(s, u, info, spec):
     """The action audit of s -> u, its policy reading a run of its own."""
-    return check_cache_action(s, info, u, spec, Lookahead(u))
+    return check_cache_action(s, u, info, spec, Lookahead(u))
 
 
 class TestMaps:
@@ -211,18 +211,18 @@ class TestActions:
     def test_no_cache_change_empty_action(self):
         s = prog_state(Instr("add", 1, 0, 0), Instr("halt"))
         u, info = step_core(s)
-        assert AUTH_SPECS["writeback"](info, u, ()) == ()
+        assert AUTH_SPECS["writeback"](u, info, ()) == ()
 
     def test_load_with_prefetch_shape(self):
         s = prog_state(Instr("ldri", 1, 0, imm=4), Instr("halt"), dmem={4: 9})
         seen = None
         while not s.halt:
             u, info = step_core(s)
-            acts = AUTH_SPECS["writeback"](info, u, ())
-            if acts:
-                seen = acts
+            lines = AUTH_SPECS["writeback"](u, info, ())
+            if lines:
+                seen = lines
             s = u
-        assert seen == (("cache", 4), ("prefetch", 5))
+        assert seen == (4, 5)
 
     def test_writeback_policy_covers_safe_runs(self):
         cfg = GenConfig(seed=12, include_in_cache=False, include_kernel=False)
@@ -230,14 +230,14 @@ class TestActions:
         for i in range(20):
             s = initial_state(gen_entangled_case(cfg, trial_rng("wbpol", i)))
             for s, u, info in walk(s):
-                assert audit(s, info, u, spec) is None
+                assert audit(s, u, info, spec) is None
 
     def test_commit_policy_flags_transient_fills(self):
         s = asm.emit_ma(asm.load_bundled("spectre"))
         spec = AUTH_SPECS["commit"]
         flagged = []
         for s, u, info in walk(s):
-            cex = audit(s, info, u, spec)
+            cex = audit(s, u, info, spec)
             if cex:
                 flagged.append(cex.detail)
         assert len(flagged) == 2
@@ -248,7 +248,7 @@ class TestActions:
         s = prog_state(Instr("ldri", 1, 0, imm=4), Instr("halt"), dmem={4: 9})
         spec = AUTH_SPECS["commit"]
         for s, u, info in walk(s):
-            assert audit(s, info, u, spec) is None
+            assert audit(s, u, info, spec) is None
 
     def test_commit_policy_rejects_fill_squashed_as_it_writes_back(self):
         # At cycle 3 the mispredicted jge commits and squashes while the
@@ -258,7 +258,7 @@ class TestActions:
                                   "jge r1 4294967294\nldr r3 r0 r2\nhalt\n"))
         spec = AUTH_SPECS["commit"]
         flagged = {s.cyc: cex.detail for s, u, info in walk(s)
-                   if (cex := audit(s, info, u, spec))}
+                   if (cex := audit(s, u, info, spec))}
         assert flagged == {3: "unauthorized lines 0x0, 0x1"}
 
     def test_spectre_wsk_a_transitions(self):
@@ -296,16 +296,16 @@ class TestActions:
     def test_commit_policy_admits_from_the_walks_run_as_from_a_fresh_one(self):
         # The walk hands the policy its own look-ahead, which the policy
         # steps further on demand; a run stepped from u alone must give
-        # the same actions.
+        # the same lines.
         spec = AUTH_SPECS["commit"]
         fills = admitted = 0
 
         def per_step(s, u, info, wit, run):
             nonlocal fills, admitted
-            acts = spec(info, u, run)
-            assert acts == spec(info, u, Lookahead(u))
+            lines = spec(u, info, run)
+            assert lines == spec(u, info, Lookahead(u))
             fills += any(wb.inserted for wb in info.writebacks)
-            admitted += bool(acts)
+            admitted += bool(lines)
             return _spectre_step(s, u, info, wit, run)
 
         cfg = PROPERTIES["spectre"].adjust(GenConfig(seed=17))
@@ -314,6 +314,29 @@ class TestActions:
         for case in cases:
             _walk(case, per_step, 400)
         assert fills >= 90 and admitted >= 60
+
+    def test_audit_adds_each_authorized_accessible_line_once(self):
+        def admits(*lines):
+            return lambda u, info, run: lines
+
+        def fill(s):
+            return next((s, u, info) for s, u, info in walk(s)
+                        if u.cache != s.cache)
+
+        s = prog_state(Instr("add", 1, 0, 0), Instr("halt"))
+        u, info = step_core(s)
+        assert check_cache_action(s, u, info, admits(), ()) is None
+        # A load of line 4 fills it and its prefetch line 5.
+        s, u, info = fill(prog_state(Instr("ldri", 1, 0, imm=4),
+                                     Instr("halt"), dmem={4: 9}))
+        assert check_cache_action(s, u, info, admits(4, 4, 5), ()) is None
+        cex = check_cache_action(s, u, info, admits(4, 4), ())
+        assert cex.detail == "unauthorized lines 0x5"
+        # A load of kernel line 0x300 fills it; authorizing it is no use.
+        s, u, info = fill(prog_state(Instr("ldri", 1, 0, imm=0x300),
+                                     Instr("halt"), dmem={0x300: 5}))
+        cex = check_cache_action(s, u, info, admits(0x300), ())
+        assert cex.detail == "unauthorized lines 0x300"
 
     def test_missing_line_on_a_retiring_step(self):
         # The architectural run keeps the lines it started with; a

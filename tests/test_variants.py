@@ -292,7 +292,7 @@ class TestGetH:
         c = derive_choice(x, h1)
         assert c.n == 3  # add + halt + trailing noop fetched together
         fetch_sts = [st for _, _, st in get_h(h1, x.cyc) if st[0] == "fetch"]
-        named = {st[2] for st in fetch_sts if st[2] is not None}
+        named = {st[1] for st in fetch_sts if st[1] is not None}
         assert named and c.busy_rs == all_rs(x) - named
 
 
