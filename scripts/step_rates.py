@@ -19,15 +19,17 @@ criterion 7's two loops, the ISA and pipeline passes interleaved, then
 the best of k passes over each layer's inputs as the tree recorded
 them, with the collector off.  A replayed result unlike the recorded
 one is counted: each tree replays its own record, and each tree after
-the first the first tree's too, where that record unpickles in it.  The
-script exits 1 if any result differs.  It prints each round's rates
-and µs per call, then per tree their medians, the lowest round's ratio
-and its call counts, and for each tree after the first its speed-ups
-over the first, each the median over the rounds of the round's
-speed-up, how the median ratio moved, and whether the first tree's
-record replayed in it.  A change keeps criterion 7's margin when its
-ISA speed-up is at least its pipeline speed-up; a change that alters
-the calls (their count or arguments) is compared per call.
+the first the first tree's too, where that record unpickles in it; a
+layer whose recorded calls raise there (the record's fields are read
+otherwise) is reported as not replaying and left out of that count.
+The script exits 1 if any counted result differs.  It prints each
+round's rates and µs per call, then per tree their medians, the lowest
+round's ratio and its call counts, and for each tree after the first
+its speed-ups over the first, each the median over the rounds of the
+round's speed-up, how the median ratio moved, and whether the first
+tree's record replayed in it.  A change keeps criterion 7's margin when
+its ISA speed-up is at least its pipeline speed-up; a change that
+alters the calls (their count or arguments) is compared per call.
 
     python scripts/step_rates.py                    # this checkout's src
     python scripts/step_rates.py OLD/src src -n 8   # two trees, interleaved
@@ -102,12 +104,18 @@ def record(path: str, seeds: list[int]) -> None:
         pickle.dump(calls, fh, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def replay_differ(calls: dict) -> dict[str, int]:
+def replay_differ(calls: dict) -> dict[str, int | str]:
     """Per layer, the recorded calls whose result this tree's function
-    gives differently."""
-    return {layer: sum(getattr(importlib.import_module(mod), name)(*args)
-                       != want for args, want in calls[layer])
-            for layer, (mod, name) in LAYERS.items()}
+    gives differently, or, when a call raises (a record whose fields
+    this tree reads otherwise), the exception as `Type: message`."""
+    out: dict[str, int | str] = {}
+    for layer, (mod, name) in LAYERS.items():
+        fn = getattr(importlib.import_module(mod), name)
+        try:
+            out[layer] = sum(fn(*args) != want for args, want in calls[layer])
+        except Exception as e:
+            out[layer] = f"{type(e).__name__}: {e}"
+    return out
 
 
 def measure_here(path: str, k: int, against: str | None) -> dict:
@@ -245,10 +253,19 @@ def main() -> int:
             print(f"{src}: {first}'s record does not unpickle here "
                   f"({cross[0]}); each tree replayed only its own")
             continue
-        worst = {layer: max(c[layer] for c in cross) for layer in LAYERS}
-        print(f"{src} on {first}'s record: differing results: " + ", ".join(
-            f"{layer} {n}" for layer, n in worst.items()))
-        differ = {layer: max(differ[layer], worst[layer]) for layer in LAYERS}
+        worst = {}
+        for layer in LAYERS:
+            raised = [c[layer] for c in cross if isinstance(c[layer], str)]
+            if raised:
+                print(f"{src}: {first}'s {layer} record does not replay "
+                      f"here ({raised[0]})")
+            else:
+                worst[layer] = max(c[layer] for c in cross)
+        if worst:
+            print(f"{src} on {first}'s record: differing results: "
+                  + ", ".join(f"{layer} {n}" for layer, n in worst.items()))
+        for layer, n in worst.items():
+            differ[layer] = max(differ[layer], n)
     print("differing results: " + ", ".join(
         f"{layer} {n}" for layer, n in differ.items()))
     return 1 if any(differ.values()) else 0

@@ -95,12 +95,12 @@ def cmd_run(args) -> int:
         else:
             nxt, h, info = mah_step(s, h)
         if args.trace:
-            delta = {a: v for a, v in nxt.cache.items() if s.cache.get(a) != v}
-            print(snapshot.trace_record(s.cyc, info, delta))
+            print(snapshot.trace_record(s.cyc, info, nxt.cache - s.cache,
+                                        s.dmem))
         s = nxt
     print(snapshot.ma_to_text(s), end="")
     if h is not None:
-        print(snapshot.history_to_text(h), end="")
+        print(snapshot.history_to_text(h, s.dmem), end="")
     return 0 if s.halt else 3
 
 

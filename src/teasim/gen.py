@@ -61,7 +61,7 @@ from itertools import accumulate, islice
 from typing import Callable, NamedTuple
 
 from .asm import Program, render
-from .isa import MASK32, Instr, cache_invariant_ok
+from .isa import MASK32, Instr
 from .ma import MaState, StepInfo, initial_ma_state, step_core
 from .refine import (
     AUTH_SPECS,
@@ -109,13 +109,16 @@ class Case(NamedTuple):
 
     program: Program
     forward_steps: int = 0
-    seed_cache: tuple[tuple[int, int], ...] = ()
+    seed_cache: tuple[int, ...] = ()  # line addresses
 
     def to_dict(self) -> dict:
+        """The case as a bundle holds it: each seeded line as an
+        [address, value] pair, the value read from data memory."""
+        dmem = self.program.dmem
         return {
             "program": render(self.program),
             "forward_steps": self.forward_steps,
-            "seed_cache": list(map(list, self.seed_cache)),
+            "seed_cache": [[a, dmem.get(a, 0)] for a in self.seed_cache],
         }
 
     @classmethod
@@ -132,17 +135,15 @@ class Case(NamedTuple):
                 for p in pairs):
             raise ValueError(f"seed_cache must hold [address, value] integer "
                              f"pairs, got {pairs!r}")
-        cache = tuple(map(tuple, pairs))
         if type(d["program"]) is not str:
             raise ValueError(f"program must be text, got {d['program']!r}")
         program = asm.parse(d["program"])
-        # The ISA's cache invariant: a seeded line is accessible and holds
-        # its data memory value.
-        seeded = asm.emit_isa(program)._replace(cache=dict(cache))
-        if not cache_invariant_ok(seeded):
+        # A seeded line is accessible and holds its data memory value.
+        ga, dmem = program.ga, program.dmem
+        if not all(ga.allows(a) and v == dmem.get(a, 0) for a, v in pairs):
             raise ValueError(f"seed_cache must hold accessible lines with "
-                             f"their memory values, got {d['seed_cache']!r}")
-        return cls(program, steps, cache)
+                             f"their memory values, got {pairs!r}")
+        return cls(program, steps, tuple(a for a, _ in pairs))
 
 
 def _trial_rng(cfg_seed: int, prop: str, trial: int) -> random.Random:
@@ -230,14 +231,13 @@ def gen_program(cfg: GenConfig, rng: random.Random) -> Program:
     return Program(base, tuple(instrs), tuple(data), access, entry)
 
 
-def seed_cache(prog: Program, rng: random.Random) -> tuple[tuple[int, int], ...]:
-    """A valid cache: accessible addresses with their memory values."""
+def seed_cache(prog: Program, rng: random.Random) -> tuple[int, ...]:
+    """A valid cache: accessible line addresses, in order."""
     ga = prog.ga
-    dmem = prog.dmem
     pool = [a for a, _ in prog.data if ga.allows(a)]
     pool += [_below(rng, ACCESSIBLE_TOP + 1) for _ in range(2)]
-    picked = sorted({a for a in pool if ga.allows(a) and rng.random() < 0.5})
-    return tuple((a, dmem.get(a, 0)) for a in picked)
+    picked = {a for a in pool if ga.allows(a) and rng.random() < 0.5}
+    return tuple(sorted(picked))
 
 
 def initial_state(case: Case) -> MaState:
@@ -245,7 +245,7 @@ def initial_state(case: Case) -> MaState:
     step; forward_steps is not applied."""
     p = case.program
     return initial_ma_state(p.imem, p.dmem, p.ga, p.entry,
-                            cache=dict(case.seed_cache))
+                            cache=frozenset(case.seed_cache))
 
 
 class Lookahead:
@@ -361,10 +361,7 @@ def _empty_key(s: MaState) -> tuple:
     """A pipeline-empty state's key: its future depends on nothing else
     but cyc, which only shifts times, and stale fields of idle stations,
     which the machine overwrites before reading them.  The cache is
-    insert-only and every line holds its memory value (generated seeds
-    do, Case.from_dict enforces it on replayed ones, and the machine
-    fills lines from memory), so along one walk its size stands for its
-    contents."""
+    insert-only, so along one walk its size stands for its contents."""
     return (s.pc, s.rf, s.tsx, len(s.cache))
 
 

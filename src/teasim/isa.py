@@ -6,8 +6,12 @@ roll back on a faulting load, a fixed accessibility predicate that splits
 the address space into user and kernel memory, and an architecturally
 visible cache.  Cache contents evolve nondeterministically: on every step
 the environment may insert or evict any set of accessible, value-correct
-lines.  The `in-cache` instruction queries cache membership and is the
-covert channel the microarchitectural model is audited against.
+lines.  The ISA has no store, so a line always holds its data memory
+value, and the cache is the set of accessible line addresses it holds
+(a frozenset, in every layer); a value is read from `dmem` only where
+a line is printed or bundled.  The `in-cache` instruction queries cache
+membership and is the covert channel the microarchitectural model is
+audited against.
 
 `Instr`, `TsxState` and `IsaState` are immutable NamedTuples, by the
 record rule in `ma`'s docstring (`AccessMap`, which checks its ranges,
@@ -136,7 +140,7 @@ class IsaState(NamedTuple):
     imem: dict[int, Instr]
     dmem: dict[int, int]
     ga: AccessMap
-    cache: dict[int, int]
+    cache: frozenset[int]
 
 
 def zero_rf(reg_count: int = REG_COUNT) -> tuple[int, ...]:
@@ -151,7 +155,8 @@ def initial_isa_state(
     reg_count: int = REG_COUNT,
 ) -> IsaState:
     rf = zero_rf(reg_count)
-    return IsaState(pc, rf, TsxState(False, rf, 0), False, dict(imem), dict(dmem), ga, {})
+    return IsaState(pc, rf, TsxState(False, rf, 0), False, dict(imem), dict(dmem), ga,
+                    frozenset())
 
 
 def fetch_instr(imem: dict[int, Instr], a: int) -> Instr:
@@ -206,8 +211,7 @@ def isa_det_step(s: IsaState) -> IsaState:
                                        False, imem, dmem, ga, cache))
             return _new(IsaState, (pc, rf, tsx, True, imem, dmem, ga, cache))
         v = dmem.get(ea, 0)
-        cache = dict(cache)
-        cache[ea] = v
+        cache = cache.union((ea,))
     elif op == "mul":
         v = (rf[r1] * rf[r2]) & MASK32
     elif op == "and":
@@ -232,34 +236,27 @@ def isa_det_step(s: IsaState) -> IsaState:
     return _new(IsaState, (nxt, tuple(regs), tsx, False, imem, dmem, ga, cache))
 
 
-CacheChoice = tuple[tuple[int, int], ...]
+CacheChoice = tuple[int, ...]  # line addresses
 
 
-def _check_choice(s: IsaState, pairs, what: str) -> None:
-    for a, d in pairs:
+def _check_choice(s: IsaState, lines: CacheChoice, what: str) -> None:
+    for a in lines:
         if not s.ga.allows(a):
             raise ChoiceError(f"{what}: address {a:#x} is not accessible")
-        if d != dmem_read(s.dmem, a):
-            raise ChoiceError(f"{what}: datum {d:#x} wrong for address {a:#x}")
 
 
 def isa_cache_step(s: IsaState, add: CacheChoice = (), rem: CacheChoice = ()) -> IsaState:
     """Environment cache step: cache' = (cache ∪ add) \\ rem.
 
-    Every pair in add and rem must be accessible and value-correct;
-    anything else is an invalid choice and raises ChoiceError.
+    Every line in add and rem must be accessible (it then holds its
+    memory value); anything else is an invalid choice and raises
+    ChoiceError.
     """
     _check_choice(s, add, "add")
     _check_choice(s, rem, "rem")
     if not add and not rem:
         return s
-    cache = dict(s.cache)
-    for a, d in add:
-        cache[a] = d
-    for a, d in rem:
-        if cache.get(a) == d:
-            del cache[a]
-    return s._replace(cache=cache)
+    return s._replace(cache=s.cache.union(add).difference(rem))
 
 
 def isa_step(
@@ -281,11 +278,4 @@ def run_isa(s: IsaState, max_steps: int) -> tuple[IsaState, int]:
 
 def label(s: IsaState) -> IsaState:
     """Observation label: the state with the cache erased."""
-    return s._replace(cache={})
-
-
-def cache_invariant_ok(s: IsaState) -> bool:
-    """Every cache line is accessible and agrees with data memory."""
-    return all(
-        s.ga.allows(a) and d == dmem_read(s.dmem, a) for a, d in s.cache.items()
-    )
+    return s._replace(cache=frozenset())

@@ -303,7 +303,7 @@ class MaState(NamedTuple):
     imem: dict[int, Instr]
     dmem: dict[int, int]
     ga: AccessMap
-    cache: dict[int, int]
+    cache: frozenset[int]
     rob: tuple[RobLine, ...]
     rs_f: tuple[ResStation, ...]
     reg_st: dict[int, int]  # register -> tag of the pending writer's ROB line
@@ -318,17 +318,16 @@ def initial_ma_state(
     ga: AccessMap,
     pc: int = 0,
     params: MaParams | None = None,
-    cache: dict[int, int] | None = None,
+    cache: frozenset[int] = frozenset(),
 ) -> MaState:
     """The machine at pc with an empty pipeline and the given cache
-    (empty by default).  It holds imem, dmem and cache as given, not
-    copies: no step writes them, and the caller must not either."""
+    (empty by default).  It holds imem and dmem as given, not copies:
+    no step writes them, and the caller must not either."""
     params = params or _DEFAULT_PARAMS
     rf = zero_rf(params.reg_count)
     return _new(MaState, (
         pc, rf, _new(TsxState, (False, rf, 0)), False, imem, dmem, ga,
-        {} if cache is None else cache, (), _idle_stations(params.rs_count),
-        {}, 0, pc, params,
+        cache, (), _idle_stations(params.rs_count), {}, 0, pc, params,
     ))
 
 
@@ -372,7 +371,7 @@ class WbRec(NamedTuple):
     val: int
     excep: bool
     # Cache lines deposited: a load's own line first, then its prefetch set.
-    inserted: tuple[tuple[int, int], ...]
+    inserted: tuple[int, ...]
 
 
 class StepInfo(NamedTuple):
@@ -635,8 +634,7 @@ def step_core(s: MaState, choice: Choice | None = None) -> tuple[MaState, StepIn
             reg_st[rd] = tag
 
     # Writeback: finishing stations free up, forward their result, and
-    # loads deposit their line and the prefetch set into the cache, which
-    # is copied at the first fill.
+    # loads deposit their line and the prefetch set into the cache.
     cache = s.cache
     writebacks: list[WbRec] = []
     for i in finishing:
@@ -645,13 +643,9 @@ def step_core(s: MaState, choice: Choice | None = None) -> tuple[MaState, StepIn
         exc = comp_exc(rs, s)
         mop = rs.mop
         if mop in MEMORY_OPS:
-            dmem = s.dmem
             ea = (rs.vj + rs.vk) & MASK32
-            inserted = ((ea, dmem.get(ea, 0)),) + tuple(
-                (p, dmem.get(p, 0)) for p in params.prefetch_addrs(s.ga, ea))
-            if cache is s.cache:
-                cache = dict(cache)
-            cache.update(inserted)
+            inserted = (ea, *params.prefetch_addrs(s.ga, ea))
+            cache = cache.union(inserted)
         else:
             inserted = ()
         dst = rs.dst

@@ -45,7 +45,6 @@ from typing import Callable, Iterable, NamedTuple
 
 from .isa import (
     IsaState,
-    dmem_read,
     fetch_instr,
     isa_det_step,
     isa_step,
@@ -66,13 +65,13 @@ from .variants import History, is_entangled, next_h
 def r_ic(s: MaState) -> IsaState:
     """Commitment map: committed architectural state, cache discarded."""
     return _new(IsaState, (s.pc, s.rf, s.tsx, s.halt, s.imem, s.dmem, s.ga,
-                           {}))
+                           frozenset()))
 
 
 def r_a(s: MaState) -> IsaState:
     """Commitment map with the cache observable."""
     return _new(IsaState, (s.pc, s.rf, s.tsx, s.halt, s.imem, s.dmem, s.ga,
-                           dict(s.cache)))
+                           s.cache))
 
 
 class Finding(NamedTuple):
@@ -166,9 +165,9 @@ def run_ic(
             continue
         pre_add = pre_rem = ()
         if line.val == 1:
-            pre_add = ((ea, dmem_read(v.dmem, ea)),)
+            pre_add = (ea,)
         elif v.ga.allows(ea) and ea in v.cache:
-            pre_rem = ((ea, dmem_read(v.dmem, ea)),)
+            pre_rem = (ea,)
         v = isa_step(v, pre_add=pre_add, pre_rem=pre_rem)
     return v, None
 
@@ -208,7 +207,7 @@ AuthSpec = Callable[[MaState, StepInfo, Run], tuple[int, ...]]
 def auth_writeback(u: MaState, info: StepInfo, run: Run) -> tuple[int, ...]:
     """Authorize exactly the fills this machine performs: every load
     writeback deposits its line and its prefetch set."""
-    return tuple(a for wb in info.writebacks for a, _ in wb.inserted)
+    return tuple(a for wb in info.writebacks for a in wb.inserted)
 
 
 def _line_commits(u: MaState, tag: int, run: Run) -> bool:
@@ -236,8 +235,7 @@ def auth_commit(u: MaState, info: StepInfo, run: Run) -> tuple[int, ...]:
     lines: list[int] = []
     for wb in info.writebacks:
         if wb.inserted and _line_commits(u, wb.dst, run):
-            for a, _ in wb.inserted:
-                lines.append(a)
+            lines.extend(wb.inserted)
     return tuple(lines)
 
 
@@ -251,20 +249,17 @@ def check_cache_action(
     s: MaState, u: MaState, info: StepInfo, spec: AuthSpec, run: Run
 ) -> Finding | None:
     """cache_u must equal cache_s with the lines that spec authorizes
-    for the transition s -> u added, each holding its memory value;
-    kernel lines cannot be authorized and are ignored.  run is the run
-    after u (see Run)."""
+    for the transition s -> u added (a line's value is its memory's, so
+    the sets of addresses are compared); kernel lines cannot be
+    authorized and are ignored.  run is the run after u (see Run)."""
     lines = spec(u, info, run)
     if not lines and u.cache is s.cache:
         return None  # step_core builds a new cache only when it fills one
-    want = dict(s.cache)
-    for a in lines:
-        if s.ga.allows(a):
-            want[a] = dmem_read(s.dmem, a)
+    want = s.cache.union(a for a in lines if s.ga.allows(a))
     if want == u.cache:
         return None
-    extra = sorted(a for a, d in u.cache.items() if want.get(a) != d)
-    missing = sorted(a for a, d in want.items() if u.cache.get(a) != d)
+    extra = sorted(u.cache - want)
+    missing = sorted(want - u.cache)
     parts = []
     if extra:
         parts.append("unauthorized lines " + ", ".join(f"{a:#x}" for a in extra))
@@ -310,8 +305,7 @@ def check_wsk_transition(
     if fail is not None:
         return [fail]
     diff = _arch_mismatch(u, v)
-    if (diff is None and observable
-            and not v.cache.keys() <= u.cache.keys()):
+    if diff is None and observable and not v.cache <= u.cache:
         diff = "cache contents differ"
     if diff is None:
         return []

@@ -1,10 +1,12 @@
 """Line-delimited text snapshots of states, histories, and traces.
 
 One record per field; maps are rendered as sorted key:value pairs in
-hex so equal states serialize to identical text.  Used by the CLI's
-`run` output and its trace mode.  Snapshots are written, never read
-back: a counterexample bundle rebuilds its (state, history) pair from
-the case that produced it.
+hex so equal states serialize to identical text.  A cache is a set of
+line addresses, and its lines print as address:value pairs too, each
+value read from data memory; a history holds no memory, so its printer
+takes the state's.  Used by the CLI's `run` output and its trace mode.
+Snapshots are written, never read back: a counterexample bundle
+rebuilds its (state, history) pair from the case that produced it.
 """
 
 from __future__ import annotations
@@ -18,6 +20,12 @@ def _pairs(m: dict[int, int]) -> str:
     return " ".join(f"{a:#x}:{v:#x}" for a, v in sorted(m.items()))
 
 
+def _lines(lines, dmem: dict[int, int], sep: str = " ") -> str:
+    """Cache lines in order, with their memory values, each once: a
+    load's prefetch set repeats its own line under `stride 0 K`."""
+    return sep.join(f"{a:#x}:{dmem.get(a, 0):#x}" for a in sorted(set(lines)))
+
+
 def _words(ws) -> str:
     return " ".join(f"{w:#x}" for w in ws)
 
@@ -29,7 +37,7 @@ def _arch_lines(s, out: list[str]) -> None:
     out.append(f"tsx {int(s.tsx.active)} {s.tsx.fb:#x} {_words(s.tsx.rf)}")
     out.append(("access " + " ".join(f"{lo:#x}-{hi:#x}" for lo, hi in s.ga.ranges)).rstrip())
     out.append(f"dmem {_pairs(s.dmem)}".rstrip())
-    out.append(f"cache {_pairs(s.cache)}".rstrip())
+    out.append(f"cache {_lines(s.cache, s.dmem)}".rstrip())
     for a in sorted(s.imem):
         out.append(f"imem {a:#x} {s.imem[a].render()}")
 
@@ -80,20 +88,22 @@ def _status_to_text(pc: int, st: Status) -> str:
     return st[0]
 
 
-def history_to_text(h: History) -> str:
+def history_to_text(h: History, dmem: dict[int, int]) -> str:
     out = ["%teasim-history"]
     out.append(f"start-cy {h.start_cy:#x}")
-    out.append(f"comm-cache {_pairs(h.comm_cache)}".rstrip())
+    out.append(f"comm-cache {_lines(h.comm_cache, dmem)}".rstrip())
     for tag in sorted(h.ch_eff):
-        out.append(f"ch-eff {tag:#x} {_pairs(h.ch_eff[tag])}".rstrip())
+        out.append(f"ch-eff {tag:#x} {_lines(h.ch_eff[tag], dmem)}".rstrip())
     for sl in h.lines:
         sts = " ".join(_status_to_text(sl.pc, st) for st in sl.statuses)
         out.append(f"histline {sl.rob_id:#x} {sl.pc:#x} {sts}")
     return "\n".join(out) + "\n"
 
 
-def trace_record(cyc: int, info: StepInfo, cache_delta: dict[int, int]) -> str:
-    """One line per cycle for the CLI trace mode."""
+def trace_record(cyc: int, info: StepInfo, added: frozenset[int],
+                 dmem: dict[int, int]) -> str:
+    """One line per cycle for the CLI trace mode; added is the lines
+    the cycle put in the cache."""
     parts = [f"cyc {cyc}", f"fetch {info.n}"]
     if info.issued:
         parts.append("issue " + ",".join(
@@ -110,7 +120,6 @@ def trace_record(cyc: int, info: StepInfo, cache_delta: dict[int, int]) -> str:
             f"{l.mop}@{l.rob_id}" for l in info.batch))
     if info.invalidated:
         parts.append("invalidate")
-    if cache_delta:
-        parts.append("cache+ " + ",".join(
-            f"{a:#x}:{v:#x}" for a, v in sorted(cache_delta.items())))
+    if added:
+        parts.append("cache+ " + _lines(added, dmem, ","))
     return " | ".join(parts)

@@ -68,10 +68,11 @@ class History(NamedTuple):
       own cycle when nothing is in flight).  `invl` sets the cycle to
       it, `steps_to_take` counts the replay from it, and `get_h` dates
       every line's statuses by it.
-    - comm_cache: the cache as of the last commit, which `invl`
-      restores.
-    - ch_eff: per written-back load's tag, the lines it filled, which
-      `next_h` moves into comm_cache when the load commits.
+    - comm_cache: the cache as of the last commit, a set of line
+      addresses like every cache, which `invl` restores (sharing it).
+    - ch_eff: per written-back load's tag, the lines it filled (its
+      `WbRec.inserted`), which `next_h` adds to comm_cache when the
+      load commits.
 
     The replay's choices and checks:
     - lines: one line per in-flight micro-instruction, oldest first,
@@ -93,8 +94,8 @@ class History(NamedTuple):
     """
 
     start_cy: int
-    comm_cache: dict[int, int]
-    ch_eff: dict[int, dict[int, int]]  # tag -> lines to commit to comm_cache
+    comm_cache: frozenset[int]
+    ch_eff: dict[int, tuple[int, ...]]  # tag -> lines to commit to comm_cache
     lines: tuple[StatusLine, ...]  # oldest first, one status per live cycle
 
 
@@ -111,7 +112,7 @@ def is_initial(s: MaState) -> bool:
 def init_h(s: MaState) -> History:
     """Empty history for a pipeline-empty state; it commits to the
     state's cache."""
-    return History(s.cyc, dict(s.cache), {}, ())
+    return History(s.cyc, s.cache, {}, ())
 
 
 def next_h(s: MaState, h: History, info: StepInfo, out: MaState) -> History:
@@ -129,12 +130,12 @@ def next_h(s: MaState, h: History, info: StepInfo, out: MaState) -> History:
     cyc = s.cyc
     if info.invalidated:
         # Squashed work leaves only its cache footprint behind.
-        return _new(History, ((cyc + 1) & MASK32, dict(out.cache), {}, ()))
+        return _new(History, ((cyc + 1) & MASK32, out.cache, {}, ()))
     batch = info.batch
 
     # Committed loads move their pending lines into the committed cache;
     # written-back loads, the only writebacks that insert lines, leave
-    # theirs pending.  Each dict is copied before its first change.
+    # theirs pending.  ch_eff is copied before its first change.
     comm_cache = h.comm_cache
     ch_eff = h.ch_eff
     if batch:
@@ -142,14 +143,12 @@ def next_h(s: MaState, h: History, info: StepInfo, out: MaState) -> History:
         for line in batch:
             eff = ch_eff.pop(line.rob_id, None)
             if eff:
-                if comm_cache is h.comm_cache:
-                    comm_cache = dict(comm_cache)
-                comm_cache.update(eff)
+                comm_cache = comm_cache.union(eff)
     for wb in info.writebacks:
         if wb.inserted:
             if ch_eff is h.ch_eff:
                 ch_eff = dict(ch_eff)
-            ch_eff[wb.dst] = dict(wb.inserted)
+            ch_eff[wb.dst] = wb.inserted
 
     # Status-line removals for this cycle's commits: every committed line
     # but an access check, which stays (post-comm) until its load, the
@@ -215,7 +214,7 @@ def invl(s: MaState, h: History) -> MaState:
     to h.start_cy, the oldest in-flight issue (s's own cycle when
     nothing is in flight)."""
     return _new(MaState, (
-        s.pc, s.rf, s.tsx, s.halt, s.imem, s.dmem, s.ga, dict(h.comm_cache),
+        s.pc, s.rf, s.tsx, s.halt, s.imem, s.dmem, s.ga, h.comm_cache,
         (), reset_rs_f(s.rs_f), {}, h.start_cy, s.pc, s.params,
     ))
 

@@ -171,7 +171,7 @@ def gen_incache_case(cfg: GenConfig, rng: random.Random) -> Case:
 
 
 def check_incache_case(case: Case) -> list[Finding]:
-    s = asm.emit_isa(case.program)._replace(cache=dict(case.seed_cache))
+    s = asm.emit_isa(case.program)._replace(cache=frozenset(case.seed_cache))
     s, _ = run_isa(s, 8)
     if s.rf[3] != 0:
         return [Finding("incache-constraint", "functional",

@@ -87,7 +87,7 @@ class TestEmit:
         p = parse(".access 0 255\n.entry 2\nnoop\nnoop\nhalt\n")
         ma = asm.emit_ma(p)
         assert ma.pc == ma.fetch_pc == 2
-        assert ma.cyc == 0 and not ma.halt and ma.cache == {}
+        assert ma.cyc == 0 and not ma.halt and ma.cache == frozenset()
         assert is_initial(ma)
         isa = asm.emit_isa(p)
         assert isa.pc == 2 and isa.rf == (0,) * 12 and not isa.tsx.active

@@ -485,11 +485,20 @@ def test_shrink_spends_at_most_its_budget():
 def test_seeded_initial_state_entangled_with_empty_history():
     prog = Program(0, (Instr("ldri", rd=1, r1=0, imm=4), Instr("halt")),
                    ((4, 9),), ((0, 0x7F),), 0)
-    case = Case(prog, 0, ((4, 9),))
+    case = Case(prog, 0, (4,))
     s = initial_state(case)
-    assert s.cache == {4: 9}
+    assert s.cache == frozenset({4})
     assert is_entangled(s, init_h(s))
     assert case_pair(case) == (s, init_h(s))
+
+
+def test_bundle_pairs_each_seeded_line_with_its_memory_value():
+    # A case holds line addresses; its bundle writes each with the value
+    # data memory gives it, and reading the bundle checks that value.
+    prog = asm.parse(".access 0 127\n.data 4 9\nhalt\n")
+    d = Case(prog, 0, (4,)).to_dict()
+    assert d["seed_cache"] == [[4, 9]]
+    assert Case.from_dict(d).seed_cache == (4,)
 
 
 def test_failures_replayable_from_case():

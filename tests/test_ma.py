@@ -247,7 +247,7 @@ class TestCompVal:
 
     def test_in_cache_membership_only(self):
         s = mk()
-        s = s._replace(cache={6: 0})
+        s = s._replace(cache=frozenset({6}))
         assert comp_val(self.rs("min-cache", vj=2, vk=4), s) == 1
         assert comp_val(self.rs("min-cache", vj=2, vk=5), s) == 0
 

@@ -3,12 +3,14 @@
 Setting a field of any record raises.  The steps, the initial state,
 the history update, `invl` and `derive_choice` build their records with
 `tuple.__new__`, which checks no arity, so every record they build is
-checked to hold all its fields.  The records hold dicts (`cache`,
-`reg_st`, `dmem`, a history's `comm_cache` and `ch_eff`) that the type
-cannot freeze, so the steps are also checked to leave every part of
-their input state, as its text snapshot shows it, as they found it, and
-the checks of an entangled case to leave what its generator recorded of
-the run they share (`gen._run`) as they found it.
+checked to hold all its fields.  A cache (a state's `cache`, a
+history's `comm_cache`) is a frozenset of line addresses, so `r_a`,
+`init_h`, `invl` and a squash in `next_h` share it rather than copy it.
+The records also hold dicts (`reg_st`, `dmem`, a history's `ch_eff`)
+that the type cannot freeze, so the steps are also checked to leave
+every part of their input state, as its text snapshot shows it, as they
+found it, and the checks of an entangled case to leave what its
+generator recorded of the run they share (`gen._run`) as they found it.
 
 Every other record is a NamedTuple too, except three dataclasses, each
 kept for a reason (see `ma`'s module docstring).
@@ -34,6 +36,7 @@ from teasim.ma import (
     maximal_choice,
     step_core,
 )
+from teasim.refine import r_a
 from teasim.snapshot import history_to_text, isa_to_text, ma_to_text
 from teasim.variants import (
     History,
@@ -96,12 +99,12 @@ def test_ma_steps_leave_their_input_unchanged(name):
     for _ in range(MAX_STEPS):
         if s.halt:
             break
-        before, h_before = ma_to_text(s), history_to_text(h)
+        before, h_before = ma_to_text(s), history_to_text(h, s.dmem)
         step_core(s)
         assert ma_to_text(s) == before
         s2, h2, _ = mah_step(s, h)
         assert ma_to_text(s) == before
-        assert history_to_text(h) == h_before
+        assert history_to_text(h, s.dmem) == h_before
         s, h = s2, h2
 
 
@@ -116,6 +119,26 @@ def test_isa_step_leaves_its_input_unchanged(name):
         assert isa_to_text(u) == before
         u = nxt
     assert u.halt
+
+
+@pytest.mark.parametrize("name", PROGRAMS)
+def test_caches_are_shared_not_copied(name):
+    s = asm.emit_ma(asm.load_bundled(name))
+    h = init_h(s)
+    assert h.comm_cache is s.cache
+    squashes = 0
+    for _ in range(MAX_STEPS):
+        if s.halt:
+            break
+        assert r_a(s).cache is s.cache
+        assert invl(s, h).cache is h.comm_cache
+        u, info = step_core(s)
+        hu = next_h(s, h, info, u)
+        if info.invalidated:
+            assert hu.comm_cache is u.cache
+            squashes += 1
+        s, h = u, hu
+    assert squashes
 
 
 def test_entangled_checks_leave_the_shared_run_unchanged(fresh_run):

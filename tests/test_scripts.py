@@ -1,6 +1,7 @@
 """The scripts run: the layer-cost and shrink-cost tools end to end, and
 every other script as far as its `--help`."""
 
+import importlib.util
 import os
 import pathlib
 import shutil
@@ -44,6 +45,20 @@ def test_step_rates_replays_the_first_trees_record(tmp_path):
     assert (f"{tmp_path / 'src'} on src's record: differing results: "
             "step_core 0, next_h 0, derive_choice 0") in lines
     assert "differing results: step_core 0, next_h 0, derive_choice 0" in lines
+
+
+def test_step_rates_reports_a_record_that_raises():
+    # A record from a tree whose records differ can raise on replay: the
+    # layer reads as the exception, and the others still count.
+    spec = importlib.util.spec_from_file_location(
+        "step_rates", SCRIPTS / "step_rates.py")
+    step_rates = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(step_rates)
+    got = step_rates.replay_differ(
+        {"step_core": [((None,), None)], "next_h": [], "derive_choice": []})
+    assert isinstance(got["step_core"], str)
+    assert got["step_core"].startswith("AttributeError: ")
+    assert (got["next_h"], got["derive_choice"]) == (0, 0)
 
 
 def test_shrink_costs_runs():

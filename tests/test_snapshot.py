@@ -19,7 +19,7 @@ def test_random_pairs_round_trip():
         assert again == case
         (s, h), (t, g) = case_pair(case), case_pair(again)
         assert ma_to_text(t) == ma_to_text(s)
-        assert history_to_text(g) == history_to_text(h)
+        assert history_to_text(g, t.dmem) == history_to_text(h, s.dmem)
 
 
 def test_equal_states_equal_text():

@@ -152,7 +152,7 @@ class TestHistory:
     def test_init_h_shape(self):
         s = prog_state()
         s = s._replace(cyc=42)
-        assert init_h(s) == History(42, {}, {}, ())
+        assert init_h(s) == History(42, frozenset(), {}, ())
 
     def test_first_issue_sets_start_cy(self):
         s = prog_state(Instr("loadi", 1, imm=7), Instr("halt"))
@@ -193,7 +193,7 @@ class TestHistory:
                 u, info = step_core(s)
                 h = next_h(s, h, info, u)
                 s = u
-                digest.update(history_to_text(h).encode())
+                digest.update(history_to_text(h, s.dmem).encode())
         assert digest.hexdigest() == HISTORY_SHA256
 
     def test_status_per_live_cycle(self):
@@ -215,10 +215,10 @@ class TestHistory:
 class TestInvalidate:
     def test_empty_pipeline_only_cache_changes(self):
         s = prog_state()
-        h = History(0, {3: 0}, {}, ())
-        s = s._replace(cache={3: 0, 7: 0})
+        h = History(0, frozenset({3}), {}, ())
+        s = s._replace(cache=frozenset({3, 7}))
         x = invl(s, h)
-        assert x.cache == {3: 0}
+        assert x.cache == frozenset({3})
         assert (x.pc, x.rf, x.cyc) == (s.pc, s.rf, s.cyc)
 
     def test_midflight_rewinds_cycle(self):
@@ -242,7 +242,7 @@ class TestInvalidate:
         x = invl(s, h)
         # invalidating again with a history that commits to the same
         # cache is the identity
-        x2 = invl(x, History(x.cyc, dict(x.cache), {}, ()))
+        x2 = invl(x, History(x.cyc, x.cache, {}, ()))
         assert x2 == x
 
     def test_steps_to_take(self):
