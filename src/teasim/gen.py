@@ -58,7 +58,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, islice
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .asm import Program, render
 from .isa import MASK32, Instr
@@ -271,12 +271,29 @@ class Lookahead:
             steps.append(step_core(s))
         return steps[i]
 
+    def __iter__(self) -> Iterator[tuple[MaState, StepInfo]]:
+        """The transitions in order, each stepped, and kept, as it is
+        first read: what `__getitem__` gives for i = 0, 1, ..."""
+        steps = self.steps
+        i = 0
+        while True:
+            if i < len(steps):
+                yield steps[i]
+            else:
+                s = steps[-1][0] if steps else self.state
+                if s.halt:
+                    yield step_core(s)
+                else:
+                    steps.append(step := step_core(s))
+                    yield step
+            i += 1
+
     def pop(self) -> tuple[MaState, StepInfo]:
         """The first transition (u, info) of a run not halted (`_walk`
         stops at a halt), which the run then starts after: it is removed
         and `state` becomes u."""
-        step = self[0]
-        self.steps.popleft()
+        steps = self.steps
+        step = steps.popleft() if steps else step_core(self.state)
         self.state = step[0]
         return step
 
@@ -445,7 +462,7 @@ def _walk(case: Case, per_step, max_steps: int,
     for step in range(limit):
         if s.halt:
             break
-        if is_initial(s):
+        if s.fetch_pc == s.pc and not s.rob and is_initial(s):
             key = _empty_key(s)
         elif top < s.pc <= s.fetch_pc <= tail_end:
             key = _tail_key(s)

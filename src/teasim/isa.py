@@ -164,11 +164,6 @@ def fetch_instr(imem: dict[int, Instr], a: int) -> Instr:
     return imem.get(a, NOOP)
 
 
-def dmem_read(dmem: dict[int, int], a: int) -> int:
-    """Unmapped reads yield 0."""
-    return dmem.get(a, 0)
-
-
 # A record built from the tuple of all its fields, in order.
 _new = tuple.__new__
 

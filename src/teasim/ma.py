@@ -5,7 +5,7 @@ fetch/decode, reservation stations with operand forwarding, a reorder
 buffer with in-order commit, memory barriers for the cache-membership
 query, TSX rollback via pipeline invalidation, and an insert-only cache
 fed at load writeback together with a stride prefetcher, one rule
-(`MaParams.prefetch_addrs`) of which `next N` is the stride 1 case.
+(`_stride`) of which `next N` is the stride 1 case.
 
 The step function is written against an explicit resource `Choice`
 (fetch count, stations removed from issue, commits allowed, execution
@@ -84,7 +84,6 @@ from .isa import (
     Instr,
     TsxState,
     compare,
-    dmem_read,
     w32,
     zero_rf,
 )
@@ -232,10 +231,22 @@ def id_set(n: int) -> frozenset[int]:
 MOP_TIMES = {"mmul": 3, "mldri": 2, "mldr": 2}
 
 # Prefetch policies: ("stride", step, count) caches the accessible lines
-# a+step, a+2*step, .., a+count*step; ("next", n) is ("stride", 1, n) and
-# ("none",) disables prefetching.
+# a+step, a+2*step, .., a+count*step of a load's line a, all distinct
+# and none a itself (MaParams checks it); ("next", n) is ("stride", 1,
+# n) and ("none",) disables prefetching.
 PrefetchSpec = tuple
 PREFETCH_ARITY = {"none": 0, "next": 1, "stride": 2}
+
+
+@lru_cache(maxsize=None)
+def _stride(prefetch: PrefetchSpec) -> tuple[int, int]:
+    """A well-formed prefetch policy as (step, count), worked out once
+    per policy: a load's line a is followed by a + step * i, i =
+    1..count (count 0: no line)."""
+    if prefetch[0] == "none":
+        return 0, 0
+    return (1, *prefetch[1:])[-2:]  # ("next", n) is ("stride", 1, n)
+
 
 # Upper limit on every size the machine builds or scans per cycle: the
 # register file, the stations, the fetch group, the ROB tags and the
@@ -271,6 +282,14 @@ class MaParams:
             if not least <= n <= MAX_SIZE:
                 raise ValueError(
                     f"{name} must be from {least} to {MAX_SIZE}, got {n}")
+        # No line is fetched twice, or with the load's own: the lines
+        # a + step * i, i = 0..count, are distinct.
+        step, count = _stride(self.prefetch)
+        for i in range(1, count + 1):
+            if not step * i & MASK32:
+                raise ValueError(
+                    f"prefetch stride {step} {count} repeats a line: "
+                    f"{step} * {i} is 0 mod 2^32")
 
     @property
     def rob_tag_space(self) -> int:
@@ -281,15 +300,6 @@ class MaParams:
         """Upper bound on steps between commits on a live machine."""
         longest = max(MOP_TIMES.values())
         return self.max_rob * longest + 2 * self.fetch_num + 8
-
-    def prefetch_addrs(self, ga: AccessMap, a: int) -> tuple[int, ...]:
-        """The accessible lines a + step * i, i = 1..count."""
-        p = self.prefetch
-        if p[0] == "none":
-            return ()
-        step, count = (1, *p[1:])[-2:]  # ("next", n) is ("stride", 1, n)
-        return tuple([q for i in range(1, count + 1)
-                      if ga.allows(q := w32(a + step * i))])
 
 
 _DEFAULT_PARAMS = MaParams()
@@ -435,19 +445,10 @@ def rob_get(tag: int, rob: tuple[RobLine, ...]) -> RobLine | None:
     return None
 
 
-def rob_before(tag: int, rob: tuple[RobLine, ...]) -> tuple[RobLine, ...]:
-    """Lines strictly before the line with this tag (all lines if absent)."""
-    for i, line in enumerate(rob):
-        if line.rob_id == tag:
-            return rob[:i]
-    return rob
-
-
 def comp_val(rs: ResStation, s: MaState) -> int:
-    """Result of a ready station's micro-operation, from the pre-state."""
+    """Result of a ready station's micro-operation, from the pre-state;
+    a load's and an access check's are worked out at writeback."""
     mop = rs.mop
-    if mop in MEMORY_OPS:
-        return dmem_read(s.dmem, w32(rs.vj + rs.vk))
     if mop == "mand":
         return rs.vj & rs.vk
     if mop in ("maddi", "madd"):
@@ -464,12 +465,6 @@ def comp_val(rs: ResStation, s: MaState) -> int:
         taken = rs.vj == 2 or (mop == "mjge" and rs.vj == 1)
         return w32(rs.rb_pc + rs.vk) if taken else w32(rs.rb_pc + 1)
     return 0
-
-
-def comp_exc(rs: ResStation, s: MaState) -> bool:
-    if rs.mop in CHECK_MOPS:
-        return not s.ga.allows(w32(rs.vj + rs.vk))
-    return False
 
 
 def to_commit(rob: tuple[RobLine, ...], allow_commit) -> tuple[RobLine, ...]:
@@ -571,11 +566,20 @@ def step_core(s: MaState, choice: Choice | None = None) -> tuple[MaState, StepIn
                 or allow_start is not None and rs.rs_id not in allow_start):
             continue
         mop = rs.mop
-        if mop in BARRIER_OPS:
-            if any(l.mop in MEMORY_OPS for l in rob_before(rs.dst, rob0)):
-                continue
-        elif mop in MEMORY_OPS:
-            if any(l.mop in BARRIER_OPS for l in rob_before(rs.dst, rob0)):
+        if mop in BARRIER_OPS or mop in MEMORY_OPS:
+            # The barrier rule: no start while an older line of the
+            # other kind is in the buffer, scanned up to the station's
+            # own line.
+            waits = MEMORY_OPS if mop in BARRIER_OPS else BARRIER_OPS
+            dst = rs.dst
+            blocked = False
+            for line in rob0:
+                if line.rob_id == dst:
+                    break
+                if line.mop in waits:
+                    blocked = True
+                    break
+            if blocked:
                 continue
         stations[i] = _new(ResStation, (
             rs.rs_id, mop, None, None, rs.vj, rs.vk,
@@ -639,15 +643,26 @@ def step_core(s: MaState, choice: Choice | None = None) -> tuple[MaState, StepIn
     writebacks: list[WbRec] = []
     for i in finishing:
         rs = stations[i]
-        val = comp_val(rs, s)
-        exc = comp_exc(rs, s)
         mop = rs.mop
+        exc = False
+        inserted = ()
         if mop in MEMORY_OPS:
             ea = (rs.vj + rs.vk) & MASK32
-            inserted = (ea, *params.prefetch_addrs(s.ga, ea))
+            val = s.dmem.get(ea, 0)  # an unmapped address reads 0
+            # The prefetch set: the accessible lines ea + step * k.
+            step, count = _stride(params.prefetch)
+            lines = [ea]
+            for k in range(1, count + 1):
+                q = (ea + step * k) & MASK32
+                if s.ga.allows(q):
+                    lines.append(q)
+            inserted = tuple(lines)
             cache = cache.union(inserted)
+        elif mop in CHECK_MOPS:
+            val = 0
+            exc = not s.ga.allows((rs.vj + rs.vk) & MASK32)
         else:
-            inserted = ()
+            val = comp_val(rs, s)
         dst = rs.dst
         stations[i] = _new(ResStation, (
             rs.rs_id, mop, rs.qj, rs.qk, rs.vj, rs.vk, rs.cpc,

@@ -216,8 +216,9 @@ def _line_commits(u: MaState, tag: int, run: Run) -> bool:
     within a bounded look-ahead (a halted u steps to itself)."""
     cap = u.params.stutter_cap() * (u.params.max_rob + 2)
     for x, info in islice(run, cap):
-        if any(l.rob_id == tag for l in info.batch):
-            return True
+        for line in info.batch:
+            if line.rob_id == tag:
+                return True
         if info.invalidated or x.halt:
             return False
     return False

@@ -21,9 +21,9 @@ def _pairs(m: dict[int, int]) -> str:
 
 
 def _lines(lines, dmem: dict[int, int], sep: str = " ") -> str:
-    """Cache lines in order, with their memory values, each once: a
-    load's prefetch set repeats its own line under `stride 0 K`."""
-    return sep.join(f"{a:#x}:{dmem.get(a, 0):#x}" for a in sorted(set(lines)))
+    """Distinct cache lines in order, with their memory values (a load's
+    line and its prefetch set are distinct: see `ma.MaParams`)."""
+    return sep.join(f"{a:#x}:{dmem.get(a, 0):#x}" for a in sorted(lines))
 
 
 def _words(ws) -> str:

@@ -268,6 +268,10 @@ USAGE_ERRORS = {
     "prefetch-count-negative": (
         ["run", "{tmp}/p.asm", "--param", "prefetch=next -3"],
         {"p.asm": "ldri r1 r0 4\nhalt\n"}),
+    # its prefetch set would be the load's own line, three times over
+    "prefetch-stride-repeats": (
+        ["run", "{tmp}/p.asm", "--param", "prefetch=stride 0 3"],
+        {"p.asm": "ldri r1 r0 4\nhalt\n"}),
     # a load takes two stations in one cycle, so with one it never issues
     "rs-count-below-decode-width": (
         ["run", "{tmp}/p.asm", "--param", "rs-count=1"],

@@ -21,13 +21,11 @@ from teasim.ma import (
     MaParams,
     ResStation,
     RobLine,
-    comp_exc,
     comp_val,
     decode_one,
     initial_ma_state,
     ma_step,
     maximal_choice,
-    rob_before,
     rob_ids,
     run_ma,
     step_core,
@@ -242,8 +240,9 @@ class TestCompVal:
 
     def test_load_reads_dmem_default_zero(self):
         s = mk(dmem={6: 44})
-        assert comp_val(self.rs("mldr", vj=2, vk=4), s) == 44
-        assert comp_val(self.rs("mldr", vj=2, vk=5), s) == 0
+        for mop in sorted(MEMORY_OPS):
+            assert finishing_writeback(s, mop, 2, 4).val == 44
+            assert finishing_writeback(s, mop, 2, 5).val == 0
 
     def test_in_cache_membership_only(self):
         s = mk()
@@ -253,9 +252,64 @@ class TestCompVal:
 
     def test_check_exception(self):
         s = mk()
-        assert comp_exc(self.rs("mem-check", vj=0x100, vk=0x10), s)
-        assert not comp_exc(self.rs("mem-check", vj=1, vk=2), s)
-        assert not comp_exc(self.rs("mldr", vj=0x100, vk=0x10), s)
+        assert finishing_writeback(s, "mem-check", 0x100, 0x10).excep
+        assert not finishing_writeback(s, "mem-check", 1, 2).excep
+        assert not finishing_writeback(s, "mldr", 0x100, 0x10).excep
+
+
+def finishing_writeback(s, mop, vj, vk):
+    """The writeback of station 0 finishing mop on operands vj and vk in
+    the cycle after s, with its ROB line the only one in flight."""
+    rs = ResStation(0, mop, None, None, vj, vk, s.cyc, True, True, 0, 0)
+    s = s._replace(rob=(RobLine(0, mop, None, False, 0, False),),
+                   rs_f=(rs, *s.rs_f[1:]))
+    (wb,) = step_core(s)[1].writebacks
+    assert (wb.dst, wb.mop) == (0, mop)
+    return wb
+
+
+class TestBarrierStarts:
+    """The barrier rule lets a ready station start once it may: an
+    in-cache waits while an older load is in the reorder buffer, a load
+    while an older in-cache is, and neither on a younger line."""
+
+    def state(self, mop, dst, lines):
+        """The empty machine with station 0 ready to start mop for the
+        ROB line tagged dst, and the lines (tag, mop, ready) in flight."""
+        s = mk()
+        rs = ResStation(0, mop, None, None, 0, 0, 0, True, False, dst, 0)
+        return s._replace(
+            rob=tuple(RobLine(tag, m, None, rdy, 0, False)
+                      for tag, m, rdy in lines),
+            rs_f=(rs, *s.rs_f[1:]))
+
+    @pytest.mark.parametrize("load", sorted(MEMORY_OPS))
+    def test_in_cache_starts_the_cycle_after_an_older_load_leaves(self, load):
+        s = self.state("min-cache", 1,
+                       [(0, load, False), (1, "min-cache", False)])
+        for _ in range(3):  # the load's line stays, and so does the wait
+            s, info = step_core(s)
+            assert 0 not in info.started
+        # Ready, the load's line commits; the start is judged against
+        # the buffer before the cycle, so it waits one cycle more.
+        s = s._replace(rob=(s.rob[0]._replace(rdy=True), *s.rob[1:]))
+        s, info = step_core(s)
+        assert [l.rob_id for l in info.batch] == [0]
+        assert 0 not in info.started
+        s, info = step_core(s)
+        assert 0 in info.started
+
+    @pytest.mark.parametrize("load", sorted(MEMORY_OPS))
+    def test_load_waits_behind_an_older_in_cache(self, load):
+        s = self.state(load, 1, [(0, "min-cache", False), (1, load, False)])
+        assert 0 not in step_core(s)[1].started
+
+    @pytest.mark.parametrize("mop, other", [
+        ("min-cache", "mldr"), ("min-cache", "mldri"),
+        ("mldr", "min-cache"), ("mldri", "min-cache")])
+    def test_no_wait_on_a_younger_line(self, mop, other):
+        s = self.state(mop, 0, [(0, mop, False), (1, other, False)])
+        assert 0 in step_core(s)[1].started
 
 
 class TestStep:
@@ -320,7 +374,7 @@ class TestInvariants:
             for rs in s.rs_f:
                 if not (rs.busy and rs.exec):
                     continue
-                before = rob_before(rs.dst, s.rob)
+                before = s.rob[:ids.index(rs.dst)]
                 if rs.mop in BARRIER_OPS:
                     assert not any(l.mop in MEMORY_OPS for l in before)
                 if rs.mop in MEMORY_OPS:
@@ -358,9 +412,22 @@ class TestMachineFamily:
         (("none",), (), ()),
     ])
     def test_prefetch_addrs(self, policy, at5, at0):
-        p = MaParams(prefetch=policy)
-        assert p.prefetch_addrs(GA, 5) == at5
-        assert p.prefetch_addrs(GA, 0) == at0
+        # A finishing load deposits its own line, then its prefetch set.
+        s = mk(params=MaParams(prefetch=policy))
+        assert finishing_writeback(s, "mldr", 5, 0).inserted == (5, *at5)
+        assert finishing_writeback(s, "mldri", 0, 0).inserted == (0, *at0)
+
+    @pytest.mark.parametrize("policy", [
+        ("stride", 0, 3), ("stride", 1 << 31, 2), ("stride", 1 << 32, 1)])
+    def test_a_stride_that_repeats_a_line_is_rejected(self, policy):
+        with pytest.raises(ValueError, match="repeats a line"):
+            MaParams(prefetch=policy)
+
+    def test_a_stride_of_half_the_space_fetches_one_line(self):
+        s = mk(ga=AccessMap(((0, 0xFF), (0x8000_0000, 0x8000_00FF))),
+               params=MaParams(prefetch=("stride", 1 << 31, 1)))
+        assert (finishing_writeback(s, "mldr", 5, 0).inserted
+                == (5, 0x8000_0005))
 
     @pytest.mark.parametrize("field, least", [
         ("fetch_num", 1), ("max_rob", ma.MAX_DECODE),
